@@ -321,8 +321,8 @@ func benchBackend(b *testing.B, n int, backend sim.Backend, batch uint64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c, ok := eng.(*sim.CountsEngine[uint32]); ok {
-			c.BatchLen = batch
+		if c, ok := eng.(*sim.CountsEngine[uint32]); ok && batch != 0 {
+			c.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: batch})
 		}
 		res := eng.Run()
 		if !res.Converged || res.Leaders != 1 {

@@ -262,7 +262,7 @@ func Lookup(id string) (Runner, bool) {
 // engine-internal fan-out is not (different widths consume randomness in
 // different orders).
 func trialKey(cfg Config, kind, protocol string, n int, tc sim.TrialConfig) store.Key {
-	extra := fmt.Sprintf("track=%t,batchlen=%d", tc.TrackStates, tc.BatchLen)
+	extra := fmt.Sprintf("track=%t", tc.TrackStates)
 	if tc.Perturb != nil {
 		// Perturbations change the trajectory law, so the full fingerprint
 		// is part of the cache identity.

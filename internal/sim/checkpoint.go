@@ -26,16 +26,18 @@ import (
 // exist. Periodic checkpointing therefore has "at least every" semantics:
 // the snapshot fires at the first boundary at or after each cadence point,
 // which keeps a checkpointing run's trajectory identical to a
-// non-checkpointing one (exact-mode chunks, whose split points are
-// trajectory-neutral, are clamped to the cadence instead).
+// non-checkpointing one (exact-mode chunks are the exception; see the
+// exact-chunk rules in unit.go).
 
 // CheckpointVersion is the snapshot format version. Restore rejects
 // snapshots written by any other version. Version 2 added the live
 // population size and the perturbation section to every payload (the
 // scenario layer: n becomes time-varying under churn, and perturbed
 // resumes need the perturbation stream position and boundary cursor);
-// the envelope's population field holds the initial n₀.
-const CheckpointVersion = 2
+// the envelope's population field holds the initial n₀. Version 3 dropped
+// the removed legacy BatchLen knob from the counts configuration
+// fingerprint.
+const CheckpointVersion = 3
 
 // ckptMagic is the snapshot file format tag.
 const ckptMagic = "POPCKPT\x00"
@@ -344,36 +346,6 @@ func (r *ckptDec) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *ckptDec) str() string   { return string(r.take(int(r.u32()))) }
 func (r *ckptDec) bytes() []byte { return r.take(int(r.u64())) }
 
-// probe schedule block: shared by all three engines.
-
-func encodeSchedules(w *ckptEnc, scheds []probeSchedule) {
-	w.u32(uint32(len(scheds)))
-	for _, s := range scheds {
-		w.u64(s.Every)
-		w.u64(s.Next)
-		w.u64(s.LastFired)
-		w.boolean(s.HasFired)
-	}
-}
-
-func decodeSchedules(r *ckptDec) []probeSchedule {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.buf) { // cheap sanity bound before allocating
-		r.fail("bad probe schedule count %d", n)
-		return nil
-	}
-	scheds := make([]probeSchedule, n)
-	for i := range scheds {
-		scheds[i] = probeSchedule{
-			Every:     r.u64(),
-			Next:      r.u64(),
-			LastFired: r.u64(),
-			HasFired:  r.boolean(),
-		}
-	}
-	return scheds
-}
-
 // ---------------------------------------------------------------------------
 // State codec: agent states serialize as uint32 indices into the protocol's
 // States() enumeration, so snapshots are portable across processes (they
@@ -393,88 +365,69 @@ func enumIndex[S comparable](proto Enumerable[S]) map[S]int32 {
 }
 
 // ---------------------------------------------------------------------------
-// CountsEngine.
+// Engine middle sections; the shared head and tail are framed by the unit
+// loop (see unit.go).
 
-// countsPayload serializes the counts engine core. It is shared with the
-// sharded engine, whose sub-censuses nest complete counts snapshots.
-func (e *CountsEngine[S]) countsSnapshot() ([]byte, error) {
+// Snapshot implements Checkpointable. The sharded engine nests one complete
+// counts snapshot per sub-census.
+func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
 	if len(e.touched) != 0 {
 		return nil, fmt.Errorf("sim: snapshot mid-batch (staged diffs pending)")
 	}
 	if e.enumIdx == nil {
 		e.enumIdx = enumIndex[S](e.proto)
 	}
-	var w ckptEnc
-	// Live population first (it differs from the envelope's n₀ under
-	// churn — including for the unperturbed sub-censuses of a perturbed
-	// sharded engine), then the perturbation section.
-	w.u64(uint64(e.n))
-	e.pert.encode(&w)
-	w.bytes(e.src.State())
-	w.u64(e.step)
-	w.u64(e.adaptLen)
-	w.i64(int64(e.effWorkers))
-	// Configuration fingerprint: the restoring engine must be configured
-	// identically or the resumed trajectory silently diverges.
-	w.i64(int64(e.Workers))
-	w.u8(byte(e.Policy.Mode))
-	w.u64(e.Policy.Len)
-	w.f64(e.Policy.Eps)
-	w.u64(e.BatchLen)
-	// States in id-assignment order (ids are assigned by first appearance,
-	// and the assignment order is trajectory-relevant: batch setup sorts
-	// occupied states with id tie-breaks).
-	w.u32(uint32(len(e.states)))
-	for _, s := range e.states {
-		ei, ok := e.enumIdx[s]
-		if !ok {
-			return nil, fmt.Errorf("sim: state %v not in protocol %s's States() enumeration", s, e.proto.Name())
+	return e.snapshot(func(w *ckptEnc) error {
+		w.u64(e.adaptLen)
+		w.i64(int64(e.effWorkers))
+		// Configuration fingerprint: the restoring engine must be configured
+		// identically or the resumed trajectory silently diverges.
+		w.i64(int64(e.Workers))
+		w.u8(byte(e.Policy.Mode))
+		w.u64(e.Policy.Len)
+		w.f64(e.Policy.Eps)
+		// States in id-assignment order (ids are assigned by first
+		// appearance, and the assignment order is trajectory-relevant: batch
+		// setup sorts occupied states with id tie-breaks).
+		w.u32(uint32(len(e.states)))
+		for _, s := range e.states {
+			ei, ok := e.enumIdx[s]
+			if !ok {
+				return fmt.Errorf("sim: state %v not in protocol %s's States() enumeration", s, e.proto.Name())
+			}
+			w.u32(uint32(ei))
 		}
-		w.u32(uint32(ei))
-	}
-	for _, c := range e.pop {
-		w.i64(c)
-	}
-	// Active list in live order (migrate() and batch setup iterate it).
-	w.u32(uint32(len(e.active)))
-	for _, id := range e.active {
-		w.u32(uint32(id))
-	}
-	// Alias cache: the cached weights govern how much randomness the
-	// rejection sampler consumes, so they are part of the trajectory.
-	w.boolean(e.aliasTab != nil)
-	if e.aliasTab != nil {
-		w.u32(uint32(len(e.aliasOcc)))
-		for _, id := range e.aliasOcc {
+		for _, c := range e.pop {
+			w.i64(c)
+		}
+		// Active list in live order (migrate() and batch setup iterate it).
+		w.u32(uint32(len(e.active)))
+		for _, id := range e.active {
 			w.u32(uint32(id))
 		}
-		for _, wt := range e.aliasW[:len(e.aliasOcc)] {
-			w.f64(wt)
+		// Alias cache: the cached weights govern how much randomness the
+		// rejection sampler consumes, so they are part of the trajectory.
+		w.boolean(e.aliasTab != nil)
+		if e.aliasTab != nil {
+			w.u32(uint32(len(e.aliasOcc)))
+			for _, id := range e.aliasOcc {
+				w.u32(uint32(id))
+			}
+			for _, wt := range e.aliasW[:len(e.aliasOcc)] {
+				w.f64(wt)
+			}
+			w.f64(e.aliasWSum)
 		}
-		w.f64(e.aliasWSum)
-	}
-	encodeSchedules(&w, e.probes.schedules())
-	return w.buf, nil
+		return nil
+	})
 }
 
-// Snapshot implements Checkpointable.
-func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
-	payload, err := e.countsSnapshot()
+// Restore implements Checkpointable.
+func (e *CountsEngine[S]) Restore(snapshot []byte) error {
+	r, h, err := e.openPayload(snapshot)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return sealCheckpoint(ckptKindCounts, e.proto.Name(), uint64(e.n0), payload), nil
-}
-
-func (e *CountsEngine[S]) countsRestore(payload []byte) error {
-	r := ckptDec{buf: payload}
-	liveN := int(r.u64())
-	if r.err == nil && liveN < 2 {
-		return fmt.Errorf("sim: checkpoint live population %d < 2", liveN)
-	}
-	pc := decodePert(&r)
-	srcState := r.bytes()
-	step := r.u64()
 	adaptLen := r.u64()
 	effWorkers := int(r.i64())
 
@@ -482,14 +435,13 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 	mode := BatchMode(r.u8())
 	plen := r.u64()
 	peps := r.f64()
-	batchLen := r.u64()
 	if r.err == nil {
 		if workers != e.Workers {
 			return fmt.Errorf("sim: checkpoint Workers=%d, engine has %d", workers, e.Workers)
 		}
-		if mode != e.Policy.Mode || plen != e.Policy.Len || peps != e.Policy.Eps || batchLen != e.BatchLen {
-			return fmt.Errorf("sim: checkpoint batch policy %s/len=%d differs from engine's %s/len=%d",
-				BatchPolicy{Mode: mode, Len: plen, Eps: peps}, batchLen, e.Policy, e.BatchLen)
+		if mode != e.Policy.Mode || plen != e.Policy.Len || peps != e.Policy.Eps {
+			return fmt.Errorf("sim: checkpoint batch policy %s differs from engine's %s",
+				BatchPolicy{Mode: mode, Len: plen, Eps: peps}, e.Policy)
 		}
 	}
 
@@ -522,16 +474,16 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 	var total int64
 	for id := range pop {
 		pop[id] = r.i64()
-		if pop[id] < 0 {
+		if pop[id] < 0 || pop[id] > int64(h.liveN) {
 			return fmt.Errorf("sim: checkpoint census count %d for state id %d", pop[id], id)
 		}
 		total += pop[id]
 	}
-	if r.err == nil && total != int64(liveN) {
-		return fmt.Errorf("sim: checkpoint census sums to %d agents, live population is %d", total, liveN)
+	if r.err == nil && total != int64(h.liveN) {
+		return fmt.Errorf("sim: checkpoint census sums to %d agents, live population is %d", total, h.liveN)
 	}
 	na := int(r.u32())
-	if r.err != nil || na > m {
+	if r.err != nil || na < 0 || na > m {
 		return fmt.Errorf("sim: checkpoint active list of %d entries over %d states", na, m)
 	}
 	active := make([]int32, na)
@@ -560,11 +512,11 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 		activePos[id] = int32(i)
 	}
 
-	hasAlias := r.boolean()
+	var aliasTab *rng.Alias
 	var aliasOcc []int32
 	var aliasW []float64
 	var aliasWSum float64
-	if hasAlias {
+	if r.boolean() {
 		k := int(r.u32())
 		if r.err != nil || k < 1 || k > m {
 			return fmt.Errorf("sim: checkpoint alias cache over %d classes (states: %d)", k, m)
@@ -578,38 +530,24 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 			aliasOcc[i] = id
 		}
 		aliasW = make([]float64, k)
-		sum := 0.0
 		for i := range aliasW {
 			aliasW[i] = r.f64()
-			if r.err == nil && (math.IsNaN(aliasW[i]) || aliasW[i] < 0) {
-				return fmt.Errorf("sim: checkpoint alias weight %g", aliasW[i])
-			}
-			sum += aliasW[i]
 		}
 		aliasWSum = r.f64()
-		if r.err == nil && sum <= 0 {
-			return fmt.Errorf("sim: checkpoint alias cache has zero total weight")
+		if r.err == nil {
+			// The Vose construction is deterministic: rebuilding from the
+			// serialized weights yields the identical table (and therefore
+			// the identical rejection-sampling randomness consumption).
+			if aliasTab, err = rng.NewAlias(aliasW); err != nil {
+				return fmt.Errorf("sim: checkpoint alias cache: %w", err)
+			}
 		}
 	}
-	scheds := decodeSchedules(&r)
-	if r.err != nil {
-		return fmt.Errorf("sim: checkpoint corrupted: %w", r.err)
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("sim: checkpoint corrupted: %d trailing payload bytes", len(r.buf)-r.off)
-	}
-	if err := e.pert.restore(pc); err != nil {
-		return err
-	}
-	if err := e.src.SetState(srcState); err != nil {
-		return fmt.Errorf("sim: checkpoint PRNG state: %w", err)
-	}
-	if err := e.probes.restoreSchedules(scheds); err != nil {
+	if err := e.commitPayload(r, h); err != nil {
 		return err
 	}
 
 	// Commit: rebuild every derived structure from the restored census.
-	e.n = liveN
 	e.states = states
 	e.index = index
 	e.classOf = e.classOf[:0]
@@ -641,22 +579,16 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 		e.deltaCap = deltaTabMaxStride
 	}
 	e.growDeltaTab()
-	if hasAlias {
+	e.aliasTab = aliasTab
+	if aliasTab != nil {
 		e.aliasOcc = aliasOcc
 		e.aliasW = aliasW
 		e.aliasWSum = aliasWSum
-		// The Vose construction is deterministic: rebuilding from the
-		// serialized weights yields the identical table (and therefore the
-		// identical rejection-sampling randomness consumption).
-		e.aliasTab = rng.MustAlias(aliasW)
 	} else {
-		e.aliasTab = nil
 		e.aliasOcc = e.aliasOcc[:0]
 	}
-	e.step = step
 	e.adaptLen = adaptLen
 	e.effWorkers = effWorkers
-	e.ckpt.rebase(e.step)
 	// Reactive-pair structures and the sorted-occ cache are derived state
 	// and deliberately not serialized: drop them and let the samplers
 	// rebuild from the restored census. Rebuilds are pure functions of
@@ -669,112 +601,74 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 	return nil
 }
 
-// Restore implements Checkpointable.
-func (e *CountsEngine[S]) Restore(snapshot []byte) error {
-	payload, err := openCheckpoint(snapshot, ckptKindCounts, e.proto.Name(), uint64(e.n0))
-	if err != nil {
-		return err
-	}
-	return e.countsRestore(payload)
-}
-
-// SetCheckpoint implements Checkpointable.
-func (e *CountsEngine[S]) SetCheckpoint(every uint64, sink CheckpointSink) {
-	e.ckpt.configure(every, sink, e.step)
-}
-
-// CheckpointErr implements Checkpointable.
-func (e *CountsEngine[S]) CheckpointErr() error { return e.ckpt.err }
-
-func (e *CountsEngine[S]) maybeCheckpoint() { e.ckpt.fire(e.step, e.Snapshot) }
-
-// ---------------------------------------------------------------------------
-// Runner (dense backend).
-
-// denseCkptSupport resolves the two capabilities dense checkpointing needs:
-// a finite state enumeration for the portable state codec, and the concrete
-// *rng.Source scheduler whose stream position can be serialized.
-func (r *Runner[S, P]) denseCkptSupport() (Enumerable[S], *rng.Source, error) {
-	en, ok := any(r.proto).(Enumerable[S])
-	if !ok {
-		return nil, nil, fmt.Errorf("sim: dense checkpoint requires protocol %s to implement Enumerable (finite state-space enumeration)", r.proto.Name())
-	}
-	src, ok := r.rng.(*rng.Source)
-	if !ok {
-		return nil, nil, fmt.Errorf("sim: dense checkpoint requires an *rng.Source scheduler, not %T", r.rng)
-	}
-	return en, src, nil
-}
-
-// Snapshot implements Checkpointable.
+// Snapshot implements Checkpointable. Dense checkpoints need an Enumerable
+// protocol: agent states serialize through the enumeration.
 func (r *Runner[S, P]) Snapshot() ([]byte, error) {
-	en, src, err := r.denseCkptSupport()
+	en, err := r.enumerable()
 	if err != nil {
 		return nil, err
 	}
 	if r.enumIdx == nil {
 		r.enumIdx = enumIndex[S](en)
 	}
-	var w ckptEnc
-	// Live population first (the pop block below has exactly this many
-	// entries; it differs from the envelope's n₀ under churn), then the
-	// perturbation section.
-	w.u64(uint64(r.n))
-	r.pert.encode(&w)
-	w.bytes(src.State())
-	w.u64(r.step)
-	w.boolean(r.TrackStates)
-	for _, s := range r.pop {
-		ei, ok := r.enumIdx[s]
-		if !ok {
-			return nil, fmt.Errorf("sim: state %v not in protocol %s's States() enumeration", s, r.proto.Name())
-		}
-		w.u32(uint32(ei))
-	}
-	if r.TrackStates {
-		r.ensureSeen()
-		ids := make([]int32, 0, len(r.seen))
-		for s := range r.seen {
+	return r.snapshot(func(w *ckptEnc) error {
+		w.boolean(r.TrackStates)
+		// Exactly the live population's agents (n differs from the
+		// envelope's n₀ under churn).
+		for _, s := range r.pop {
 			ei, ok := r.enumIdx[s]
 			if !ok {
-				return nil, fmt.Errorf("sim: seen state %v not in protocol %s's States() enumeration", s, r.proto.Name())
+				return fmt.Errorf("sim: state %v not in protocol %s's States() enumeration", s, r.proto.Name())
 			}
-			ids = append(ids, ei)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		w.u32(uint32(len(ids)))
-		for _, ei := range ids {
 			w.u32(uint32(ei))
 		}
+		if r.TrackStates {
+			r.ensureSeen()
+			ids := make([]int32, 0, len(r.seen))
+			for s := range r.seen {
+				ei, ok := r.enumIdx[s]
+				if !ok {
+					return fmt.Errorf("sim: seen state %v not in protocol %s's States() enumeration", s, r.proto.Name())
+				}
+				ids = append(ids, ei)
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			w.u32(uint32(len(ids)))
+			for _, ei := range ids {
+				w.u32(uint32(ei))
+			}
+		}
+		return nil
+	})
+}
+
+func (r *Runner[S, P]) enumerable() (Enumerable[S], error) {
+	en, ok := any(r.proto).(Enumerable[S])
+	if !ok {
+		return nil, fmt.Errorf("sim: dense checkpoint requires protocol %s to implement Enumerable (finite state-space enumeration)", r.proto.Name())
 	}
-	encodeSchedules(&w, r.probes.schedules())
-	return sealCheckpoint(ckptKindDense, r.proto.Name(), uint64(r.n0), w.buf), nil
+	return en, nil
 }
 
 // Restore implements Checkpointable.
 func (r *Runner[S, P]) Restore(snapshot []byte) error {
-	en, src, err := r.denseCkptSupport()
+	en, err := r.enumerable()
 	if err != nil {
 		return err
 	}
-	payload, err := openCheckpoint(snapshot, ckptKindDense, r.proto.Name(), uint64(r.n0))
+	d, h, err := r.openPayload(snapshot)
 	if err != nil {
 		return err
+	}
+	if h.liveN > len(d.buf) {
+		return fmt.Errorf("sim: checkpoint live population %d invalid", h.liveN)
 	}
 	all := en.States()
-	d := ckptDec{buf: payload}
-	liveN := int(d.u64())
-	if d.err == nil && (liveN < 2 || liveN > len(payload)) {
-		return fmt.Errorf("sim: checkpoint live population %d invalid", liveN)
-	}
-	pc := decodePert(&d)
-	srcState := d.bytes()
-	step := d.u64()
 	track := d.boolean()
 	if d.err == nil && track != r.TrackStates {
 		return fmt.Errorf("sim: checkpoint TrackStates=%v, engine has %v", track, r.TrackStates)
 	}
-	pop := make([]S, liveN)
+	pop := make([]S, h.liveN)
 	for i := range pop {
 		ei := int(d.u32())
 		if d.err != nil {
@@ -803,27 +697,11 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 			seen[all[ei]] = struct{}{}
 		}
 	}
-	scheds := decodeSchedules(&d)
-	if d.err != nil {
-		return fmt.Errorf("sim: checkpoint corrupted: %w", d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("sim: checkpoint corrupted: %d trailing payload bytes", len(d.buf)-d.off)
-	}
-	if err := r.pert.restore(pc); err != nil {
+	if err := r.commitPayload(d, h); err != nil {
 		return err
 	}
-	if err := src.SetState(srcState); err != nil {
-		return fmt.Errorf("sim: checkpoint PRNG state: %w", err)
-	}
-	if err := r.probes.restoreSchedules(scheds); err != nil {
-		return err
-	}
-	r.n = liveN
 	r.pop = pop
-	for i := range r.counts {
-		r.counts[i] = 0
-	}
+	clear(r.counts)
 	r.leaders = 0
 	for _, s := range pop {
 		r.counts[r.proto.Class(s)]++
@@ -835,66 +713,39 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 	if r.censusOn {
 		r.stateCensus = buildCensus(r.pop)
 	}
-	r.step = step
-	r.ckpt.rebase(r.step)
 	return nil
 }
 
-// SetCheckpoint implements Checkpointable.
-func (r *Runner[S, P]) SetCheckpoint(every uint64, sink CheckpointSink) {
-	r.ckpt.configure(every, sink, r.step)
-}
-
-// CheckpointErr implements Checkpointable.
-func (r *Runner[S, P]) CheckpointErr() error { return r.ckpt.err }
-
-// ---------------------------------------------------------------------------
-// ShardedCountsEngine.
-
-// Snapshot implements Checkpointable: the parent stream, the epoch and
-// migration positions, and one nested counts snapshot per shard.
+// Snapshot implements Checkpointable: the epoch and migration positions and
+// one nested counts snapshot per shard.
 func (e *ShardedCountsEngine[S]) Snapshot() ([]byte, error) {
-	var w ckptEnc
-	// Live population first (shard sizes stop being invariant under
-	// churn), then the perturbation section.
-	w.u64(uint64(e.n))
-	e.pert.encode(&w)
-	w.bytes(e.src.State())
-	w.u64(e.step)
-	w.u64(e.sinceMig)
-	w.i64(int64(e.rr))
-	// Configuration fingerprint (λ and epoch shape the trajectory).
-	w.f64(e.Migration)
-	w.u64(e.EpochLen)
-	w.u32(uint32(len(e.subs)))
-	for k, sub := range e.subs {
-		w.i64(e.sizes[k])
-		subSnap, err := sub.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("sim: shard %d: %w", k, err)
+	return e.snapshot(func(w *ckptEnc) error {
+		w.u64(e.sinceMig)
+		w.i64(int64(e.rr))
+		// Configuration fingerprint (λ and epoch shape the trajectory).
+		w.f64(e.Migration)
+		w.u64(e.EpochLen)
+		w.u32(uint32(len(e.subs)))
+		for k, sub := range e.subs {
+			w.i64(e.sizes[k])
+			subSnap, err := sub.Snapshot()
+			if err != nil {
+				return fmt.Errorf("sim: shard %d: %w", k, err)
+			}
+			w.bytes(subSnap)
 		}
-		w.bytes(subSnap)
-	}
-	encodeSchedules(&w, e.probes.schedules())
-	return sealCheckpoint(ckptKindSharded, e.proto.Name(), uint64(e.n0), w.buf), nil
+		return nil
+	})
 }
 
 // Restore implements Checkpointable.
 func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
-	payload, err := openCheckpoint(snapshot, ckptKindSharded, e.proto.Name(), uint64(e.n0))
+	d, h, err := e.openPayload(snapshot)
 	if err != nil {
 		return err
 	}
-	d := ckptDec{buf: payload}
-	liveN := int(d.u64())
-	if d.err == nil && liveN < 2 {
-		return fmt.Errorf("sim: checkpoint live population %d invalid", liveN)
-	}
-	pc := decodePert(&d)
-	srcState := d.bytes()
-	step := d.u64()
 	sinceMig := d.u64()
-	rr := int(d.i64())
+	rr := d.i64()
 	mig := d.f64()
 	epoch := d.u64()
 	if d.err == nil {
@@ -903,6 +754,9 @@ func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
 		}
 		if epoch != e.EpochLen {
 			return fmt.Errorf("sim: checkpoint epoch length %d, engine has %d", epoch, e.EpochLen)
+		}
+		if rr < 0 || rr >= int64(len(e.subs)) {
+			return fmt.Errorf("sim: checkpoint allocation offset %d outside [0,%d)", rr, len(e.subs))
 		}
 	}
 	k := int(d.u32())
@@ -917,10 +771,10 @@ func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
 	var sizeSum int64
 	for i := 0; i < k; i++ {
 		size := d.i64()
-		if pc.has {
+		if h.pert.has {
 			// Shard sizes drift under churn: adopt the snapshot's, with
 			// the same floor the perturbation targets maintain.
-			if d.err == nil && size < 2 {
+			if d.err == nil && (size < 2 || size > int64(h.liveN)) {
 				return fmt.Errorf("sim: checkpoint shard %d has %d agents", i, size)
 			}
 		} else if d.err == nil && size != e.sizes[i] {
@@ -930,23 +784,10 @@ func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
 		sizeSum += size
 		subSnaps[i] = d.bytes()
 	}
-	if d.err == nil && sizeSum != int64(liveN) {
-		return fmt.Errorf("sim: checkpoint shard sizes sum to %d agents, live population is %d", sizeSum, liveN)
+	if d.err == nil && sizeSum != int64(h.liveN) {
+		return fmt.Errorf("sim: checkpoint shard sizes sum to %d agents, live population is %d", sizeSum, h.liveN)
 	}
-	scheds := decodeSchedules(&d)
-	if d.err != nil {
-		return fmt.Errorf("sim: checkpoint corrupted: %w", d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("sim: checkpoint corrupted: %d trailing payload bytes", len(d.buf)-d.off)
-	}
-	if err := e.pert.restore(pc); err != nil {
-		return err
-	}
-	if err := e.src.SetState(srcState); err != nil {
-		return fmt.Errorf("sim: checkpoint PRNG state: %w", err)
-	}
-	if err := e.probes.restoreSchedules(scheds); err != nil {
+	if err := e.commitPayload(d, h); err != nil {
 		return err
 	}
 	for i, sub := range e.subs {
@@ -957,22 +798,9 @@ func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
 			return fmt.Errorf("sim: shard %d restored %d live agents, size field says %d", i, sub.n, sizes[i])
 		}
 	}
-	e.n = liveN
 	copy(e.sizes, sizes)
-	e.step = step
 	e.sinceMig = sinceMig
-	e.rr = rr
+	e.rr = int(rr)
 	e.mergedOK = false
-	e.ckpt.rebase(e.step)
 	return nil
 }
-
-// SetCheckpoint implements Checkpointable.
-func (e *ShardedCountsEngine[S]) SetCheckpoint(every uint64, sink CheckpointSink) {
-	e.ckpt.configure(every, sink, e.step)
-}
-
-// CheckpointErr implements Checkpointable.
-func (e *ShardedCountsEngine[S]) CheckpointErr() error { return e.ckpt.err }
-
-func (e *ShardedCountsEngine[S]) maybeCheckpoint() { e.ckpt.fire(e.step, e.Snapshot) }

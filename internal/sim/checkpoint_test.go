@@ -337,6 +337,48 @@ func reseal(snap []byte) {
 	copy(snap[len(snap)-sha256.Size:], sum[:])
 }
 
+// ckptHeadOffsets walks a checkpoint payload head (live n, perturbation
+// section, scheduler PRNG state, step) and returns the offsets of the
+// perturbation cursor (-1 when unperturbed), the step and the engine's
+// middle section.
+func ckptHeadOffsets(p []byte) (cursor, step, middle int) {
+	cursor = -1
+	off := 8
+	perturbed := p[off] == 1
+	off++
+	if perturbed {
+		off += 4 + int(binary.LittleEndian.Uint32(p[off:]))
+		off += 8 + int(binary.LittleEndian.Uint64(p[off:]))
+		cursor = off
+		off += 8
+	}
+	off += 8 + int(binary.LittleEndian.Uint64(p[off:]))
+	return cursor, off, off + 8
+}
+
+// wantPayloadError snapshots a fuzzCkptEngine configuration mid-run,
+// applies patch to the payload, re-seals it and requires Restore to reject
+// it with an error mentioning substr. These are fields whose bad values a
+// decoder could accept and Run would only trip over later.
+func wantPayloadError(t *testing.T, kind uint8, churn bool, substr string, patch func(p []byte)) {
+	t.Helper()
+	eng := fuzzCkptEngine(t, kind, churn)
+	eng.RunSteps(3 * fuzzCkptN)
+	snap, err := eng.(sim.Checkpointable).Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	p := sim.CheckpointPayload(snap)
+	patch(p)
+	err = restoreResealed(t, fuzzCkptEngine(t, kind, churn), p)
+	if err == nil {
+		t.Fatalf("Restore accepted a payload that should be rejected (%s)", substr)
+	}
+	if !strings.Contains(err.Error(), substr) {
+		t.Fatalf("error %q does not mention %q", err, substr)
+	}
+}
+
 func TestCheckpointFormatRejection(t *testing.T) {
 	const n = 300
 	eng := buildCkptEngine(t, "counts", n, 5)
@@ -362,6 +404,51 @@ func TestCheckpointFormatRejection(t *testing.T) {
 	binary.LittleEndian.PutUint32(wrongVer[8:], sim.CheckpointVersion+1)
 	reseal(wrongVer)
 	wantRestoreError(t, fresh(), wrongVer, "format version")
+
+	// A version-2 snapshot, whose counts payload still carried the removed
+	// BatchLen fingerprint, is rejected by version rather than misparsed.
+	v2 := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(v2[8:], 2)
+	reseal(v2)
+	wantRestoreError(t, fresh(), v2, "format version 2;")
+
+	// Payload fields that pass the framing checks but are out of range.
+	const countsExact, sharded = 1, 3 // fuzzCkptEngine kinds
+	le := binary.LittleEndian
+	wantPayloadError(t, countsExact, true, "ahead of step", func(p []byte) {
+		// A perturbation cursor past the step would underflow the next
+		// application's elapsed span.
+		cursor, step, _ := ckptHeadOffsets(p)
+		le.PutUint64(p[cursor:], le.Uint64(p[step:])+1)
+	})
+	wantPayloadError(t, countsExact, false, "census count", func(p []byte) {
+		// Four counts of 2⁶² wrap the int64 sum, so the census still sums
+		// to the live n; only the per-count bound catches it.
+		_, _, mid := ckptHeadOffsets(p)
+		m := int(le.Uint32(p[mid+41:])) // after adaptLen, workers ×2, policy
+		pops := mid + 45 + 4*m
+		if m < 5 {
+			t.Fatalf("need 5 discovered states, have %d", m)
+		}
+		var head uint64
+		for i := 0; i < 5; i++ {
+			head += le.Uint64(p[pops+8*i:])
+		}
+		for i := 0; i < 4; i++ {
+			le.PutUint64(p[pops+8*i:], 1<<62)
+		}
+		le.PutUint64(p[pops+32:], head)
+	})
+	wantPayloadError(t, sharded, false, "allocation offset", func(p []byte) {
+		_, _, mid := ckptHeadOffsets(p)
+		le.PutUint64(p[mid+8:], 4) // rr, after sinceMig; the engine has K = 4
+	})
+	wantPayloadError(t, sharded, true, "shard 0 has", func(p []byte) {
+		// Under churn shard sizes are adopted from the snapshot, so they
+		// are bounded by the live n instead of matched.
+		_, _, mid := ckptHeadOffsets(p)
+		le.PutUint64(p[mid+36:], le.Uint64(p)+1) // after sinceMig, rr, λ, epoch, K
+	})
 
 	// Engine-kind, population and protocol mismatches.
 	wantRestoreError(t, buildCkptEngine(t, "dense", n, 5), snap, "counts engine")

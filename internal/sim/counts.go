@@ -47,14 +47,12 @@ import (
 // the sampling work of large batches out over short-lived shard goroutines
 // internally (see counts_parallel.go), joining them before returning.
 type CountsEngine[S comparable] struct {
-	proto Enumerable[S]
-	src   *rng.Source
-	// n is the live population size; n0 the initial size. They differ only
-	// under churn perturbations.
-	n, n0 int
+	// unitLoop drives Run/RunSteps and owns the step counter, population
+	// size, budget, probes, checkpoints and perturbation (see unit.go); the
+	// counts engine's scheduling units are batches and exact chunks.
+	unitLoop[S]
 
-	// MaxInteractions bounds Run; 0 means DefaultBudget(n).
-	MaxInteractions uint64
+	proto Enumerable[S]
 
 	// Workers caps the number of sampling shards a batch may fan out to.
 	// 0 or 1 keeps the historical serial path. The determinism contract:
@@ -72,13 +70,6 @@ type CountsEngine[S comparable] struct {
 	// the drift-bounded adaptive controller (DefaultBatchEps) up to
 	// AutoAdaptiveMaxN, fixed n/8 batches beyond.
 	Policy BatchPolicy
-
-	// BatchLen is the legacy fixed-batch knob: a nonzero value is
-	// shorthand for BatchPolicy{Mode: BatchFixed, Len: BatchLen} and takes
-	// effect when Policy is left at its zero value (1 forces exact
-	// simulation). Values above n/2 are clamped to n/2 (a batch cannot
-	// involve more than n distinct agents). New code should set Policy.
-	BatchLen uint64
 
 	// State indexing is lazy: states are assigned dense int32 ids in
 	// order of first appearance (initial census, then Delta outputs).
@@ -103,7 +94,6 @@ type CountsEngine[S comparable] struct {
 
 	classCounts []int64
 	leaders     int64
-	step        uint64
 
 	// deltaCache memoizes Delta on id pairs: key a<<32|b → a'<<32|b'.
 	// Pairs whose ids both lie below deltaStride go through deltaTab, a
@@ -122,8 +112,6 @@ type CountsEngine[S comparable] struct {
 	// stateBound is len(proto.States()), the enumeration's upper bound on
 	// how many ids can ever be assigned (computed once at construction).
 	stateBound int
-
-	probes probeSet[S]
 
 	// adaptLen is the adaptive controller's next batch length, derived
 	// from the previous batch's realized per-state census drift (0 = not
@@ -155,27 +143,20 @@ type CountsEngine[S comparable] struct {
 	// (1 = every batch sampled serially); see EffectiveWorkers.
 	effWorkers int
 
-	// ckpt schedules periodic checkpoints (see SetCheckpoint); enumIdx is
-	// the lazily built state → States()-index map of the snapshot codec.
-	ckpt    ckptState
-	enumIdx map[S]int32
-
-	// pert is the attached scenario perturbation (see SetPerturbation),
-	// applied at batch and exact-chunk boundaries — the counts backend's
-	// scheduling units. pertTgt is the cached census-mutation adapter,
-	// enumStates the lazily built state enumeration for scrambles, and
-	// biasW the biased batch path's per-batch alias weight scratch.
-	pert       pertState
-	pertTgt    PerturbTarget
+	// enumIdx is the lazily built state → States()-index map of the
+	// snapshot codec, enumStates the lazily built state enumeration for
+	// perturbation scrambles, and biasW the biased batch path's per-batch
+	// alias weight scratch.
+	enumIdx    map[S]int32
 	enumStates []S
 	biasW      []float64
 
-	// DisableReactive forces the reference samplers: no silent-step
+	// disableReactive forces the reference samplers: no silent-step
 	// skipping in exact mode and no reactive-column pruning in batches
 	// (see reactive.go). The differential law tests compare this
 	// reference against the optimized paths; it is not otherwise useful —
 	// both transformations are distribution-exact.
-	DisableReactive bool
+	disableReactive bool
 
 	// occVer counts occupancy transitions (states entering or leaving the
 	// active list). It versions every structure derived from the occupied
@@ -218,7 +199,8 @@ func NewCountsEngine[S comparable](proto Enumerable[S], src *rng.Source) *Counts
 	if n < 2 {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
-	e := &CountsEngine[S]{proto: proto, src: src, n: n, n0: n}
+	e := &CountsEngine[S]{proto: proto}
+	e.unitLoop = newUnitLoop[S](e, ckptKindCounts, proto.Name(), src, n)
 	e.stateBound = len(proto.States())
 	if e.stateBound < 1 {
 		e.stateBound = 1
@@ -230,6 +212,7 @@ func NewCountsEngine[S comparable](proto Enumerable[S], src *rng.Source) *Counts
 // Reset reinitializes the census to the protocol's initial configuration,
 // clearing all counters. The PRNG is not reseeded.
 func (e *CountsEngine[S]) Reset() {
+	e.resetLoop()
 	e.states = e.states[:0]
 	e.index = make(map[S]int32)
 	e.classOf = e.classOf[:0]
@@ -247,15 +230,10 @@ func (e *CountsEngine[S]) Reset() {
 		e.deltaCap = deltaTabMaxStride
 	}
 	e.growDeltaTab()
-	e.probes.rebase(0)
-	e.ckpt.rebase(0)
 	e.adaptLen = 0
 	e.classCounts = make([]int64, e.proto.NumClasses())
 	e.leaders = 0
-	e.step = 0
 	e.effWorkers = 0
-	e.n = e.n0
-	e.pert.prev = 0
 	e.occVer = 0
 	e.occSortVer = ^uint64(0)
 	e.reactInvalidate()
@@ -399,12 +377,6 @@ func (e *CountsEngine[S]) deltaIDsSlow(a, b int32) (int32, int32) {
 	return e.indexOf(na), e.indexOf(nb)
 }
 
-// SetBudget implements Engine.
-func (e *CountsEngine[S]) SetBudget(max uint64) { e.MaxInteractions = max }
-
-// Steps implements Engine.
-func (e *CountsEngine[S]) Steps() uint64 { return e.step }
-
 // Counts implements Engine: the live per-class census. Callers must treat
 // it as read-only.
 func (e *CountsEngine[S]) Counts() []int64 { return e.classCounts }
@@ -424,23 +396,12 @@ func (e *CountsEngine[S]) VisitStates(f func(s S, count int64)) {
 	}
 }
 
-// AddProbe implements ProbeTarget: p fires every `every` interactions plus
-// once at the end of Run (every == 0: end of Run only). In the batched
-// regime, batches are split at probe boundaries so probes observe the
-// census at their exact cadence; a cadence much shorter than the batch
-// length therefore shortens batches and costs throughput (see BatchLen).
-func (e *CountsEngine[S]) AddProbe(p Probe[S], every uint64) {
-	e.probes.add(p, every, e.step)
-}
-
-// Census implements ProbeTarget: the engine's current census view, which
-// reads the live census directly (free of charge — the census is the
+// view is the engine's census view for the unit loop (Census, probes),
+// which reads the live census directly (free of charge — the census is the
 // engine's native representation).
-func (e *CountsEngine[S]) Census() CensusView[S] { return countsView[S]{e: e, step: e.step} }
+func (e *CountsEngine[S]) view() CensusView[S] { return countsView[S]{e: e, step: e.step} }
 
-func (e *CountsEngine[S]) fireProbes() {
-	e.probes.fire(e.step, countsView[S]{e: e, step: e.step})
-}
+func (e *CountsEngine[S]) stable() bool { return e.proto.Stable(e.classCounts) }
 
 // countsView adapts the counts engine to CensusView.
 type countsView[S comparable] struct {
@@ -613,15 +574,12 @@ const (
 )
 
 // resolvedPolicy returns the effective batch policy: an explicit Policy
-// wins, the legacy BatchLen shorthand comes second, and the BatchAuto
-// default resolves to exact stepping below ExactMaxN agents and the
-// adaptive controller above.
+// wins, and the BatchAuto default resolves to exact stepping below
+// ExactMaxN agents and the adaptive controller above.
 func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 	p := e.Policy
 	if p.Mode == BatchAuto {
 		switch {
-		case e.BatchLen != 0:
-			return BatchPolicy{Mode: BatchFixed, Len: e.BatchLen}
 		case e.n < ExactMaxN:
 			return BatchPolicy{Mode: BatchExact}
 		case e.n <= AutoAdaptiveMaxN:
@@ -633,10 +591,7 @@ func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 		}
 	}
 	if p.Mode == BatchFixed && p.Len == 0 {
-		p.Len = e.BatchLen
-		if p.Len == 0 {
-			p.Len = uint64(e.n) / 8
-		}
+		p.Len = uint64(e.n) / 8
 	}
 	if p.Mode == BatchAdaptive && p.Eps <= 0 {
 		p.Eps = DefaultBatchEps
@@ -652,31 +607,15 @@ func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 func (e *CountsEngine[S]) nextAdvance(remaining uint64) (uint64, bool) {
 	p := e.resolvedPolicy()
 	var l uint64
-	exact := false
 	switch p.Mode {
 	case BatchExact:
-		// Exact chunks are bounded only by the caller's budget and the
-		// checkpoint cadence (splitting a pure Step loop is trajectory-
-		// neutral, so the clamp lands checkpoints exactly on their cadence;
-		// when silent-step skipping engages the split additionally redraws
-		// any in-flight geometric skip at the boundary — distribution-exact
-		// by memorylessness, and replayed identically on resume because
-		// boundaries are absolute cadence multiples, see reactive.go);
-		// Step handles probe cadence itself, and the chunk loop re-checks
-		// stability per changed step. While a perturbation is live the
-		// checkpoint clamp is skipped: unit boundaries are the perturbation's
-		// span grid, and moving them onto the checkpoint cadence would change
-		// the Binomial(span) draw sequence — a checkpointing run would no
-		// longer replay a plain run. Checkpoints then fire at the next grid
-		// boundary instead, overshooting their cadence by less than one
-		// pertCadence unit.
-		l = max(remaining, 1)
-		if cb := e.ckpt.boundary(); cb != noProbe && cb > e.step && !e.pert.live(e.step) {
-			if room := cb - e.step; l > room {
-				l = room
-			}
-		}
-		return e.pert.clampUnit(e.step, l, pertCadence(e.n)), true
+		// Exact chunks follow the exact-chunk rules of unit.go. When
+		// silent-step skipping engages, a checkpoint split additionally
+		// redraws any in-flight geometric skip at the boundary —
+		// distribution-exact by memorylessness, and replayed identically on
+		// resume because boundaries are absolute cadence multiples (see
+		// reactive.go).
+		return e.exactLen(max(remaining, 1)), true
 	case BatchFixed:
 		l = p.Len
 	case BatchAdaptive:
@@ -690,38 +629,18 @@ func (e *CountsEngine[S]) nextAdvance(remaining uint64) (uint64, bool) {
 			// Drift bound below the floor: step exactly for one floor-sized
 			// chunk (measuring drift over it, so the controller can grow
 			// back into the batched regime).
-			return e.pert.clampUnit(e.step, min(max(adaptiveFloor, 1), max(remaining, 1)), pertCadence(e.n)), true
+			return e.pertLen(min(adaptiveFloor, max(remaining, 1))), true
 		}
 	}
-	if lim := uint64(e.n) / 2; l > lim {
-		l = lim
-	}
-	if l > remaining {
-		l = remaining
-	}
-	// Split the batch at the next probe boundary so the probe observes the
-	// census at its exact step.
-	if nb := e.probes.nextBoundary(); nb != noProbe && nb > e.step {
-		if room := nb - e.step; l > room {
-			l = room
-		}
-	}
+	l = min(l, uint64(e.n)/2, remaining)
 	if e.pert.bias != nil {
 		// Biased batches deplete their pool by rejection against the
 		// batch-start counts (see sampleBatchBiased); cap the batch at n/3
 		// so the acceptance rate stays above 1/3.
-		if lim := uint64(e.n) / 3; l > lim {
-			l = lim
-		}
+		l = min(l, uint64(e.n)/3)
 	}
-	l = e.pert.clampUnit(e.step, l, pertCadence(e.n))
-	if l < 1 {
-		l = 1
-	}
-	if l == 1 {
-		exact = true
-	}
-	return l, exact
+	l = e.unitLen(l)
+	return l, l == 1
 }
 
 // adaptiveOn reports whether the drift-bounded controller governs batch
@@ -765,24 +684,7 @@ func (e *CountsEngine[S]) EffectiveWorkers() int {
 // a perturbed checkpoint; nil detaches.
 func (e *CountsEngine[S]) SetPerturbation(p Perturbation) error {
 	e.reactInvalidate()
-	if p == nil {
-		e.pert = pertState{}
-		return nil
-	}
-	if err := e.pert.attach(p, e.src, e.proto.NumClasses()); err != nil {
-		return err
-	}
-	e.pertTgt = countsTarget[S]{e}
-	return nil
-}
-
-// maybePerturb applies the attached perturbation for the scheduling unit
-// that just ended. It runs before maybeCheckpoint at every unit boundary,
-// so snapshots capture the post-perturbation census at their step.
-func (e *CountsEngine[S]) maybePerturb() {
-	if e.pert.active() {
-		e.pert.apply(e.pertTgt, e.step)
-	}
+	return e.attachPert(p, e.proto.NumClasses(), countsTarget[S]{e})
 }
 
 // scrambleStates returns the protocol's state enumeration, built lazily —
@@ -1169,8 +1071,8 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 	// hypergeometric marginalizes them exactly, and a globally silent
 	// initiator has no census effect under any row, so the joint law of
 	// the staged reactive cell counts is unchanged (pinned by the
-	// differential law test against the DisableReactive reference).
-	if !e.DisableReactive && e.gsilColumns() > 0 {
+	// differential law test against the disableReactive reference).
+	if !e.disableReactive && e.gsilColumns() > 0 {
 		silentRem := int64(0)
 		for j, id := range occ {
 			if e.react.gsil[id] {
@@ -1356,62 +1258,19 @@ func (e *CountsEngine[S]) stageOne(id int32, d int64) {
 	e.diff[id] += d
 }
 
-// Run implements Engine.
-func (e *CountsEngine[S]) Run() Result {
-	budget := e.MaxInteractions
-	if budget == 0 {
-		budget = DefaultBudget(e.n)
+// advance implements unitEngine: one batch or exact chunk of at most limit
+// interactions (see nextAdvance). Exact chunks test stability after every
+// census-changing step; batches at their end.
+func (e *CountsEngine[S]) advance(limit uint64, checkStable bool) bool {
+	l, exact := e.nextAdvance(limit)
+	if exact || e.n < 4 {
+		return e.exactChunk(l, checkStable)
 	}
-	converged := e.proto.Stable(e.classCounts) && e.pert.canConverge(e.step)
-	for !converged && e.step < budget {
-		l, exact := e.nextAdvance(budget - e.step)
-		if exact || e.n < 4 {
-			// Early-stop at exact stabilization only once the perturbation
-			// is quiescent (it cannot mutate past that point, so the
-			// chunk-start check suffices).
-			converged = e.exactChunk(l, e.pert.canConverge(e.step))
-		} else {
-			e.runBatch(l)
-			if e.probes.due(e.step) {
-				e.fireProbes()
-			}
-			converged = e.proto.Stable(e.classCounts)
-		}
-		if e.pert.active() {
-			e.maybePerturb()
-			// The perturbation may have stabilized or destabilized the
-			// census; re-evaluate against the post-perturbation state, and
-			// never converge while it can still mutate.
-			converged = e.pert.canConverge(e.step) && e.proto.Stable(e.classCounts)
-		}
-		e.maybeCheckpoint()
+	e.runBatch(l)
+	if e.probes.due(e.step) {
+		e.fireProbes()
 	}
-	if !e.probes.empty() {
-		e.probes.fireFinal(e.step, countsView[S]{e: e, step: e.step})
-	}
-	return e.result(converged)
-}
-
-// RunSteps implements Engine: executes exactly k further interactions
-// without stopping at stability (batches are clamped to the remaining
-// count, and to probe boundaries), returning the current Result snapshot.
-// Callers like the experiment checkpoints rely on the exactness.
-func (e *CountsEngine[S]) RunSteps(k uint64) Result {
-	end := e.step + k
-	for e.step < end {
-		l, exact := e.nextAdvance(end - e.step)
-		if exact || e.n < 4 {
-			e.exactChunk(l, false)
-		} else {
-			e.runBatch(l)
-			if e.probes.due(e.step) {
-				e.fireProbes()
-			}
-		}
-		e.maybePerturb()
-		e.maybeCheckpoint()
-	}
-	return e.result(e.proto.Stable(e.classCounts) && e.pert.canConverge(e.step))
+	return checkStable && e.proto.Stable(e.classCounts)
 }
 
 func (e *CountsEngine[S]) result(converged bool) Result {

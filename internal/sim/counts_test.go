@@ -61,7 +61,7 @@ func TestCountsBatchModeConverges(t *testing.T) {
 	// Force batch mode on a moderate population: every batch advances
 	// n/8 interactions in aggregated draws.
 	e := NewCountsEngine[uint32](enumDuel{duel{1 << 14}}, rng.New(9))
-	e.BatchLen = 1 << 11
+	e.Policy = BatchPolicy{Mode: BatchFixed, Len: 1 << 11}
 	res := e.Run()
 	if !res.Converged || res.Leaders != 1 {
 		t.Fatalf("batch mode failed to elect: %+v", res)
@@ -342,18 +342,13 @@ func TestParseBatchPolicy(t *testing.T) {
 	}
 }
 
-// TestResolvedPolicy pins the precedence of the batch knobs: an explicit
-// Policy wins, the legacy BatchLen shorthand comes second, and the zero
-// value resolves by population size (exact below ExactMaxN, adaptive with
-// the default ε above).
+// TestResolvedPolicy pins the batch policy resolution: an explicit Policy
+// wins, and the zero value resolves by population size (exact below
+// ExactMaxN, adaptive with the default ε above).
 func TestResolvedPolicy(t *testing.T) {
 	small := NewCountsEngine[uint32](enumDuel{duel{100}}, rng.New(1))
 	if p := small.resolvedPolicy(); p.Mode != BatchExact {
 		t.Fatalf("auto below ExactMaxN resolved to %+v, want exact", p)
-	}
-	small.BatchLen = 64
-	if p := small.resolvedPolicy(); p.Mode != BatchFixed || p.Len != 64 {
-		t.Fatalf("legacy BatchLen resolved to %+v", p)
 	}
 	small.Policy = BatchPolicy{Mode: BatchAdaptive}
 	if p := small.resolvedPolicy(); p.Mode != BatchAdaptive || p.Eps != DefaultBatchEps {
@@ -364,10 +359,6 @@ func TestResolvedPolicy(t *testing.T) {
 		t.Fatalf("explicit ε lost: %+v", p)
 	}
 	small.Policy = BatchPolicy{Mode: BatchFixed}
-	if p := small.resolvedPolicy(); p.Mode != BatchFixed || p.Len != 64 {
-		t.Fatalf("fixed without length must fall back to BatchLen: %+v", p)
-	}
-	small.BatchLen = 0
 	if p := small.resolvedPolicy(); p.Mode != BatchFixed || p.Len != 100/8 {
 		t.Fatalf("fixed without any length must default to n/8: %+v", p)
 	}

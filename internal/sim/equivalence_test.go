@@ -139,7 +139,8 @@ func TestCrossBackendBatchModeAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 8, Backend: sim.BackendCounts, BatchLen: n / 8,
+		Trials: trials, Seed: 8, Backend: sim.BackendCounts,
+		Batch: sim.BatchPolicy{Mode: sim.BatchFixed, Len: n / 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,8 +101,9 @@ func TestProbeCensusSeriesDenseVsCountsReplay(t *testing.T) {
 func TestCountsBatchProbeFiresAtExactCadence(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
 	e := sim.NewCountsEngine[uint32](pr, rng.New(17))
-	e.BatchLen = 1 << 11 // force batch mode (n < ExactMaxN would default to exact)
-	const every = 1000   // misaligned with the 2048-step batches
+	// Force batch mode (n < ExactMaxN would default to exact).
+	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
+	const every = 1000 // misaligned with the 2048-step batches
 	var fires []uint64
 	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
 		fires = append(fires, step)
@@ -124,7 +125,7 @@ func TestCountsBatchProbeFiresAtExactCadence(t *testing.T) {
 func TestCountsBatchProbeStillConverges(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
 	e := sim.NewCountsEngine[uint32](pr, rng.New(23))
-	e.BatchLen = 1 << 11
+	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
 	fires := 0
 	lastLeaders := -1
 	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
@@ -234,7 +235,7 @@ func TestFinalFireNotDuplicatedAtBoundary(t *testing.T) {
 func TestFinalFireNotDuplicatedAtBoundaryBatched(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
 	e := sim.NewCountsEngine[uint32](pr, rng.New(11))
-	e.BatchLen = 1 << 11
+	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
 	e.SetBudget(6000) // 6 × the 1000-interval: budget is an exact multiple
 	var fires []uint64
 	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {

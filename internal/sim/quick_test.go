@@ -68,20 +68,6 @@ func TestQuickStepCountsExact(t *testing.T) {
 	}
 }
 
-func TestCheckEveryCoarseStillConverges(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{64}, rng.New(9))
-	r.CheckEvery = 128
-	res := r.Run()
-	if !res.Converged || res.Leaders != 1 {
-		t.Fatalf("%+v", res)
-	}
-	// With coarse checking the recorded step may overshoot the exact
-	// convergence moment, but never by more than the whole run budget.
-	if res.Interactions == 0 {
-		t.Fatal("no interactions recorded")
-	}
-}
-
 func TestRunOnAlreadyStableConfiguration(t *testing.T) {
 	// duel with n=2 converges in one interaction; a second Run must
 	// return immediately without further steps.

@@ -132,10 +132,10 @@ func (e *CountsEngine[S]) reactInvalidate() {
 // skipEligible reports whether exact chunks may use the skip walker at
 // all: a biased scheduler changes the per-pair law (the bias path keeps
 // its own per-step rejection sampling), and the int64 pair-mass gate must
-// hold. DisableReactive forces the reference walker for the differential
+// hold. disableReactive forces the reference walker for the differential
 // tests.
 func (e *CountsEngine[S]) skipEligible() bool {
-	return !e.DisableReactive && e.pert.bias == nil && e.n <= reactMaxN
+	return !e.disableReactive && e.pert.bias == nil && e.n <= reactMaxN
 }
 
 // reactivePair reports whether ordered id pair (a, b) is reactive,
@@ -375,13 +375,9 @@ func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 		}
 
 		// Engaged: advance to the next reactive interaction or the next
-		// boundary, whichever is closer.
-		room := end - e.step
-		if nb := e.probes.nextBoundary(); nb != noProbe && nb > e.step {
-			if r := nb - e.step; r < room {
-				room = r
-			}
-		}
+		// boundary, whichever is closer (the chunk end already honors the
+		// perturbation clamp, so only probe boundaries cut it further).
+		room := e.unitLen(end - e.step)
 		nn := int64(e.n) * int64(e.n-1)
 		R := e.react.R
 		if R > 0 && R*reactDisengageInv > nn {

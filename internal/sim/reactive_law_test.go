@@ -25,7 +25,7 @@ func newEpidemicCounts(t *testing.T, n, sources int, seed uint64) *sim.CountsEng
 // TestSkipStabilizationKS is the distributional acceptance gate for the
 // exact-mode skip: over independent trials at n = 10⁴, the epidemic
 // completion-time distribution with silent-step skipping must be
-// KS-consistent with the unskipped reference (DisableReactive). The two
+// KS-consistent with the unskipped reference (reactive layer disabled). The two
 // arms draw from different points of the rng stream once a skip fires, so
 // only the law — not the trajectory — is comparable.
 func TestSkipStabilizationKS(t *testing.T) {
@@ -38,7 +38,7 @@ func TestSkipStabilizationKS(t *testing.T) {
 		out := make([]float64, 0, trials)
 		for i := 0; i < trials; i++ {
 			e := newEpidemicCounts(t, n, 1, seedBase+uint64(i))
-			e.DisableReactive = disable
+			sim.SetDisableReactive(e, disable)
 			res := e.Run()
 			if !res.Converged {
 				t.Fatalf("trial %d (disable=%v) did not converge: %+v", i, disable, res)
@@ -79,8 +79,9 @@ func TestBatchPrunedDifferentialLaw(t *testing.T) {
 		}
 		for s := 0; s < trials; s++ {
 			e := newEpidemicCounts(t, n, 1, seedBase+uint64(s))
-			e.DisableReactive = disable
-			e.BatchLen = n / 8 // force the batched sampler at this sub-ExactMaxN size
+			sim.SetDisableReactive(e, disable)
+			// Force the batched sampler at this sub-ExactMaxN size.
+			e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: n / 8})
 			k := 0
 			if err := sim.AddProbe[uint32](e, func(step uint64, v sim.CensusView[uint32]) {
 				if k < numProbes {

@@ -170,7 +170,7 @@ func TestBatchPruningClassifiesEpidemic(t *testing.T) {
 	e := NewCountsEngine[uint32](p, rng.New(1))
 	// The classification scans the sorted occupied-column cache, which only
 	// the batch loop maintains — run one forced batch to populate it.
-	e.BatchLen = 1 << 9
+	e.Policy = BatchPolicy{Mode: BatchFixed, Len: 1 << 9}
 	e.RunSteps(1 << 9)
 	if got := e.gsilColumns(); got != 1 {
 		t.Fatalf("gsilColumns = %d, want 1 (the susceptible column)", got)

@@ -23,48 +23,33 @@ type Hook[S comparable] func(step uint64, ri, ii int, oldR, oldI, newR, newI S)
 // observers are implemented as a thin adapter over the probe pipeline.
 type Observer[S comparable] func(step uint64, pop []S)
 
-// PairSource supplies the scheduler's ordered agent pairs. *rng.Source is
-// the uniform random scheduler of the model; package trace provides
-// recording and replaying sources for deterministic debugging.
-type PairSource interface {
-	// Pair returns an ordered (responder, initiator) pair of distinct
-	// indices in [0, n).
-	Pair(n int) (responder, initiator int)
-}
-
 // Runner executes one population protocol instance.
 //
 // A Runner is single-goroutine; to parallelize, create one Runner per trial
 // (see Trials).
 type Runner[S comparable, P Protocol[S]] struct {
+	// unitLoop drives Run/RunSteps and owns the step counter, population
+	// size, budget, probes, checkpoints and perturbation (see unit.go). The
+	// dense runner's scheduling unit is a run of interactions up to the next
+	// checkpoint boundary — or a single interaction while a perturbation is
+	// attached, which applies after every interaction.
+	unitLoop[S]
+
 	proto P
 	// delta is the transition function Step applies: the protocol's
 	// compiled fast path when it implements DeltaCompiler (one private
 	// memo per runner — see CompileDelta), proto.Delta otherwise.
 	delta func(r, i S) (S, S)
-	rng   PairSource
 	pop   []S
-	// n is the live population size; n0 the initial size. They differ only
-	// under churn perturbations.
-	n, n0 int
 
 	counts  []int64
 	leaders int
-
-	// MaxInteractions bounds the run; 0 means DefaultBudget(n).
-	MaxInteractions uint64
 
 	// TrackStates enables counting distinct states seen (costs one map
 	// insertion per state change; off by default).
 	TrackStates bool
 
-	// CheckEvery controls how often the Stable predicate is evaluated,
-	// in interactions. 1 (the default set by NewRunner) gives exact
-	// convergence times.
-	CheckEvery uint64
-
-	hooks  []Hook[S]
-	probes probeSet[S]
+	hooks []Hook[S]
 
 	// stateCensus is the incremental state→count aggregation of pop,
 	// maintained only while a census-reading probe is registered (censusOn);
@@ -75,39 +60,23 @@ type Runner[S comparable, P Protocol[S]] struct {
 	censusOn    bool
 
 	seen map[S]struct{}
-	step uint64
 
-	// ckpt schedules periodic checkpoints (see SetCheckpoint); enumIdx is
-	// the lazily built state → States()-index map of the snapshot codec.
-	ckpt    ckptState
-	enumIdx map[S]int32
-
-	// pert is the attached scenario perturbation (see SetPerturbation),
-	// applied after every step — the dense backend's scheduling unit.
-	// schedSrc is r.rng as a concrete *rng.Source (required for bias
-	// rejection sampling), pertTgt the cached mutation adapter, and
-	// enumStates the protocol's state enumeration for scrambles.
-	pert       pertState
-	schedSrc   *rng.Source
-	pertTgt    PerturbTarget
+	// enumIdx is the lazily built state → States()-index map of the
+	// snapshot codec; enumStates the protocol's state enumeration for
+	// perturbation scrambles.
+	enumIdx    map[S]int32
 	enumStates []S
 }
 
-// NewRunner creates a runner for proto using the given pair source
-// (typically an *rng.Source for the model's uniform random scheduler).
-func NewRunner[S comparable, P Protocol[S]](proto P, src PairSource) *Runner[S, P] {
+// NewRunner creates a runner for proto scheduled by src, the model's
+// uniform random scheduler.
+func NewRunner[S comparable, P Protocol[S]](proto P, src *rng.Source) *Runner[S, P] {
 	n := proto.N()
 	if n < 2 {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
-	r := &Runner[S, P]{
-		proto:      proto,
-		delta:      proto.Delta,
-		rng:        src,
-		n:          n,
-		n0:         n,
-		CheckEvery: 1,
-	}
+	r := &Runner[S, P]{proto: proto, delta: proto.Delta}
+	r.unitLoop = newUnitLoop[S](r, ckptKindDense, proto.Name(), src, n)
 	if dc, ok := any(proto).(DeltaCompiler[S]); ok {
 		if f := dc.CompileDelta(); f != nil {
 			r.delta = f
@@ -120,7 +89,7 @@ func NewRunner[S comparable, P Protocol[S]](proto P, src PairSource) *Runner[S, 
 // Reset reinitializes the population to the protocol's initial
 // configuration, clearing all counters. The PRNG is not reseeded.
 func (r *Runner[S, P]) Reset() {
-	r.n = r.n0
+	r.resetLoop()
 	if cap(r.pop) < r.n {
 		r.pop = make([]S, r.n)
 	} else {
@@ -135,7 +104,6 @@ func (r *Runner[S, P]) Reset() {
 		}
 	}
 	r.leaders = 0
-	r.step = 0
 	if r.TrackStates {
 		r.seen = make(map[S]struct{})
 	}
@@ -153,37 +121,21 @@ func (r *Runner[S, P]) Reset() {
 	if r.censusOn {
 		r.stateCensus = buildCensus(r.pop)
 	}
-	r.probes.rebase(0)
-	r.ckpt.rebase(0)
-	r.pert.prev = 0
 }
 
 // SetPerturbation implements Perturbable: p is applied after every
 // interaction, the dense backend's scheduling-unit boundary. It requires
-// the runner's pair source to be an *rng.Source (the perturbation stream
-// is split off it without advancing it, and bias needs its Float64) and
-// the protocol to be Enumerable (scrambles draw from the enumeration).
-// Must be called before Run; nil detaches.
+// the protocol to be Enumerable (scrambles draw from the enumeration). Must
+// be called before Run; nil detaches.
 func (r *Runner[S, P]) SetPerturbation(p Perturbation) error {
-	if p == nil {
-		r.pert = pertState{}
-		return nil
+	if p != nil {
+		en, ok := any(r.proto).(Enumerable[S])
+		if !ok {
+			return fmt.Errorf("sim: perturbations need an enumerable protocol")
+		}
+		r.enumStates = en.States()
 	}
-	src, ok := r.rng.(*rng.Source)
-	if !ok {
-		return fmt.Errorf("sim: perturbations need an *rng.Source pair source, have %T", r.rng)
-	}
-	en, ok := any(r.proto).(Enumerable[S])
-	if !ok {
-		return fmt.Errorf("sim: perturbations need an enumerable protocol")
-	}
-	if err := r.pert.attach(p, src, r.proto.NumClasses()); err != nil {
-		return err
-	}
-	r.schedSrc = src
-	r.enumStates = en.States()
-	r.pertTgt = denseTarget[S, P]{r}
-	return nil
+	return r.attachPert(p, r.proto.NumClasses(), denseTarget[S, P]{r})
 }
 
 // buildCensus aggregates a population slice into a state→count map.
@@ -224,15 +176,12 @@ func (r *Runner[S, P]) AddProbe(p Probe[S], every uint64) {
 	}
 }
 
-// Census implements ProbeTarget: the runner's current census view. When no
-// probe keeps the incremental census alive, the view aggregates the
+// view is the runner's census view for the unit loop (Census, probes): it
+// reads the incremental census when maintained and otherwise aggregates the
 // population on first use (O(n)).
-func (r *Runner[S, P]) Census() CensusView[S] { return &denseView[S, P]{r: r, step: r.step} }
+func (r *Runner[S, P]) view() CensusView[S] { return &denseView[S, P]{r: r, step: r.step} }
 
-// fireProbes delivers due probes with a snapshot view.
-func (r *Runner[S, P]) fireProbes() {
-	r.probes.fire(r.step, &denseView[S, P]{r: r, step: r.step})
-}
+func (r *Runner[S, P]) stable() bool { return r.proto.Stable(r.counts) }
 
 // denseView adapts the dense runner to CensusView. It reads the runner's
 // incremental census when maintained, and otherwise aggregates the
@@ -264,9 +213,6 @@ func (v *denseView[S, P]) VisitStates(f func(s S, count int64)) {
 	}
 }
 
-// SetBudget implements Engine: it sets MaxInteractions.
-func (r *Runner[S, P]) SetBudget(max uint64) { r.MaxInteractions = max }
-
 // SetTrackStates implements StateTracker: it sets TrackStates.
 func (r *Runner[S, P]) SetTrackStates(on bool) { r.TrackStates = on }
 
@@ -277,9 +223,6 @@ func (r *Runner[S, P]) Population() []S { return r.pop }
 // Counts returns the live per-class census. Callers must treat it as
 // read-only.
 func (r *Runner[S, P]) Counts() []int64 { return r.counts }
-
-// Steps returns the number of interactions executed so far.
-func (r *Runner[S, P]) Steps() uint64 { return r.step }
 
 // Leaders returns the current number of leader-output agents.
 func (r *Runner[S, P]) Leaders() int { return r.leaders }
@@ -321,7 +264,7 @@ func (r *Runner[S, P]) Step() bool {
 	if r.pert.bias != nil {
 		ri, ii = r.biasedPair()
 	} else {
-		ri, ii = r.rng.Pair(r.n)
+		ri, ii = r.src.Pair(r.n)
 	}
 	oldR, oldI := r.pop[ri], r.pop[ii]
 	newR, newI := r.delta(oldR, oldI)
@@ -356,12 +299,12 @@ func (r *Runner[S, P]) biasedPair() (int, int) {
 
 func (r *Runner[S, P]) biasedIndex(exclude int) int {
 	for {
-		i := int(r.schedSrc.Uintn(uint64(r.n)))
+		i := int(r.src.Uintn(uint64(r.n)))
 		if i == exclude {
 			continue
 		}
 		w := r.pert.bias[r.proto.Class(r.pop[i])]
-		if w == r.pert.biasMax || r.schedSrc.Float64()*r.pert.biasMax < w {
+		if w == r.pert.biasMax || r.src.Float64()*r.pert.biasMax < w {
 			return i
 		}
 	}
@@ -479,59 +422,22 @@ func (r *Runner[S, P]) ensureSeen() {
 	}
 }
 
-// Run executes interactions until the protocol stabilizes or the budget is
-// exhausted, and returns the Result.
-func (r *Runner[S, P]) Run() Result {
-	budget := r.MaxInteractions
-	if budget == 0 {
-		budget = DefaultBudget(r.n)
+// advance implements unitEngine: up to limit interactions, stopping at the
+// next checkpoint boundary (exact-chunk rules, see unit.go) and after a
+// single interaction while a perturbation is attached. With checkStable it
+// tests stability after every census-changing interaction (Stable is
+// absorbing on census classes, so unchanged steps cannot flip it) and stops
+// at the exact interaction where the protocol stabilizes.
+func (r *Runner[S, P]) advance(limit uint64, checkStable bool) bool {
+	if r.pert.active() {
+		limit = 1
 	}
-	check := r.CheckEvery
-	if check == 0 {
-		check = 1
-	}
-	converged := r.proto.Stable(r.counts) && r.pert.canConverge(r.step)
-	for !converged && r.step < budget {
-		changed := r.Step()
-		if r.pert.active() {
-			r.pert.apply(r.pertTgt, r.step)
-			// The perturbation may stabilize (or destabilize) the census
-			// without a changed step, so re-check unconditionally — and
-			// never declare convergence while it can still mutate.
-			converged = r.pert.canConverge(r.step) && r.proto.Stable(r.counts)
-		} else if changed && (check == 1 || r.step%check == 0) {
-			converged = r.proto.Stable(r.counts)
-		}
-		if r.ckpt.due(r.step) {
-			r.ckpt.fire(r.step, r.Snapshot)
+	for end := r.step + r.exactLen(limit); r.step < end; {
+		if r.Step() && checkStable && r.proto.Stable(r.counts) {
+			return true
 		}
 	}
-	// A final stability check in case the last step crossed the predicate
-	// between check intervals.
-	if !converged {
-		converged = r.proto.Stable(r.counts) && r.pert.canConverge(r.step)
-	}
-	if !r.probes.empty() {
-		r.probes.fireFinal(r.step, &denseView[S, P]{r: r, step: r.step})
-	}
-	return r.result(converged)
-}
-
-// RunSteps executes exactly k further interactions (or fewer if the
-// configuration stabilizes first is NOT checked — all k run), returning the
-// current Result snapshot. Probes fire at their boundaries along the way
-// (without the end-of-Run final fire).
-func (r *Runner[S, P]) RunSteps(k uint64) Result {
-	for i := uint64(0); i < k; i++ {
-		r.Step()
-		if r.pert.active() {
-			r.pert.apply(r.pertTgt, r.step)
-		}
-		if r.ckpt.due(r.step) {
-			r.ckpt.fire(r.step, r.Snapshot)
-		}
-	}
-	return r.result(r.proto.Stable(r.counts) && r.pert.canConverge(r.step))
+	return false
 }
 
 func (r *Runner[S, P]) result(converged bool) Result {

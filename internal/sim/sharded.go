@@ -57,14 +57,13 @@ import (
 // from the caller's perspective; the K-way fan-out is internal to Run,
 // RunSteps and Step.
 type ShardedCountsEngine[S comparable] struct {
-	proto Enumerable[S]
-	src   *rng.Source
-	// n is the live population size; n0 the initial size. They differ only
-	// under churn perturbations (which also let the per-shard sizes drift).
-	n, n0 int
+	// unitLoop drives Run/RunSteps and owns the step counter, population
+	// size (per-shard sizes drift with it under churn), budget, probes,
+	// checkpoints and perturbation (see unit.go); the sharded engine's
+	// scheduling units are epoch slices.
+	unitLoop[S]
 
-	// MaxInteractions bounds Run; 0 means DefaultBudget(n).
-	MaxInteractions uint64
+	proto Enumerable[S]
 
 	// Migration is λ, the probability that an agent joins the inter-shard
 	// migration pool at each epoch boundary. The constructor sets it to
@@ -82,11 +81,8 @@ type ShardedCountsEngine[S comparable] struct {
 	subs  []*CountsEngine[S]
 	sizes []int64 // shard populations; invariant under migration
 
-	step     uint64
 	sinceMig uint64 // interactions since the last migration exchange
 	rr       int    // rotating offset for largest-remainder allocation
-
-	probes probeSet[S]
 
 	// merged is the cross-shard state→count aggregation backing the
 	// census views probes observe, rebuilt lazily per step (mergedOK,
@@ -106,15 +102,6 @@ type ShardedCountsEngine[S comparable] struct {
 	poolS      []S
 	poolC      []int64
 	poolAlloc  []int64
-
-	// ckpt schedules periodic checkpoints (see SetCheckpoint).
-	ckpt ckptState
-
-	// pert is the attached scenario perturbation (see SetPerturbation),
-	// applied at advance-unit boundaries — the same call sites as
-	// maybeCheckpoint; pertTgt the cached cross-shard mutation adapter.
-	pert    pertState
-	pertTgt PerturbTarget
 }
 
 // DefaultMigrationRate is the fidelity-mode migration probability: at every
@@ -183,14 +170,12 @@ func NewShardedCountsEngine[S comparable](proto Enumerable[S], src *rng.Source, 
 	}
 	e := &ShardedCountsEngine[S]{
 		proto:     proto,
-		src:       src,
-		n:         n,
-		n0:        n,
 		Migration: DefaultMigrationRate,
 		EpochLen:  DefaultShardEpoch(n),
 		subs:      make([]*CountsEngine[S], shards),
 		sizes:     make([]int64, shards),
 	}
+	e.unitLoop = newUnitLoop[S](e, ckptKindSharded, proto.Name(), src, n)
 	base, extra := n/shards, n%shards
 	offset := 0
 	for k := range e.subs {
@@ -208,25 +193,15 @@ func NewShardedCountsEngine[S comparable](proto Enumerable[S], src *rng.Source, 
 // Reset reinitializes every sub-census to the protocol's initial
 // configuration (PRNG streams are not reseeded, matching CountsEngine).
 func (e *ShardedCountsEngine[S]) Reset() {
-	e.n = e.n0
+	e.resetLoop()
 	for k, sub := range e.subs {
 		sub.Reset()
 		e.sizes[k] = int64(sub.n0)
 	}
-	e.pert.prev = 0
-	e.step = 0
 	e.sinceMig = 0
 	e.rr = 0
-	e.probes.rebase(0)
-	e.ckpt.rebase(0)
 	e.mergedOK = false
 }
-
-// SetBudget implements Engine.
-func (e *ShardedCountsEngine[S]) SetBudget(max uint64) { e.MaxInteractions = max }
-
-// Steps implements Engine.
-func (e *ShardedCountsEngine[S]) Steps() uint64 { return e.step }
 
 // Counts implements Engine: the per-class census aggregated across shards.
 // Callers must treat it as read-only; it is recomputed on every call.
@@ -305,21 +280,11 @@ func (e *ShardedCountsEngine[S]) SetEpochLen(l uint64) {
 // ShardCount implements ShardConfigurable.
 func (e *ShardedCountsEngine[S]) ShardCount() int { return len(e.subs) }
 
-// AddProbe implements ProbeTarget: probes observe the merged cross-shard
-// census at their exact cadence (scheduling units split at probe
-// boundaries, exactly like the single-census engines split batches), plus
-// once at the end of Run with no duplicate when the run ends on a cadence
-// boundary.
-func (e *ShardedCountsEngine[S]) AddProbe(p Probe[S], every uint64) {
-	e.probes.add(p, every, e.step)
-}
+// view is the merged cross-shard census view for the unit loop (Census,
+// probes).
+func (e *ShardedCountsEngine[S]) view() CensusView[S] { return shardedView[S]{e: e, step: e.step} }
 
-// Census implements ProbeTarget.
-func (e *ShardedCountsEngine[S]) Census() CensusView[S] { return shardedView[S]{e: e, step: e.step} }
-
-func (e *ShardedCountsEngine[S]) fireProbes() {
-	e.probes.fire(e.step, shardedView[S]{e: e, step: e.step})
-}
+func (e *ShardedCountsEngine[S]) stable() bool { return e.proto.Stable(e.aggregateClasses()) }
 
 // shardedView adapts the merged cross-shard census to CensusView.
 type shardedView[S comparable] struct {
@@ -380,27 +345,10 @@ func (e *ShardedCountsEngine[S]) aggregateClasses() []int64 {
 // model — run bias scenarios on the dense or counts backend. Must be
 // called before Run (and before Restore); nil detaches.
 func (e *ShardedCountsEngine[S]) SetPerturbation(p Perturbation) error {
-	if p == nil {
-		e.pert = pertState{}
-		return nil
-	}
-	if p.ClassWeights() != nil {
+	if p != nil && p.ClassWeights() != nil {
 		return fmt.Errorf("sim: bias perturbations are not supported on the sharded backend")
 	}
-	if err := e.pert.attach(p, e.src, e.proto.NumClasses()); err != nil {
-		return err
-	}
-	e.pertTgt = shardedTarget[S]{e}
-	return nil
-}
-
-// maybePerturb applies the attached perturbation for the scheduling unit
-// that just ended (before maybeCheckpoint, so snapshots capture the
-// post-perturbation census at their step).
-func (e *ShardedCountsEngine[S]) maybePerturb() {
-	if e.pert.active() {
-		e.pert.apply(e.pertTgt, e.step)
-	}
+	return e.attachPert(p, e.proto.NumClasses(), shardedTarget[S]{e})
 }
 
 // shardedTarget adapts the sharded engine to PerturbTarget: every mutation
@@ -496,32 +444,19 @@ func (e *ShardedCountsEngine[S]) epochLen() uint64 {
 	return DefaultShardEpoch(e.n)
 }
 
-// advance executes the next scheduling unit of at most `remaining`
-// interactions: the rest of the current epoch, clamped at the next probe
-// boundary, split proportionally over the shards and advanced by K
-// concurrent goroutines; the migration exchange runs when the epoch
-// completes. Stability is therefore detected at scheduling-unit
-// granularity — the same rounding-up the single-census engine's batches
-// introduce.
-func (e *ShardedCountsEngine[S]) advance(remaining uint64) {
+// advance implements unitEngine: the rest of the current epoch, at most
+// limit interactions and clamped at the next probe boundary, split
+// proportionally over the shards and advanced by K concurrent goroutines;
+// the migration exchange runs when the epoch completes. Stability is
+// therefore detected at scheduling-unit granularity — the same rounding-up
+// the single-census engine's batches introduce.
+func (e *ShardedCountsEngine[S]) advance(limit uint64, checkStable bool) bool {
 	epoch := e.epochLen()
 	if e.sinceMig >= epoch {
 		e.migrate()
 		e.sinceMig = 0
 	}
-	l := epoch - e.sinceMig
-	if l > remaining {
-		l = remaining
-	}
-	if nb := e.probes.nextBoundary(); nb != noProbe && nb > e.step {
-		if room := nb - e.step; l > room {
-			l = room
-		}
-	}
-	l = e.pert.clampUnit(e.step, l, pertCadence(e.n))
-	if l < 1 {
-		l = 1
-	}
+	l := e.unitLen(min(epoch-e.sinceMig, limit))
 	e.advanceShards(l)
 	e.step += l
 	e.sinceMig += l
@@ -533,6 +468,7 @@ func (e *ShardedCountsEngine[S]) advance(remaining uint64) {
 		e.migrate()
 		e.sinceMig = 0
 	}
+	return checkStable && e.stable()
 }
 
 // advanceShards splits l interactions over the shards proportionally to
@@ -682,37 +618,6 @@ func (e *ShardedCountsEngine[S]) Step() bool {
 		e.sinceMig = 0
 	}
 	return changed
-}
-
-// Run implements Engine.
-func (e *ShardedCountsEngine[S]) Run() Result {
-	budget := e.MaxInteractions
-	if budget == 0 {
-		budget = DefaultBudget(e.n)
-	}
-	converged := e.proto.Stable(e.aggregateClasses()) && e.pert.canConverge(e.step)
-	for !converged && e.step < budget {
-		e.advance(budget - e.step)
-		e.maybePerturb()
-		e.maybeCheckpoint()
-		converged = e.proto.Stable(e.aggregateClasses()) && e.pert.canConverge(e.step)
-	}
-	if !e.probes.empty() {
-		e.probes.fireFinal(e.step, shardedView[S]{e: e, step: e.step})
-	}
-	return e.result(converged)
-}
-
-// RunSteps implements Engine: exactly k further interactions, without
-// stopping at stability.
-func (e *ShardedCountsEngine[S]) RunSteps(k uint64) Result {
-	end := e.step + k
-	for e.step < end {
-		e.advance(end - e.step)
-		e.maybePerturb()
-		e.maybeCheckpoint()
-	}
-	return e.result(e.proto.Stable(e.aggregateClasses()) && e.pert.canConverge(e.step))
 }
 
 func (e *ShardedCountsEngine[S]) result(converged bool) Result {

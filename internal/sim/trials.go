@@ -49,11 +49,6 @@ type TrialConfig struct {
 	// BatchAuto. Ignored by the dense backend. See BatchPolicy.
 	Batch BatchPolicy
 
-	// BatchLen is the legacy fixed-batch shorthand, honored when Batch is
-	// left at its zero value; see CountsEngine.BatchLen. Ignored by the
-	// dense backend.
-	BatchLen uint64
-
 	// Shards ≥ 2 runs each trial on the sharded counts backend with that
 	// many sub-censuses (see ShardedCountsEngine); 0 or 1 keeps the
 	// single-census engine. Requires an Enumerable protocol and is
@@ -287,7 +282,6 @@ func newTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg T
 		e.TrackStates = cfg.TrackStates
 	case *CountsEngine[S]:
 		e.Policy = cfg.Batch
-		e.BatchLen = cfg.BatchLen
 		e.Workers = cfg.EngineWorkers
 	}
 	return eng
