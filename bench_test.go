@@ -301,7 +301,7 @@ func BenchmarkPaperbenchSmoke(b *testing.B) {
 		if !ok {
 			b.Fatal("registry broken")
 		}
-		tables := run(experiments.Config{Sizes: []int{512}, Trials: 2, Seed: uint64(i)})
+		tables := run(experiments.Config{Sizes: []int{512}, TrialConfig: sim.TrialConfig{Trials: 2, Seed: uint64(i)}})
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			b.Fatal("no output")
 		}

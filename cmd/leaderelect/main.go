@@ -21,14 +21,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"text/tabwriter"
 
 	"popelect"
+	"popelect/internal/cliflags"
 	"popelect/internal/core"
 	"popelect/internal/protocols"
 	"popelect/internal/rng"
@@ -36,122 +37,85 @@ import (
 	"popelect/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the process exit code: 0 on
+// success, 1 when a run fails, 2 for a rejected command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("leaderelect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n         = flag.Int("n", 10000, "population size")
-		alg       = flag.String("alg", "gsu19", "protocol name from the registry, or 'list' to print it")
-		seed      = flag.Uint64("seed", 1, "PRNG seed")
-		gamma     = flag.Int("gamma", 0, "phase clock resolution Γ (0 = derived Γ(n): next even ≥ 2·log₂ n, floor 36)")
-		phi       = flag.Int("phi", 0, "coin level cap Φ (0 = default)")
-		psi       = flag.Int("psi", 0, "drag range Ψ (0 = default)")
-		trials    = flag.Int("trials", 1, "number of independent runs")
-		backend   = flag.String("backend", "dense", "simulation backend: dense, counts or auto (counts scales to n=10⁸–10⁹ but reports no leader agent id)")
-		batch     = flag.String("batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
-		batchEps  = flag.Float64("batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "counts-backend sampling shards per batch (fixed value ⇒ byte-identical runs per seed on any machine; 1 = serial)")
-		shards    = flag.Int("shards", 0, "partition the population into K sub-censuses advanced concurrently with epoch-boundary migration (≤1 = single census; requires an enumerable protocol)")
-		migration = flag.Float64("migration", -1, "sharded per-agent per-epoch migration probability λ (-1 = fidelity default, 0 = isolated shards; requires -shards ≥ 2)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		verbose   = flag.Bool("v", false, "print a census timeline (gsu19 only; forces the dense backend)")
-		probe     = flag.Uint64("probe-interval", 0, "record a census sample (leaders, occupied states) every N interactions; works on every backend")
-		series    = flag.String("series", "", "write the recorded census timeline as CSV to this path (requires -probe-interval)")
-		churn     = flag.String("churn", "", "population churn spec: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step (e.g. 2.5e-3:8.3e-4@3e6)")
-		corrupt   = flag.String("corrupt", "", "state corruption spec: K@STEP scrambles K uniformly chosen agents once at STEP, or RATE[@UNTIL] scrambles continuously")
-		bias      = flag.String("bias", "", "scheduler bias spec: CLASS=WEIGHT,... non-uniform interaction weights per census class (dense/counts only)")
-		ckpt      = flag.String("checkpoint", "", "snapshot the engine to this file (atomically) about every -checkpoint-every interactions; trials > 1 append a .trialT suffix")
-		ckptEvery = flag.Uint64("checkpoint-every", 0, "checkpoint cadence in interactions (0 with -checkpoint = n)")
-		resume    = flag.Bool("resume", false, "restore from the -checkpoint file before running; a missing file starts fresh, so a killed run can be relaunched with the same command line and finishes byte-identically")
+		n         = fs.Int("n", 10000, "population size")
+		alg       = fs.String("alg", "gsu19", "protocol name from the registry, or 'list' to print it")
+		gamma     = fs.Int("gamma", 0, "phase clock resolution Γ (0 = derived Γ(n): next even ≥ 2·log₂ n, floor 36)")
+		phi       = fs.Int("phi", 0, "coin level cap Φ (0 = default)")
+		psi       = fs.Int("psi", 0, "drag range Ψ (0 = default)")
+		verbose   = fs.Bool("v", false, "print a census timeline (gsu19 only; forces the dense backend)")
+		probe     = fs.Uint64("probe-interval", 0, "record a census sample (leaders, occupied states) every N interactions; works on every backend")
+		series    = fs.String("series", "", "write the recorded census timeline as CSV to this path (requires -probe-interval)")
+		ckpt      = fs.String("checkpoint", "", "snapshot the engine to this file (atomically) about every -checkpoint-every interactions; trials > 1 append a .trialT suffix")
+		ckptEvery = fs.Uint64("checkpoint-every", 0, "checkpoint cadence in interactions (0 with -checkpoint = n)")
+		resume    = fs.Bool("resume", false, "restore from the -checkpoint file before running; a missing file starts fresh, so a killed run can be relaunched with the same command line and finishes byte-identically")
 	)
-	flag.Parse()
+	f := cliflags.Register(fs, 1, 1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "leaderelect:", err)
+		return code
+	}
 
 	if *alg == "list" {
-		printRegistry(*n)
-		return
+		printRegistry(stdout, *n)
+		return 0
 	}
 	entry, ok := protocols.Lookup(*alg)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "leaderelect: unknown protocol %q (try -alg list)\n", *alg)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown protocol %q (try -alg list)", *alg))
 	}
-	if _, err := sim.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
-	}
-	if _, err := sim.ParseBatchPolicy(*batch); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
-	}
-	if _, err := sim.ParsePerturbations(*churn, *corrupt, *bias); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
+	if _, err := f.Config(); err != nil {
+		return fail(2, err)
 	}
 	if *series != "" && *probe == 0 {
-		fmt.Fprintln(os.Stderr, "leaderelect: -series requires -probe-interval")
-		os.Exit(2)
-	}
-	if *migration >= 0 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "leaderelect: -migration requires -shards ≥ 2")
-		os.Exit(2)
+		return fail(2, errors.New("-series requires -probe-interval"))
 	}
 	if (*resume || *ckptEvery > 0) && *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "leaderelect: -resume/-checkpoint-every require -checkpoint")
-		os.Exit(2)
+		return fail(2, errors.New("-resume/-checkpoint-every require -checkpoint"))
 	}
 	if *ckpt != "" && *verbose {
-		fmt.Fprintln(os.Stderr, "leaderelect: -v and -checkpoint are mutually exclusive")
-		os.Exit(2)
-	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "leaderelect:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			}
-		}()
+		return fail(2, errors.New("-v and -checkpoint are mutually exclusive"))
 	}
 	if *verbose && (*probe > 0 || *series != "") {
 		// The verbose path prints its own dense-only timeline and would
 		// silently drop the probe flags; make the conflict explicit.
-		fmt.Fprintln(os.Stderr, "leaderelect: -v and -probe-interval/-series are mutually exclusive")
-		os.Exit(2)
+		return fail(2, errors.New("-v and -probe-interval/-series are mutually exclusive"))
 	}
+	stop, err := f.Profile()
+	if err != nil {
+		return fail(2, err)
+	}
+	defer stop()
 
 	if *verbose && *alg == "gsu19" {
-		if err := runVerbose(*n, *seed, *gamma, *phi, *psi); err != nil {
-			fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			os.Exit(1)
+		if err := runVerbose(stdout, *n, f.Seed, *gamma, *phi, *psi); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	loggedWorkers := false
-	for t := 0; t < *trials; t++ {
-		opts := []popelect.Option{popelect.WithSeed(*seed + uint64(t)), popelect.WithBackend(*backend),
-			popelect.WithBatchPolicy(*batch), popelect.WithBatchEps(*batchEps),
-			popelect.WithWorkers(*workers)}
-		if *shards > 1 {
-			opts = append(opts, popelect.WithShards(*shards))
-			if *migration >= 0 {
-				opts = append(opts, popelect.WithMigrationRate(*migration))
+	for t := 0; t < f.Trials; t++ {
+		opts := []popelect.Option{popelect.WithSeed(f.Seed + uint64(t)), popelect.WithBackend(f.Backend),
+			popelect.WithBatchPolicy(f.Batch), popelect.WithBatchEps(f.BatchEps),
+			popelect.WithWorkers(f.Workers)}
+		if f.Shards > 1 {
+			opts = append(opts, popelect.WithShards(f.Shards))
+			if f.Migration >= 0 {
+				opts = append(opts, popelect.WithMigrationRate(f.Migration))
 			}
 		}
 		if *gamma != 0 {
@@ -166,12 +130,12 @@ func main() {
 		if *probe > 0 {
 			opts = append(opts, popelect.WithCensusTimeline(*probe))
 		}
-		if *churn != "" || *corrupt != "" || *bias != "" {
-			opts = append(opts, popelect.WithScenario(*churn, *corrupt, *bias))
+		if f.Churn != "" || f.Corrupt != "" || f.Bias != "" {
+			opts = append(opts, popelect.WithScenario(f.Churn, f.Corrupt, f.Bias))
 		}
 		if *ckpt != "" {
 			path := *ckpt
-			if *trials > 1 {
+			if f.Trials > 1 {
 				path = fmt.Sprintf("%s.trial%d", path, t)
 			}
 			every := *ckptEvery
@@ -183,63 +147,62 @@ func main() {
 				opts = append(opts, popelect.WithResume(path))
 			}
 		}
-		run := popelect.ElectWith
+		elect := popelect.ElectWith
 		if !entry.Elects {
 			// Scenario protocols stabilize without electing; skip the
 			// one-leader verification.
-			run = popelect.Stabilize
+			elect = popelect.Stabilize
 		}
-		res, err := run(popelect.Algorithm(*alg), *n, opts...)
+		res, err := elect(popelect.Algorithm(*alg), *n, opts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		if !loggedWorkers && (*workers > 1 || *shards > 1) {
+		if !loggedWorkers && (f.Workers > 1 || f.Shards > 1) {
 			// The engine clamps its fan-out to the census width (and short
 			// batches run serially), so the realized concurrency can sit
 			// well below the request — report it once so capacity numbers
 			// aren't misread.
-			requested := *workers
-			if *shards > 1 {
-				requested *= *shards
+			requested := f.Workers
+			if f.Shards > 1 {
+				requested *= f.Shards
 			}
-			fmt.Fprintf(os.Stderr, "leaderelect: effective workers %d (requested %d)\n",
+			fmt.Fprintf(stderr, "leaderelect: effective workers %d (requested %d)\n",
 				res.EffectiveWorkers, requested)
 			loggedWorkers = true
 		}
 		if len(res.Timeline) > 0 {
-			printTimeline(res.Timeline, *n)
+			printTimeline(stdout, res.Timeline, *n)
 			if *series != "" {
 				path := *series
-				if *trials > 1 {
+				if f.Trials > 1 {
 					path = fmt.Sprintf("%s.trial%d", path, t)
 				}
 				if err := writeTimelineCSV(path, res.Timeline); err != nil {
-					fmt.Fprintln(os.Stderr, "leaderelect:", err)
-					os.Exit(1)
+					return fail(1, err)
 				}
-				fmt.Printf("census series written to %s\n", path)
+				fmt.Fprintf(stdout, "census series written to %s\n", path)
 			}
 		}
 		switch {
 		case res.LeaderID >= 0:
-			fmt.Printf("trial %d: leader = agent %d after %d interactions (parallel time %.1f)\n",
+			fmt.Fprintf(stdout, "trial %d: leader = agent %d after %d interactions (parallel time %.1f)\n",
 				t, res.LeaderID, res.Interactions, res.ParallelTime)
 		case entry.Elects:
 			// The counts backend elects an anonymous leader.
-			fmt.Printf("trial %d: unique leader elected after %d interactions (parallel time %.1f)\n",
+			fmt.Fprintf(stdout, "trial %d: unique leader elected after %d interactions (parallel time %.1f)\n",
 				t, res.Interactions, res.ParallelTime)
 		default:
-			fmt.Printf("trial %d: %s stabilized after %d interactions (parallel time %.1f)\n",
+			fmt.Fprintf(stdout, "trial %d: %s stabilized after %d interactions (parallel time %.1f)\n",
 				t, *alg, res.Interactions, res.ParallelTime)
 		}
 	}
+	return 0
 }
 
 // printRegistry renders the protocol registry as a table: the single
 // source of protocol names, capabilities and defaults (-alg list).
-func printRegistry(n int) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printRegistry(out io.Writer, n int) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "name\tprotocol\tpaper states\tpaper time\telects\tbackends\tstates@n\tΓ(n)")
 	for _, e := range protocols.All() {
 		size := n
@@ -266,13 +229,13 @@ func printRegistry(n int) {
 			e.Name, e.Display, e.PaperStates, e.PaperTime, elects, backends, states, gamma)
 	}
 	w.Flush()
-	fmt.Printf("\nstates@n: generated enumeration size at n=%d (size-capped protocols at their cap)\n", n)
-	fmt.Println("see README 'Protocols' for the composing-a-new-protocol walkthrough")
+	fmt.Fprintf(out, "\nstates@n: generated enumeration size at n=%d (size-capped protocols at their cap)\n", n)
+	fmt.Fprintln(out, "see README 'Protocols' for the composing-a-new-protocol walkthrough")
 }
 
 // printTimeline renders a recorded census timeline as a table.
-func printTimeline(tl []popelect.CensusPoint, n int) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printTimeline(out io.Writer, tl []popelect.CensusPoint, n int) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "par.time\tleaders\toccupied states")
 	for _, p := range tl {
 		fmt.Fprintf(w, "%.1f\t%d\t%d\n", float64(p.Step)/float64(n), p.Leaders, p.States)
@@ -289,7 +252,7 @@ func writeTimelineCSV(path string, tl []popelect.CensusPoint) error {
 	return stats.WriteSeriesCSVFile(path, col.Series...)
 }
 
-func runVerbose(n int, seed uint64, gamma, phi, psi int) error {
+func runVerbose(out io.Writer, n int, seed uint64, gamma, phi, psi int) error {
 	params := core.DefaultParams(n)
 	if gamma != 0 {
 		params.Gamma = gamma
@@ -304,7 +267,7 @@ func runVerbose(n int, seed uint64, gamma, phi, psi int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("protocol %s on n=%d agents (seed %d)\n\n", pr.Name(), n, seed)
+	fmt.Fprintf(out, "protocol %s on n=%d agents (seed %d)\n\n", pr.Name(), n, seed)
 	r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(seed))
 
 	var stats core.RuleStats
@@ -312,7 +275,7 @@ func runVerbose(n int, seed uint64, gamma, phi, psi int) error {
 		stats.Record(oldR, oldI, newR, newI)
 	})
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "par.time\tuninit\tcoins\tinhib\tdead\tactive\tpassive\twithdrawn\tjunta\tstage")
 	sample := uint64(n) * 8
 	r.AddObserver(func(step uint64, pop []core.State) {
@@ -326,14 +289,14 @@ func runVerbose(n int, seed uint64, gamma, phi, psi int) error {
 	}, sample)
 	res := r.Run()
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 	if !res.Converged {
 		return fmt.Errorf("did not stabilize within %d interactions", res.Interactions)
 	}
-	fmt.Printf("leader = agent %d after %d interactions (parallel time %.1f)\n\n",
+	fmt.Fprintf(out, "leader = agent %d after %d interactions (parallel time %.1f)\n\n",
 		res.LeaderID, res.Interactions, res.ParallelTime())
-	fmt.Println("rule firings:")
-	if _, err := stats.WriteTo(os.Stdout); err != nil {
+	fmt.Fprintln(out, "rule firings:")
+	if _, err := stats.WriteTo(out); err != nil {
 		return err
 	}
 	return nil

@@ -16,53 +16,59 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
+	"popelect/internal/cliflags"
 	"popelect/internal/experiments"
 	"popelect/internal/phaseclock"
-	"popelect/internal/sim"
 	"popelect/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the process exit code: 0 on
+// success, 1 when an experiment fails to render, 2 for a rejected command
+// line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		sizes     = flag.String("sizes", "", "comma-separated population sizes (default: experiment preset)")
-		trials    = flag.Int("trials", 0, "trials per measurement point (default: preset)")
-		seed      = flag.Uint64("seed", 0, "base seed (default: preset)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		smoke     = flag.Bool("smoke", false, "tiny configuration for a quick look")
-		backend   = flag.String("backend", "dense", "simulation backend for trial-based experiments: dense, counts or auto")
-		batch     = flag.String("batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
-		batchEps  = flag.Float64("batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
-		gamma     = flag.Int("gamma", 0, "phase-clock resolution Γ override for every clock-carrying protocol (0 = derived Γ(n))")
-		probe     = flag.Uint64("probe-interval", 0, "census-probe cadence for trajectory experiments, in interactions (0 = per-experiment default)")
-		sdir      = flag.String("series-dir", "", "directory where recording experiments (scalefigures, biassweep, clockspan, parscale, shardscale, resilience) write CSV files (empty = no files)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker bound: concurrent trials, and sampling shards inside each counts engine (single-engine scale experiments)")
-		shards    = flag.Int("shards", 0, "run engine-building experiments (scale) on K concurrently-advanced sub-censuses with epoch migration (≤1 = single census; shardscale sweeps its own K grid)")
-		migration = flag.Float64("migration", -1, "sharded per-agent per-epoch migration probability λ (-1 = fidelity default, 0 = isolated shards; needs -shards ≥ 2)")
-		reps      = flag.Int("reps", 1, "timing repetitions per cell in throughput experiments (parscale): mean ± sd over reps")
-		churn     = flag.String("churn", "", "population churn spec for trial-based experiments: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step (resilience sweeps its own scenario grid)")
-		corrupt   = flag.String("corrupt", "", "state corruption spec: K@STEP one-shot scramble, or RATE[@UNTIL]")
-		bias      = flag.String("bias", "", "scheduler bias spec: CLASS=WEIGHT,... per census class (dense/counts only)")
-		storeDir  = flag.String("store", "", "content-addressed result store directory: trial batches already computed under the same key are reused instead of re-simulated")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		exp      = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		sizes    = fs.String("sizes", "", "comma-separated population sizes (default: experiment preset)")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		smoke    = fs.Bool("smoke", false, "tiny configuration for a quick look")
+		gamma    = fs.Int("gamma", 0, "phase-clock resolution Γ override for every clock-carrying protocol (0 = derived Γ(n))")
+		probe    = fs.Uint64("probe-interval", 0, "census-probe cadence for trajectory experiments, in interactions (0 = per-experiment default)")
+		sdir     = fs.String("series-dir", "", "directory where recording experiments (scalefigures, biassweep, clockspan, parscale, shardscale, resilience) write CSV files (empty = no files)")
+		reps     = fs.Int("reps", 1, "timing repetitions per cell in throughput experiments (parscale): mean ± sd over reps")
+		storeDir = fs.String("store", "", "content-addressed result store directory: trial batches already computed under the same key are reused instead of re-simulated")
 	)
-	flag.Parse()
+	f := cliflags.Register(fs, 0, 0)
+	fs.Lookup("seed").Usage = "base PRNG seed (0 = experiment preset)"
+	fs.Lookup("trials").Usage = "trials per measurement point (0 = experiment preset)"
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return code
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Println(e.ID)
+			fmt.Fprintln(stdout, e.ID)
 		}
-		return
+		return 0
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -74,94 +80,40 @@ func main() {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 2 {
-				fmt.Fprintf(os.Stderr, "paperbench: bad size %q\n", s)
-				os.Exit(2)
+				return fail(2, fmt.Errorf("bad size %q", s))
 			}
 			cfg.Sizes = append(cfg.Sizes, n)
 		}
 	}
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	be, err := sim.ParseBackend(*backend)
+	tc, err := f.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	cfg.Backend = be
-	bp, err := sim.ParseBatchPolicy(*batch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(2)
+	if tc.Trials <= 0 {
+		tc.Trials = cfg.Trials
 	}
-	bp.Eps = *batchEps
-	cfg.Batch = bp
+	if tc.Seed == 0 {
+		tc.Seed = cfg.Seed
+	}
+	cfg.TrialConfig = tc
 	cfg.ProbeInterval = *probe
 	cfg.SeriesDir = *sdir
-	cfg.Workers = *workers
-	cfg.EngineWorkers = *workers
-	if *migration >= 0 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "paperbench: -migration requires -shards ≥ 2")
-		os.Exit(2)
-	}
-	cfg.Shards = *shards
-	// Flag convention: -1 = engine default, 0 = isolated. Config
-	// convention (zero-value friendly): 0 = engine default, negative =
-	// isolated.
-	switch {
-	case *migration > 0:
-		cfg.Migration = *migration
-	case *migration == 0:
-		cfg.Migration = -1
-	}
 	cfg.Reps = *reps
-	perturb, err := sim.ParsePerturbations(*churn, *corrupt, *bias)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		os.Exit(2)
-	}
-	cfg.Perturb = perturb
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		cfg.Store = st
 	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := f.Profile()
+	if err != nil {
+		return fail(2, err)
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paperbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "paperbench:", err)
-			}
-		}()
-	}
+	defer stop()
 	if *gamma != 0 {
 		if err := phaseclock.Validate(*gamma); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		cfg.Gamma = *gamma
 	}
@@ -178,20 +130,18 @@ func main() {
 	}
 
 	for _, id := range ids {
-		run, ok := experiments.Lookup(id)
+		runExp, ok := experiments.Lookup(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			return fail(2, fmt.Errorf("unknown experiment %q (try -list)", id))
 		}
 		start := time.Now()
-		tables := run(cfg)
-		if err := experiments.RenderAll(os.Stdout, tables); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
+		if err := experiments.RenderAll(stdout, runExp(cfg)); err != nil {
+			return fail(1, err)
 		}
-		fmt.Printf("(%s finished in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if cfg.Store != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: %s\n", cfg.Store)
+		fmt.Fprintf(stderr, "paperbench: %s\n", cfg.Store)
 	}
+	return 0
 }

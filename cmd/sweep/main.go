@@ -13,16 +13,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"text/tabwriter"
 
+	"popelect/internal/cliflags"
 	"popelect/internal/core"
 	"popelect/internal/phaseclock"
 	"popelect/internal/sim"
@@ -30,93 +31,46 @@ import (
 	"popelect/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the process exit code: 0 on
+// success, 1 when a run fails, 2 for a rejected command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		what      = flag.String("what", "gamma", "parameter to sweep: gamma, phi, psi")
-		n         = flag.Int("n", 4096, "population size")
-		trials    = flag.Int("trials", 5, "trials per setting")
-		seed      = flag.Uint64("seed", 1, "base seed")
-		backend   = flag.String("backend", "dense", "simulation backend: dense, counts or auto")
-		batch     = flag.String("batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
-		batchEps  = flag.Float64("batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
-		gamma     = flag.Int("gamma", 0, "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)")
-		probe     = flag.Uint64("probe-interval", 0, "census-probe cadence for trajectory recording (0 = n/4)")
-		sdir      = flag.String("series-dir", "", "write a mean leader-count trajectory CSV per swept value into this directory")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker bound: concurrent trials, and sampling shards inside each counts engine")
-		shards    = flag.Int("shards", 0, "run each trial on K concurrently-advanced sub-censuses with epoch migration (≤1 = single census)")
-		migration = flag.Float64("migration", -1, "sharded per-agent per-epoch migration probability λ (-1 = fidelity default, 0 = isolated shards; requires -shards ≥ 2)")
-		churn     = flag.String("churn", "", "population churn spec: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step")
-		corrupt   = flag.String("corrupt", "", "state corruption spec: K@STEP one-shot scramble, or RATE[@UNTIL]")
-		bias      = flag.String("bias", "", "scheduler bias spec: CLASS=WEIGHT,... per census class (dense/counts only)")
-		storeDir  = flag.String("store", "", "content-addressed result store directory: sweep cells already computed under the same key (parameters, n, trials, seed, backend, policy) are reused instead of re-simulated")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		what     = fs.String("what", "gamma", "parameter to sweep: gamma, phi, psi")
+		n        = fs.Int("n", 4096, "population size")
+		gamma    = fs.Int("gamma", 0, "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)")
+		probe    = fs.Uint64("probe-interval", 0, "census-probe cadence for trajectory recording (0 = n/4)")
+		sdir     = fs.String("series-dir", "", "write a mean leader-count trajectory CSV per swept value into this directory")
+		storeDir = fs.String("store", "", "content-addressed result store directory: sweep cells already computed under the same key (parameters, n, trials, seed, backend, policy) are reused instead of re-simulated")
 	)
-	flag.Parse()
-
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
+	f := cliflags.Register(fs, 1, 5)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
+		return 2
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-		}()
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return code
 	}
 
-	be, err := sim.ParseBackend(*backend)
+	stop, err := f.Profile()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	bp, err := sim.ParseBatchPolicy(*batch)
+	defer stop()
+	tc, err := f.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	bp.Eps = *batchEps
-	if *migration >= 0 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "sweep: -migration requires -shards ≥ 2")
-		os.Exit(2)
-	}
-	// Flag convention: -1 = engine default, 0 = isolated. TrialConfig
-	// convention (zero-value friendly): 0 = engine default, negative =
-	// isolated.
-	tcMigration := 0.0
-	switch {
-	case *migration > 0:
-		tcMigration = *migration
-	case *migration == 0:
-		tcMigration = -1
-	}
-	perturb, err := sim.ParsePerturbations(*churn, *corrupt, *bias)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	var st *store.Store
 	if *storeDir != "" {
-		st, err = store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
+		if st, err = store.Open(*storeDir); err != nil {
+			return fail(2, err)
 		}
 	}
 
@@ -138,8 +92,7 @@ func main() {
 		values = []int{2, 4, 6, 8}
 		mutate = func(p *core.Params, v int) { p.Psi = v }
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown parameter %q\n", *what)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown parameter %q", *what))
 	}
 
 	every := *probe
@@ -150,7 +103,7 @@ func main() {
 		}
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "%s\tconverged\tpar.time mean\tp90\tmax\tt/(ln·lnln)\n", *what)
 	lnn := math.Log(float64(*n))
 	for _, v := range values {
@@ -167,7 +120,7 @@ func main() {
 		// When trajectories are requested, record a per-trial leader-count
 		// series through the probe pipeline and aggregate across trials.
 		var probes []sim.TrialProbe[core.State]
-		perTrial := make([]*stats.Series, *trials)
+		perTrial := make([]*stats.Series, tc.Trials)
 		if *sdir != "" {
 			for i := range perTrial {
 				perTrial[i] = stats.NewSeries("leaders", 0)
@@ -186,14 +139,16 @@ func main() {
 		// results (and, when trajectories are requested, stored per-trial
 		// series) for the simulation.
 		extra := fmt.Sprintf("%s=%d", *what, v)
-		if perturb != nil {
+		if tc.Perturb != nil {
 			// The perturbation changes the trajectory law, so its full
 			// fingerprint is part of the cache identity.
-			extra += ";" + perturb.Fingerprint()
+			extra += ";" + tc.Perturb.Fingerprint()
 		}
-		resKey := store.Key{Kind: "sweep", Protocol: "gsu19", N: *n, Trials: *trials,
-			Seed: *seed + uint64(v), Backend: string(be), Batch: bp.String(),
-			Workers: *workers, Shards: *shards, Migration: tcMigration,
+		cell := tc
+		cell.Seed = tc.Seed + uint64(v)
+		resKey := store.Key{Kind: "sweep", Protocol: "gsu19", N: *n, Trials: cell.Trials,
+			Seed: cell.Seed, Backend: string(cell.Backend), Batch: cell.Batch.String(),
+			Workers: cell.Workers, Shards: cell.Shards, Migration: cell.Migration,
 			Gamma: *gamma, Extra: extra}
 		serKey := resKey
 		serKey.Kind = "sweep-series"
@@ -203,18 +158,16 @@ func main() {
 		if st != nil {
 			crs, hit, err := st.GetResults(resKey)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			if hit && *sdir == "" {
 				rs, cached = crs, true
 			} else if hit {
 				cser, hit2, err := st.GetSeries(serKey)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "sweep:", err)
-					os.Exit(1)
+					return fail(1, err)
 				}
-				if hit2 && len(cser) == *trials {
+				if hit2 && len(cser) == cell.Trials {
 					copy(perTrial, cser)
 					rs, cached = crs, true
 				}
@@ -222,22 +175,17 @@ func main() {
 		}
 		if !cached {
 			rs, err = sim.RunTrialsProbed[core.State, *core.Protocol](func(int) *core.Protocol { return pr },
-				sim.TrialConfig{Trials: *trials, Seed: *seed + uint64(v), Backend: be, Batch: bp,
-					Workers: *workers, EngineWorkers: *workers,
-					Shards: *shards, Migration: tcMigration, Perturb: perturb}, probes...)
+				cell, probes...)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			if st != nil {
 				if err := st.PutResults(resKey, rs); err != nil {
-					fmt.Fprintln(os.Stderr, "sweep:", err)
-					os.Exit(1)
+					return fail(1, err)
 				}
 				if *sdir != "" {
 					if err := st.PutSeries(serKey, perTrial); err != nil {
-						fmt.Fprintln(os.Stderr, "sweep:", err)
-						os.Exit(1)
+						return fail(1, err)
 					}
 				}
 			}
@@ -247,8 +195,7 @@ func main() {
 			g := stats.AggregateOnGrid(perTrial, 256)
 			path := filepath.Join(*sdir, fmt.Sprintf("sweep_%s%d_leaders.csv", *what, v))
 			if err := g.WriteCSVFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 		}
 		times := sim.ParallelTimes(rs)
@@ -259,9 +206,10 @@ func main() {
 	}
 	w.Flush()
 	if *sdir != "" {
-		fmt.Printf("\nmean leader-count trajectories (per swept value) written to %s/\n", *sdir)
+		fmt.Fprintf(stdout, "\nmean leader-count trajectories (per swept value) written to %s/\n", *sdir)
 	}
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s\n", st)
+		fmt.Fprintf(stderr, "sweep: %s\n", st)
 	}
+	return 0
 }

@@ -58,9 +58,14 @@ func BiasSweep(cfg Config) []*Table {
 			"KS distance", "KS crit (α=0.05)", "converged"},
 	}
 
-	denseRes := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory, sim.TrialConfig{
-		Trials: cfg.Trials, Seed: cfg.Seed + 41, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: sim.BackendDense,
-	}))
+	// The sweep pins its own backend and policies and runs unperturbed.
+	pinned := func(seed uint64, b sim.Backend, p sim.BatchPolicy) sim.TrialConfig {
+		tc := cfg.trialBatch(seed)
+		tc.Backend, tc.Batch, tc.Perturb = b, p, nil
+		return tc
+	}
+	denseRes := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory,
+		pinned(cfg.Seed+41, sim.BackendDense, sim.BatchPolicy{})))
 	denseTimes := sim.ParallelTimes(denseRes)
 	denseMean, denseHW := stats.MeanCI(denseTimes, 1.96)
 	bias.AddRow("dense (ground truth)", d(len(denseRes)),
@@ -70,15 +75,12 @@ func BiasSweep(cfg Config) []*Table {
 	// The dense ground truth dominates the runtime, so the counts side
 	// runs the same trial count; both means carry comparable noise and the
 	// dense row's CI calibrates how much of each "bias" is statistical.
-	countsTrials := cfg.Trials
 	var csvRows [][]string
 	csvRows = append(csvRows, []string{"dense", "", d(len(denseRes)),
 		f2(denseMean), f2(denseHW), "", ""})
 	for _, p := range biasPolicies(n) {
-		rs := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory, sim.TrialConfig{
-			Trials: countsTrials, Seed: cfg.Seed + 43, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers,
-			Backend: sim.BackendCounts, Batch: p.policy,
-		}))
+		rs := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory,
+			pinned(cfg.Seed+43, sim.BackendCounts, p.policy)))
 		times := sim.ParallelTimes(rs)
 		mean := stats.Mean(times)
 		ks := stats.KolmogorovSmirnov(denseTimes, times)

@@ -125,12 +125,24 @@ func ClockSpan(cfg Config) []*Table {
 // its phase in the low byte (Entry.Clocked).
 func clockSpanRun(cfg Config, inst protocols.Instance, gamma, trial int) (sim.Result, int, int) {
 	n := inst.N()
-	eng, err := inst.Engine(rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), sim.BackendCounts)
+	eng, meter := spanEngine(inst, rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), sim.TrialConfig{
+		Backend: sim.BackendCounts, Batch: cfg.Batch, MaxInteractions: clockSpanBudget * uint64(n)}, gamma)
+	res := eng.Run()
+	return res, meter.MaxBulk(), meter.MaxFull()
+}
+
+// spanEngine builds inst's engine from tc with a phase-span probe attached
+// that fires once per parallel-time unit, reading phases through the
+// registry's packed-word view (the low byte). gamma ≤ 0 marks a clockless
+// protocol: no probe, nil meter.
+func spanEngine(inst protocols.Instance, src *rng.Source, tc sim.TrialConfig, gamma int) (sim.Engine, *phaseclock.SpanMeter) {
+	eng, err := inst.TrialEngine(src, tc)
 	if err != nil {
 		panic(err)
 	}
-	applyBatch(eng, cfg)
-	eng.SetBudget(clockSpanBudget * uint64(n))
+	if gamma <= 0 {
+		return eng, nil
+	}
 	meter := phaseclock.NewSpanMeter(gamma)
 	probe := func(step uint64, v protocols.Census) {
 		meter.Begin()
@@ -141,9 +153,8 @@ func clockSpanRun(cfg Config, inst protocols.Instance, gamma, trial int) (sim.Re
 		}
 		meter.End()
 	}
-	if err := inst.AddProbe(eng, probe, uint64(n)); err != nil {
+	if err := inst.AddProbe(eng, probe, uint64(inst.N())); err != nil {
 		panic(err)
 	}
-	res := eng.Run()
-	return res, meter.MaxBulk(), meter.MaxFull()
+	return eng, meter
 }

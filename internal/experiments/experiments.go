@@ -12,9 +12,7 @@ import (
 
 	"popelect/internal/core"
 	"popelect/internal/phaseclock"
-	"popelect/internal/protocols"
 	"popelect/internal/protocols/gs18"
-	"popelect/internal/rng"
 	"popelect/internal/sim"
 	"popelect/internal/store"
 )
@@ -25,57 +23,22 @@ type Config struct {
 	// Sizes is the list of population sizes n.
 	Sizes []int
 
-	// Trials is the number of independent runs per measurement point.
-	Trials int
-
-	// Seed is the base PRNG seed.
-	Seed uint64
-
-	// Workers bounds concurrent trials; 0 means GOMAXPROCS.
-	Workers int
-
-	// EngineWorkers caps each counts engine's internal sampling shards
-	// (sim.CountsEngine.Workers); 0 keeps the serial path. Trial-level
-	// parallelism already saturates cores when Trials ≥ Workers, so this
-	// matters mainly for the single-engine scale experiments (scale,
-	// scalefigures, parscale) where one large-n run owns the machine.
-	EngineWorkers int
-
-	// Backend selects the simulation engine for experiments that run
-	// whole-protocol trials (empty = dense, the historical default).
-	// BackendAuto lets large-population experiments like "scale" use the
-	// counts batch engine. All observation goes through census probes, so
-	// every experiment runs on either backend; the phase-clock experiment
-	// (thm32) degrades a counts request to auto because its standalone
-	// clock protocol has no finite state-space enumeration.
-	Backend sim.Backend
-
-	// Batch selects the counts backend's batch scheduling policy for
-	// experiments that run on it (zero value = BatchAuto: exact below
-	// sim.ExactMaxN agents, drift-bounded adaptive batching above). The
-	// dense backend ignores it.
-	Batch sim.BatchPolicy
-
-	// Shards runs trial engines on the sharded counts backend
-	// (sim.ShardedCountsEngine) with that many sub-censuses when ≥ 2;
-	// 0 or 1 keeps a single census. The shardscale experiment sweeps its
-	// own K grid and ignores this; cmd/paperbench exposes it as -shards
-	// for the other experiments.
-	Shards int
-
-	// Migration is the sharded engine's λ, the per-agent per-epoch
-	// migration probability: 0 keeps the fidelity default
-	// (sim.DefaultMigrationRate), a positive value sets λ, a negative
-	// value disables migration. Ignored when Shards < 2 (and by
-	// shardscale, which sweeps its own λ grid). Exposed as -migration.
-	Migration float64
-
-	// Perturb attaches a perturbation (churn, corruption, scheduler bias)
-	// to every trial engine the trial-based experiments build — the
-	// sim.TrialConfig.Perturb plumbing; cmd/paperbench wires it from
-	// -churn/-corrupt/-bias. Experiments that sweep their own scenario
-	// axes (resilience, shardscale) ignore it. Nil runs unperturbed.
-	Perturb sim.Perturbation
+	// TrialConfig carries the trial settings cmd/paperbench parses from
+	// its shared flags. Trials and Seed give each measurement point's
+	// trial count and base seed; Workers bounds concurrent trials (0 =
+	// GOMAXPROCS); EngineWorkers caps each counts engine's sampling
+	// shards, which matters mainly for the single-engine experiments
+	// (scale, scalefigures, resilience, shardscale) where one large-n run
+	// owns the machine. Backend (empty = dense) and Batch (zero =
+	// BatchAuto) select the engine of the whole-protocol experiments;
+	// thm32 degrades a counts request to auto because its standalone clock
+	// protocol has no finite state-space enumeration. Perturb attaches to
+	// every trial-based experiment's engines; resilience and shardscale
+	// sweep their own scenario axes and ignore it. Shards and Migration
+	// (0 = the fidelity default λ, negative = isolated shards) are
+	// honoured by the scale experiment only: shardscale sweeps its own
+	// K × λ grid and every other experiment runs a single census.
+	sim.TrialConfig
 
 	// Reps is the number of timing repetitions per measurement cell in
 	// throughput experiments (parscale): each cell re-times its slab Reps
@@ -112,18 +75,16 @@ type Config struct {
 // DefaultConfig returns the configuration used for EXPERIMENTS.md.
 func DefaultConfig() Config {
 	return Config{
-		Sizes:  []int{1 << 10, 1 << 12, 1 << 14, 1 << 16},
-		Trials: 10,
-		Seed:   2019, // SPAA 2019
+		Sizes:       []int{1 << 10, 1 << 12, 1 << 14, 1 << 16},
+		TrialConfig: sim.TrialConfig{Trials: 10, Seed: 2019}, // SPAA 2019
 	}
 }
 
 // SmokeConfig returns a fast configuration for tests.
 func SmokeConfig() Config {
 	return Config{
-		Sizes:  []int{1 << 9, 1 << 10},
-		Trials: 3,
-		Seed:   7,
+		Sizes:       []int{1 << 9, 1 << 10},
+		TrialConfig: sim.TrialConfig{Trials: 3, Seed: 7},
 	}
 }
 
@@ -325,7 +286,7 @@ func mustRun(rs []sim.Result, err error) []sim.Result {
 	return rs
 }
 
-// mustEngine unwraps a NewEngine result under the same contract.
+// mustEngine unwraps a NewTrialEngine result under the same contract.
 func mustEngine(eng sim.Engine, err error) sim.Engine {
 	if err != nil {
 		panic(err)
@@ -333,45 +294,18 @@ func mustEngine(eng sim.Engine, err error) sim.Engine {
 	return eng
 }
 
-// applyBatch applies cfg.Batch to engines with configurable batch
-// scheduling (the counts backend) and returns the engine, so every
-// experiment that constructs engines directly honors -batch/-batch-eps
-// exactly like the RunTrials-based ones.
-func applyBatch(eng sim.Engine, cfg Config) sim.Engine {
-	if bc, ok := eng.(sim.BatchConfigurable); ok {
-		bc.SetBatchPolicy(cfg.Batch)
-	}
-	return eng
+// trialBatch returns the TrialConfig of one trial batch at base seed seed:
+// the trial pool and the engine settings every trial-based experiment
+// honours. Shards and Migration stay unset (only scale applies them).
+func (cfg Config) trialBatch(seed uint64) sim.TrialConfig {
+	return sim.TrialConfig{Trials: cfg.Trials, Seed: seed, Workers: cfg.Workers,
+		EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb}
 }
 
-// applyWorkers applies cfg.EngineWorkers to engines with an internal
-// worker pool (the counts backend's sharded batch sampling) and returns
-// the engine; the companion of applyBatch for experiments that construct
-// engines directly.
-func applyWorkers(eng sim.Engine, cfg Config) sim.Engine {
-	if wc, ok := eng.(sim.WorkerConfigurable); ok {
-		wc.SetWorkers(cfg.EngineWorkers)
-	}
-	return eng
-}
-
-// buildEngine constructs an engine for inst honoring cfg.Shards: a sharded
-// counts engine (with cfg.Migration applied — 0 keeps the fidelity
-// default, negative disables migration) when Shards ≥ 2, the requested
-// backend otherwise. Experiments that construct engines through the
-// registry use this so -shards/-migration work like -batch/-workers do.
-func buildEngine(inst protocols.Instance, src *rng.Source, b sim.Backend, cfg Config) (sim.Engine, error) {
-	if cfg.Shards >= 2 {
-		eng, err := inst.ShardedEngine(src, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Migration != 0 {
-			eng.(sim.ShardConfigurable).SetMigrationRate(max(cfg.Migration, 0))
-		}
-		return eng, nil
-	}
-	return inst.Engine(src, b)
+// engineConfig returns the engine settings the direct-engine figure and
+// lemma experiments apply: the backend and the batch policy.
+func (cfg Config) engineConfig() sim.TrialConfig {
+	return sim.TrialConfig{Backend: cfg.Backend, Batch: cfg.Batch}
 }
 
 // censusOf returns an engine's current census view; both backends expose

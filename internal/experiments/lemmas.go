@@ -30,8 +30,8 @@ func Lemma41(cfg Config) []*Table {
 		final := 0.0
 		trials := 0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			eng := applyBatch(mustEngine(sim.NewEngine[core.State, *core.Protocol](
-				pr, rng.NewStream(cfg.Seed+1, uint64(trial)), cfg.Backend)), cfg)
+			eng := mustEngine(sim.NewTrialEngine[core.State, *core.Protocol](
+				pr, rng.NewStream(cfg.Seed+1, uint64(trial)), cfg.engineConfig()))
 			prev := uint64(0)
 			for ci, c := range checkpoints {
 				target := uint64(c * nln)
@@ -74,7 +74,7 @@ func Lemma53(cfg Config) []*Table {
 		juntaAt := make([]float64, cfg.Trials)
 		rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
 			func(int) *core.Protocol { return pr },
-			sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed + 2, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb},
+			cfg.trialBatch(cfg.Seed+2),
 			sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
 				return func(step uint64, v sim.CensusView[core.State]) {
 					juntaAt[trial] = float64(pr.JuntaSizeOf(v.VisitStates))
@@ -114,7 +114,7 @@ func Lemma71(cfg Config) []*Table {
 	censusAt := make([][]int, cfg.Trials)
 	rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
 		func(int) *core.Protocol { return pr },
-		sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed + 3, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb},
+		cfg.trialBatch(cfg.Seed+3),
 		sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
 			return func(step uint64, v sim.CensusView[core.State]) {
 				censusAt[trial] = pr.InhibDragCensusOf(v.VisitStates)

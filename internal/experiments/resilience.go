@@ -133,36 +133,8 @@ func Resilience(cfg Config) []*Table {
 func resilienceRun(cfg Config, inst protocols.Instance, batch sim.BatchPolicy, gamma int, p sim.Perturbation, scenario uint64) (sim.Result, int, float64) {
 	n := inst.N()
 	src := rng.NewStream(cfg.Seed+61, uint64(n)*8+scenario)
-	eng, err := inst.Engine(src, sim.BackendCounts)
-	if err != nil {
-		panic(err)
-	}
-	eng.(sim.BatchConfigurable).SetBatchPolicy(batch)
-	if cfg.EngineWorkers > 1 {
-		eng.(sim.WorkerConfigurable).SetWorkers(cfg.EngineWorkers)
-	}
-	if p != nil {
-		if err := eng.(sim.Perturbable).SetPerturbation(p); err != nil {
-			panic(err)
-		}
-	}
-	eng.SetBudget(resilienceBudget * uint64(n))
-	var meter *phaseclock.SpanMeter
-	if gamma > 0 {
-		meter = phaseclock.NewSpanMeter(gamma)
-		probe := func(step uint64, v protocols.Census) {
-			meter.Begin()
-			if err := inst.VisitWords(v, func(word uint32, count int64) {
-				meter.Add(uint8(word&0xff), count)
-			}); err != nil {
-				panic(err)
-			}
-			meter.End()
-		}
-		if err := inst.AddProbe(eng, probe, uint64(n)); err != nil {
-			panic(err)
-		}
-	}
+	eng, meter := spanEngine(inst, src, sim.TrialConfig{Backend: sim.BackendCounts, Batch: batch,
+		EngineWorkers: cfg.EngineWorkers, Perturb: p, MaxInteractions: resilienceBudget * uint64(n)}, gamma)
 	start := time.Now()
 	res := eng.Run()
 	secs := time.Since(start).Seconds()

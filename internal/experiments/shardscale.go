@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"popelect/internal/phaseclock"
 	"popelect/internal/protocols"
 	"popelect/internal/rng"
 	"popelect/internal/sim"
@@ -133,40 +132,13 @@ func ShardScale(cfg Config) []*Table {
 func shardScaleRun(cfg Config, inst protocols.Instance, batch sim.BatchPolicy, gamma, shards int, lambda float64) (sim.Result, int, float64, int) {
 	n := inst.N()
 	src := rng.NewStream(cfg.Seed+59, uint64(n)+uint64(16*shards)+uint64(1e6*lambda))
-	var eng sim.Engine
-	var err error
-	if shards > 1 {
-		if eng, err = inst.ShardedEngine(src, shards); err == nil {
-			eng.(sim.ShardConfigurable).SetMigrationRate(lambda)
-		}
-	} else {
-		eng, err = inst.Engine(src, sim.BackendCounts)
-	}
-	if err != nil {
-		panic(err)
-	}
-	eng.(sim.BatchConfigurable).SetBatchPolicy(batch)
-	if cfg.EngineWorkers > 1 {
-		eng.(sim.WorkerConfigurable).SetWorkers(cfg.EngineWorkers)
-	}
 	budget := uint64(shardScaleBudget)
 	if n >= shardScaleLargeN {
 		budget = shardScaleLargeBudget
 	}
-	eng.SetBudget(budget * uint64(n))
-	meter := phaseclock.NewSpanMeter(gamma)
-	probe := func(step uint64, v protocols.Census) {
-		meter.Begin()
-		if err := inst.VisitWords(v, func(word uint32, count int64) {
-			meter.Add(uint8(word&0xff), count)
-		}); err != nil {
-			panic(err)
-		}
-		meter.End()
-	}
-	if err := inst.AddProbe(eng, probe, uint64(n)); err != nil {
-		panic(err)
-	}
+	eng, meter := spanEngine(inst, src, sim.TrialConfig{Backend: sim.BackendCounts, Batch: batch,
+		EngineWorkers: cfg.EngineWorkers, Shards: shards, Migration: sim.TrialMigration(lambda),
+		MaxInteractions: budget * uint64(n)}, gamma)
 	start := time.Now()
 	res := eng.Run()
 	secs := time.Since(start).Seconds()

@@ -88,13 +88,8 @@ func runTable1Cell(cfg Config, e protocols.Entry, n int) ([]sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := sim.TrialConfig{
-		Trials: cfg.Trials, Seed: cfg.Seed + uint64(n), Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers,
-		Backend:     cfg.Backend,
-		Batch:       cfg.Batch,
-		Perturb:     cfg.Perturb,
-		TrackStates: true,
-	}
+	tc := cfg.trialBatch(cfg.Seed + uint64(n))
+	tc.TrackStates = true
 	// A counts request degrades to auto for protocols without a
 	// state-space enumeration (auto falls back to dense for them).
 	if tc.Backend == sim.BackendCounts && !inst.Enumerable() {

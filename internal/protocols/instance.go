@@ -64,13 +64,13 @@ type Instance interface {
 	// (sim.NewEngine under the erasure).
 	Engine(src *rng.Source, b sim.Backend) (sim.Engine, error)
 
-	// ShardedEngine creates a sharded counts engine with the given shard
-	// count in fidelity mode (sim.NewShardedCountsEngine under the
-	// erasure); configure scenario mode through sim.ShardConfigurable. It
-	// fails for non-enumerable protocols.
-	ShardedEngine(src *rng.Source, shards int) (sim.Engine, error)
+	// TrialEngine creates an engine configured by cfg (sim.NewTrialEngine
+	// under the erasure): backend or sharding, budget, batch policy,
+	// engine workers, state tracking and perturbation.
+	TrialEngine(src *rng.Source, cfg sim.TrialConfig) (sim.Engine, error)
 
-	// AddProbe attaches a census probe to an engine built by Engine.
+	// AddProbe attaches a census probe to an engine built by Engine or
+	// TrialEngine.
 	AddProbe(eng sim.Engine, p Probe, every uint64) error
 
 	// CensusOf returns an engine's current census view.
@@ -115,12 +115,8 @@ func (in *instance[S, P]) Engine(src *rng.Source, b sim.Backend) (sim.Engine, er
 	return sim.NewEngine[S, P](in.proto, src, b)
 }
 
-func (in *instance[S, P]) ShardedEngine(src *rng.Source, shards int) (sim.Engine, error) {
-	en, ok := any(in.proto).(sim.Enumerable[S])
-	if !ok {
-		return nil, fmt.Errorf("protocols: sharded populations require %s to implement Enumerable (finite state-space enumeration)", in.proto.Name())
-	}
-	return sim.NewShardedCountsEngine[S](en, src, shards), nil
+func (in *instance[S, P]) TrialEngine(src *rng.Source, cfg sim.TrialConfig) (sim.Engine, error) {
+	return sim.NewTrialEngine[S, P](in.proto, src, cfg)
 }
 
 func (in *instance[S, P]) AddProbe(eng sim.Engine, p Probe, every uint64) error {

@@ -195,6 +195,41 @@ func ReadCheckpointFile(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
+// AttachCheckpoint wires checkpoint/resume onto a freshly built engine
+// whose perturbation and probes are already attached (a snapshot restores
+// only into an engine carrying the same perturbation and probe schedules).
+// A non-empty resume restores the engine from that file; a missing file
+// starts fresh, so a killed run relaunched with the same configuration
+// finishes byte-identically to an uninterrupted one (the
+// resume-equals-replay law). every > 0 then snapshots the engine
+// atomically to path about every that many interactions. The engine's
+// Checkpointable is returned for the caller to check CheckpointErr after
+// Run; it is nil when neither resume nor snapshots are requested.
+func AttachCheckpoint(eng Engine, resume, path string, every uint64) (Checkpointable, error) {
+	if resume == "" && every == 0 {
+		return nil, nil
+	}
+	ck, ok := eng.(Checkpointable)
+	if !ok {
+		return nil, fmt.Errorf("sim: engine %T does not support checkpointing", eng)
+	}
+	if resume != "" {
+		data, err := ReadCheckpointFile(resume)
+		switch {
+		case err == nil:
+			if err := ck.Restore(data); err != nil {
+				return nil, fmt.Errorf("sim: resume from %s: %w", resume, err)
+			}
+		case !os.IsNotExist(err):
+			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
+	}
+	if every > 0 {
+		ck.SetCheckpoint(every, FileSink(path))
+	}
+	return ck, nil
+}
+
 // ---------------------------------------------------------------------------
 // Envelope: magic | version | kind | protocol name | n | payload | SHA-256.
 

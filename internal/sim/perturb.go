@@ -753,6 +753,12 @@ func ParseCorruption(spec string) (Corruption, error) {
 	return c, c.Validate()
 }
 
+// maxBiasClass bounds the class indices ParseBias accepts before it
+// allocates the weight slice. Every registered protocol has at most a
+// dozen census classes; attaching rejects weights past a protocol's own
+// class count anyway.
+const maxBiasClass = 255
+
 // ParseBias parses a bias flag spec: comma-separated "CLASS=WEIGHT" pairs
 // over census class indices; unlisted classes weigh 1. Example: "0=4,2=0.5".
 func ParseBias(spec string) (Bias, error) {
@@ -763,7 +769,7 @@ func ParseBias(spec string) (Bias, error) {
 			return b, fmt.Errorf("sim: bias spec %q: %q is not CLASS=WEIGHT", spec, part)
 		}
 		class, err := strconv.Atoi(cs)
-		if err != nil || class < 0 {
+		if err != nil || class < 0 || class > maxBiasClass {
 			return b, fmt.Errorf("sim: bias spec %q: bad class index %q", spec, cs)
 		}
 		w, err := strconv.ParseFloat(ws, 64)

@@ -52,7 +52,7 @@ func TestPerturbParsers(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(b.Weights, []float64{4, 1, 0.5}) {
 		t.Fatalf("bias spec: %+v, %v", b, err)
 	}
-	for _, bad := range []string{"", "0", "x=1", "-1=2", "0=x", "0=0", "0=-1"} {
+	for _, bad := range []string{"", "0", "x=1", "-1=2", "0=x", "0=0", "0=-1", "10000000=2"} {
 		if _, err := sim.ParseBias(bad); err == nil {
 			t.Errorf("ParseBias(%q) accepted", bad)
 		}

@@ -122,24 +122,6 @@ func DefaultShardEpoch(n int) uint64 {
 	return 1
 }
 
-// ShardConfigurable is implemented by engines with a sharded population
-// (the sharded counts backend), letting callers that hold the type-erased
-// Engine configure the migration process without knowing the state type —
-// the sharding counterpart of BatchConfigurable.
-type ShardConfigurable interface {
-	// SetMigrationRate sets λ, the per-agent per-epoch migration
-	// probability (0 disables migration; the constructor default is
-	// DefaultMigrationRate).
-	SetMigrationRate(float64)
-
-	// SetEpochLen sets the number of interactions between migration
-	// steps (0 restores the DefaultShardEpoch default).
-	SetEpochLen(uint64)
-
-	// ShardCount reports the number of sub-censuses.
-	ShardCount() int
-}
-
 // shardProto restricts an Enumerable protocol to one shard: the population
 // size becomes the shard size and agent indices are offset into the global
 // range, so seeded initial configurations (majority splits) partition
@@ -266,10 +248,12 @@ func (e *ShardedCountsEngine[S]) EffectiveWorkers() int {
 	return len(e.subs) * inner
 }
 
-// SetMigrationRate implements ShardConfigurable.
+// SetMigrationRate sets λ, the per-agent per-epoch migration probability
+// (0 disables migration; the constructor default is DefaultMigrationRate).
 func (e *ShardedCountsEngine[S]) SetMigrationRate(lambda float64) { e.Migration = lambda }
 
-// SetEpochLen implements ShardConfigurable (0 restores the default).
+// SetEpochLen sets the number of interactions between migration steps
+// (0 restores the DefaultShardEpoch default).
 func (e *ShardedCountsEngine[S]) SetEpochLen(l uint64) {
 	if l == 0 {
 		l = DefaultShardEpoch(e.n)
@@ -277,7 +261,7 @@ func (e *ShardedCountsEngine[S]) SetEpochLen(l uint64) {
 	e.EpochLen = l
 }
 
-// ShardCount implements ShardConfigurable.
+// ShardCount reports the number of sub-censuses.
 func (e *ShardedCountsEngine[S]) ShardCount() int { return len(e.subs) }
 
 // view is the merged cross-shard census view for the unit loop (Census,

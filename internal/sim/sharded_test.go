@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"os"
 	"testing"
 
@@ -233,6 +234,18 @@ func TestShardedTrialConfig(t *testing.T) {
 		Trials: 1, Backend: sim.BackendDense, Shards: 2,
 	}); err == nil {
 		t.Fatal("Shards with the dense backend must be rejected")
+	}
+	// Non-finite numeric settings are rejected up front, not left to
+	// panic in a Binomial draw or to unbound the adaptive controller.
+	for _, bad := range []sim.TrialConfig{
+		{Trials: 1, Backend: sim.BackendCounts, Shards: 2, Migration: math.NaN()},
+		{Trials: 1, Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Mode: sim.BatchAdaptive, Eps: math.NaN()}},
+		{Trials: 1, Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Eps: math.Inf(1)}},
+		{Trials: 1, Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Eps: -0.1}},
+	} {
+		if _, err := sim.RunTrials[uint32, *gs18.Protocol](factory, bad); err == nil {
+			t.Errorf("RunTrials accepted λ=%g ε=%g", bad.Migration, bad.Batch.Eps)
+		}
 	}
 }
 

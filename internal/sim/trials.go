@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,13 +41,14 @@ type TrialConfig struct {
 	// Backend selects the simulation engine: BackendDense, BackendCounts
 	// or BackendAuto. Empty means BackendDense, the historical default.
 	// BackendCounts with a protocol that does not implement Enumerable is
-	// reported as an error by RunTrials before any worker spawns;
+	// an error (RunTrials reports it before any worker spawns);
 	// BackendAuto falls back to dense in that case.
 	Backend Backend
 
 	// Batch selects the counts backend's batch scheduling policy (fixed
 	// length, adaptive drift bound, or exact stepping); the zero value is
-	// BatchAuto. Ignored by the dense backend. See BatchPolicy.
+	// BatchAuto. Ignored by the dense backend, but its ε must be finite
+	// and ≥ 0 on every backend. See BatchPolicy.
 	Batch BatchPolicy
 
 	// Shards ≥ 2 runs each trial on the sharded counts backend with that
@@ -58,8 +60,9 @@ type TrialConfig struct {
 	// Migration is the sharded engine's λ (per-agent per-epoch migration
 	// probability): 0 keeps the fidelity default (DefaultMigrationRate),
 	// a positive value sets λ for scenario runs, and a negative value
-	// disables migration entirely (K isolated populations). Ignored when
-	// Shards < 2.
+	// disables migration entirely (K isolated populations); NaN is an
+	// error. Ignored when Shards < 2. TrialMigration converts from the
+	// engine's own convention, where 0 means isolated.
 	Migration float64
 
 	// ShardEpoch overrides the sharded engine's interactions-per-epoch
@@ -87,6 +90,16 @@ type TrialConfig struct {
 	// killed sweep resumes with the same config and finishes byte-identically
 	// to an uninterrupted run (the resume-equals-replay law).
 	Resume bool
+}
+
+// TrialMigration converts a migration probability λ in the sharded
+// engine's convention (0 = isolated shards) into TrialConfig.Migration,
+// whose zero value keeps the fidelity default instead.
+func TrialMigration(lambda float64) float64 {
+	if lambda == 0 {
+		return -1
+	}
+	return lambda
 }
 
 // TrialCheckpointPath returns the checkpoint file RunTrials uses for one
@@ -129,25 +142,10 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 	}
 	// Validate the configuration on the caller's goroutine, before any
 	// worker spawns, so misconfiguration surfaces as an error here rather
-	// than a panic inside the pool.
-	switch cfg.Backend {
-	case "", BackendDense, BackendAuto:
-	case BackendCounts:
-		var zero P
-		if _, ok := any(zero).(Enumerable[S]); !ok {
-			return nil, fmt.Errorf("sim: backend counts requires protocol type %T to implement Enumerable (finite state-space enumeration)", zero)
-		}
-	default:
-		return nil, fmt.Errorf("sim: unknown backend %q (want dense, counts or auto)", cfg.Backend)
-	}
-	if cfg.Shards >= 2 {
-		if cfg.Backend == BackendDense {
-			return nil, fmt.Errorf("sim: sharded populations need a counts backend, not %q", cfg.Backend)
-		}
-		var zero P
-		if _, ok := any(zero).(Enumerable[S]); !ok {
-			return nil, fmt.Errorf("sim: sharded populations require protocol type %T to implement Enumerable", zero)
-		}
+	// than once per trial inside the pool.
+	var zero P
+	if err := checkTrialConfig[S](zero, cfg); err != nil {
+		return nil, err
 	}
 	if (cfg.CheckpointEvery > 0 || cfg.Resume) && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("sim: checkpointing/resume requires CheckpointDir")
@@ -157,6 +155,37 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 			return nil, fmt.Errorf("sim: checkpoint dir: %w", err)
 		}
 	}
+	results := make([]Result, cfg.Trials)
+	runTrial := func(t int) error {
+		eng, err := NewTrialEngine[S, P](factory(t), rng.NewStream(cfg.Seed, uint64(t)), cfg)
+		if err != nil {
+			return err
+		}
+		for _, tp := range probes {
+			if tp.Make == nil {
+				continue
+			}
+			if err := AddProbe[S](eng, tp.Make(t), tp.Every); err != nil {
+				return err
+			}
+		}
+		path := TrialCheckpointPath(cfg.CheckpointDir, t)
+		resume := ""
+		if cfg.Resume {
+			resume = path
+		}
+		ck, err := AttachCheckpoint(eng, resume, path, cfg.CheckpointEvery)
+		if err != nil {
+			return err
+		}
+		res := eng.Run()
+		res.Seed = uint64(t)
+		results[t] = res
+		if ck != nil {
+			return ck.CheckpointErr()
+		}
+		return nil
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -164,81 +193,16 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 	if workers > cfg.Trials {
 		workers = cfg.Trials
 	}
-	results := make([]Result, cfg.Trials)
+	// Each trial writes only its own results and errs slots.
+	errs := make([]error, cfg.Trials)
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	recordErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for t := range jobs {
-				src := rng.NewStream(cfg.Seed, uint64(t))
-				eng := newTrialEngine[S, P](factory(t), src, cfg)
-				if cfg.Perturb != nil {
-					// Attach before any Restore below: perturbed
-					// checkpoints require the perturbation to already be
-					// in place (see Perturbable).
-					pe, ok := eng.(Perturbable)
-					if !ok {
-						recordErr(fmt.Errorf("sim: engine %T does not support perturbations", eng))
-						continue
-					}
-					if err := pe.SetPerturbation(cfg.Perturb); err != nil {
-						recordErr(fmt.Errorf("sim: trial %d: %w", t, err))
-						continue
-					}
-				}
-				for _, tp := range probes {
-					if tp.Make == nil {
-						continue
-					}
-					if err := AddProbe[S](eng, tp.Make(t), tp.Every); err != nil {
-						panic(err) // unreachable: both backends implement ProbeTarget[S]
-					}
-				}
-				var ck Checkpointable
-				if cfg.CheckpointEvery > 0 || cfg.Resume {
-					c, ok := eng.(Checkpointable)
-					if !ok {
-						recordErr(fmt.Errorf("sim: engine %T does not support checkpointing", eng))
-						continue
-					}
-					ck = c
-					path := TrialCheckpointPath(cfg.CheckpointDir, t)
-					if cfg.Resume {
-						data, err := ReadCheckpointFile(path)
-						switch {
-						case err == nil:
-							if err := ck.Restore(data); err != nil {
-								recordErr(fmt.Errorf("sim: trial %d resume from %s: %w", t, path, err))
-								continue
-							}
-						case !os.IsNotExist(err):
-							recordErr(fmt.Errorf("sim: trial %d resume: %w", t, err))
-							continue
-						}
-					}
-					if cfg.CheckpointEvery > 0 {
-						ck.SetCheckpoint(cfg.CheckpointEvery, FileSink(path))
-					}
-				}
-				res := eng.Run()
-				res.Seed = uint64(t)
-				results[t] = res
-				if ck != nil {
-					if err := ck.CheckpointErr(); err != nil {
-						recordErr(fmt.Errorf("sim: trial %d: %w", t, err))
-					}
-				}
+				errs[t] = runTrial(t)
 			}
 		}()
 	}
@@ -247,44 +211,91 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 	}
 	close(jobs)
 	wg.Wait()
-	return results, firstErr
+	for t, err := range errs {
+		if err != nil {
+			return results, fmt.Errorf("sim: trial %d: %w", t, err)
+		}
+	}
+	return results, nil
 }
 
-// newTrialEngine builds one trial's engine from the config. The historical
-// default (empty Backend) is dense.
-func newTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg TrialConfig) Engine {
+// NewTrialEngine builds one engine from cfg; every TrialConfig becomes an
+// engine here. Shards ≥ 2 selects the sharded counts backend (with
+// Migration and ShardEpoch applied), otherwise Backend picks the engine
+// (empty = dense). The budget, batch policy, engine workers and state
+// tracking are applied, and Perturb is attached last. Configuration
+// problems — an unknown backend, a counts or sharded request for a
+// protocol without Enumerable, a NaN λ, a batch ε that is NaN, infinite or
+// negative — are returned as errors. The trial-pool fields (Trials, Seed,
+// Workers) and the checkpoint fields are RunTrials' business, not the
+// engine's; see AttachCheckpoint for the latter.
+func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg TrialConfig) (Engine, error) {
+	if err := checkTrialConfig[S](proto, cfg); err != nil {
+		return nil, err
+	}
+	var eng Engine
 	if cfg.Shards >= 2 {
-		en, ok := any(proto).(Enumerable[S])
-		if !ok {
-			panic(fmt.Sprintf("sim: sharded trial on non-Enumerable protocol %T", proto)) // unreachable: validated up front
-		}
-		e := NewShardedCountsEngine[S](en, src, cfg.Shards)
-		e.MaxInteractions = cfg.MaxInteractions
-		e.SetBatchPolicy(cfg.Batch)
-		e.SetWorkers(cfg.EngineWorkers)
+		e := NewShardedCountsEngine[S](any(proto).(Enumerable[S]), src, cfg.Shards)
 		if cfg.Migration != 0 {
 			e.Migration = max(cfg.Migration, 0)
 		}
 		e.SetEpochLen(cfg.ShardEpoch)
-		return e
-	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = BackendDense
-	}
-	eng, err := NewEngine[S, P](proto, src, backend)
-	if err != nil {
-		panic(err)
+		eng = e
+	} else {
+		var err error
+		if eng, err = NewEngine[S, P](proto, src, cfg.Backend); err != nil {
+			return nil, err
+		}
 	}
 	eng.SetBudget(cfg.MaxInteractions)
-	switch e := eng.(type) {
-	case *Runner[S, P]:
-		e.TrackStates = cfg.TrackStates
-	case *CountsEngine[S]:
-		e.Policy = cfg.Batch
-		e.Workers = cfg.EngineWorkers
+	if bc, ok := eng.(BatchConfigurable); ok {
+		bc.SetBatchPolicy(cfg.Batch)
 	}
-	return eng
+	if wc, ok := eng.(WorkerConfigurable); ok {
+		wc.SetWorkers(cfg.EngineWorkers)
+	}
+	if st, ok := eng.(StateTracker); ok {
+		st.SetTrackStates(cfg.TrackStates)
+	}
+	if cfg.Perturb != nil {
+		// Every engine implements Perturbable; attach before any Restore,
+		// since perturbed checkpoints require the perturbation in place.
+		if err := eng.(Perturbable).SetPerturbation(cfg.Perturb); err != nil {
+			return nil, err
+		}
+	}
+	return eng, nil
+}
+
+// checkTrialConfig reports the configuration errors NewTrialEngine would
+// return for proto, without building anything. RunTrialsProbed passes the
+// zero P, so the capability checks go by protocol type.
+func checkTrialConfig[S comparable, P Protocol[S]](proto P, cfg TrialConfig) error {
+	_, enumerable := any(proto).(Enumerable[S])
+	switch cfg.Backend {
+	case "", BackendDense, BackendAuto:
+	case BackendCounts:
+		if !enumerable {
+			return fmt.Errorf("sim: backend counts requires protocol type %T to implement Enumerable (finite state-space enumeration)", proto)
+		}
+	default:
+		return fmt.Errorf("sim: unknown backend %q (want dense, counts or auto)", cfg.Backend)
+	}
+	if cfg.Shards >= 2 {
+		if cfg.Backend == BackendDense {
+			return fmt.Errorf("sim: sharded populations need a counts backend, not %q", cfg.Backend)
+		}
+		if !enumerable {
+			return fmt.Errorf("sim: sharded populations require protocol type %T to implement Enumerable", proto)
+		}
+		if math.IsNaN(cfg.Migration) {
+			return fmt.Errorf("sim: migration rate λ is NaN")
+		}
+	}
+	if eps := cfg.Batch.Eps; math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
+		return fmt.Errorf("sim: batch drift bound ε = %g (want a finite value ≥ 0)", eps)
+	}
+	return nil
 }
 
 // ParallelTimes extracts the parallel-time measure from a batch of results.

@@ -28,7 +28,6 @@ package popelect
 
 import (
 	"fmt"
-	"os"
 
 	"popelect/internal/protocols"
 	"popelect/internal/rng"
@@ -107,20 +106,12 @@ type CensusPoint struct {
 	States int
 }
 
+// options is the engine configuration plus the API-only settings.
 type options struct {
-	seed          uint64
-	budget        uint64
-	gamma         int
-	phi           int
-	psi           int
-	trackStates   bool
-	backend       string
-	batch         string
-	batchEps      float64
-	workers       int
-	shards        int
-	migration     float64
-	migrationSet  bool
+	cfg           sim.TrialConfig
+	backendErr    error // a malformed WithBackend, reported by the run
+	batchErr      error // a malformed WithBatchPolicy, likewise
+	overrides     protocols.Overrides
 	timelineEvery uint64
 	ckptPath      string
 	ckptEvery     uint64
@@ -129,17 +120,16 @@ type options struct {
 	churnSpec     string
 	corruptSpec   string
 	biasSpec      string
-	specsSet      bool
 }
 
 // Option configures a run.
 type Option func(*options)
 
 // WithSeed makes the run deterministic for a given seed.
-func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
+func WithSeed(seed uint64) Option { return func(o *options) { o.cfg.Seed = seed } }
 
 // WithBudget caps the number of interactions (0 = a generous default).
-func WithBudget(max uint64) Option { return func(o *options) { o.budget = max } }
+func WithBudget(max uint64) Option { return func(o *options) { o.cfg.MaxInteractions = max } }
 
 // WithGamma overrides the phase-clock resolution Γ of clocked protocols.
 // The default is derived from the population size — Γ(n) =
@@ -147,23 +137,30 @@ func WithBudget(max uint64) Option { return func(o *options) { o.budget = max } 
 // 36 — so that the clock's wrap window Γ/2 always clears the natural
 // ~log n phase spread; a fixed override below that tears the clock at
 // large n.
-func WithGamma(gamma int) Option { return func(o *options) { o.gamma = gamma } }
+func WithGamma(gamma int) Option { return func(o *options) { o.overrides.Gamma = gamma } }
 
 // WithPhi overrides the coin-level cap Φ (GSU19, GS18 and the clocked
 // scenario protocols).
-func WithPhi(phi int) Option { return func(o *options) { o.phi = phi } }
+func WithPhi(phi int) Option { return func(o *options) { o.overrides.Phi = phi } }
 
 // WithPsi overrides the drag-counter range Ψ (GSU19).
-func WithPsi(psi int) Option { return func(o *options) { o.psi = psi } }
+func WithPsi(psi int) Option { return func(o *options) { o.overrides.Psi = psi } }
 
 // WithStateTracking records the number of distinct states used.
-func WithStateTracking() Option { return func(o *options) { o.trackStates = true } }
+func WithStateTracking() Option { return func(o *options) { o.cfg.TrackStates = true } }
 
 // WithBackend selects the simulation backend: "dense" (per-agent array,
 // exact, the default), "counts" (state-census batch engine for populations
 // of 10⁸–10⁹ agents; Result.LeaderID is -1 because agents are anonymous),
 // or "auto" (counts for large enumerable protocols, dense otherwise).
-func WithBackend(backend string) Option { return func(o *options) { o.backend = backend } }
+func WithBackend(backend string) Option {
+	return func(o *options) {
+		o.cfg.Backend, o.backendErr = sim.BackendDense, nil
+		if backend != "" {
+			o.cfg.Backend, o.backendErr = sim.ParseBackend(backend)
+		}
+	}
+}
 
 // WithBatchPolicy selects the counts backend's batch scheduling policy:
 // "auto" (the default: exact below 2¹⁷ agents, drift-bounded adaptive
@@ -172,14 +169,20 @@ func WithBackend(backend string) Option { return func(o *options) { o.backend = 
 // batch length (fast but biases stabilization times upward ≈10% at n/8 —
 // see sim.BatchPolicy). The dense backend ignores it. See also
 // WithBatchEps.
-func WithBatchPolicy(policy string) Option { return func(o *options) { o.batch = policy } }
+func WithBatchPolicy(policy string) Option {
+	return func(o *options) {
+		eps := o.cfg.Batch.Eps
+		o.cfg.Batch, o.batchErr = sim.ParseBatchPolicy(policy)
+		o.cfg.Batch.Eps = eps
+	}
+}
 
 // WithBatchEps tunes the adaptive batch controller's drift bound ε — the
 // maximum fraction by which any state's expected census count may move
 // during one aggregated batch (0 keeps the default). Smaller ε tracks the
 // sequential scheduler more closely at proportionally lower throughput.
 // Only meaningful with the counts backend under an adaptive batch policy.
-func WithBatchEps(eps float64) Option { return func(o *options) { o.batchEps = eps } }
+func WithBatchEps(eps float64) Option { return func(o *options) { o.cfg.Batch.Eps = eps } }
 
 // WithWorkers caps the simulation engine's internal worker pool — on the
 // counts backend, the number of sampling shards each batch fans out to
@@ -189,7 +192,15 @@ func WithBatchEps(eps float64) Option { return func(o *options) { o.batchEps = e
 // randomness in different orders and give statistically equivalent but
 // different trajectories, exactly like changing the seed. 0 (the default)
 // keeps the serial path.
-func WithWorkers(workers int) Option { return func(o *options) { o.workers = workers } }
+func WithWorkers(workers int) Option {
+	return func(o *options) {
+		// 0 and 1 both sample serially; 0 is what checkpoints record.
+		o.cfg.EngineWorkers = 0
+		if workers > 1 {
+			o.cfg.EngineWorkers = workers
+		}
+	}
+}
 
 // WithShards partitions the population into K sub-censuses advanced by K
 // concurrent goroutines with no per-interaction coordination, exchanging
@@ -202,7 +213,7 @@ func WithWorkers(workers int) Option { return func(o *options) { o.workers = wor
 // different K or λ are different models. Defaults to fidelity mode —
 // epoch n/16, λ = sim.DefaultMigrationRate — whose stabilization-time law
 // is validated KS-consistent with the global uniform scheduler.
-func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
+func WithShards(shards int) Option { return func(o *options) { o.cfg.Shards = shards } }
 
 // WithMigrationRate sets λ, the probability that an agent joins the
 // inter-shard exchange at each epoch boundary (scenario mode: the
@@ -210,7 +221,7 @@ func WithShards(shards int) Option { return func(o *options) { o.shards = shards
 // derived Γ(n) clock gets stress-tested). 0 disables migration entirely,
 // leaving K isolated populations. Only meaningful with WithShards ≥ 2.
 func WithMigrationRate(lambda float64) Option {
-	return func(o *options) { o.migration = lambda; o.migrationSet = true }
+	return func(o *options) { o.cfg.Migration = sim.TrialMigration(lambda) }
 }
 
 // WithCensusTimeline records a census sample (leader count, occupied
@@ -291,7 +302,6 @@ func WithBias(weights ...float64) Option {
 func WithScenario(churn, corrupt, bias string) Option {
 	return func(o *options) {
 		o.churnSpec, o.corruptSpec, o.biasSpec = churn, corrupt, bias
-		o.specsSet = true
 	}
 }
 
@@ -326,8 +336,7 @@ func ElectWith(alg Algorithm, n int, opts ...Option) (Result, error) {
 // population of n agents until its stability predicate holds, without
 // interpreting the output. It is deterministic given WithSeed.
 func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
-	var o options
-	o.seed = 1
+	o := options{cfg: sim.TrialConfig{Seed: 1}}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -335,7 +344,7 @@ func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("popelect: unknown protocol %q (known: %v)", alg, Protocols())
 	}
-	inst, err := entry.New(n, protocols.Overrides{Gamma: o.gamma, Phi: o.phi, Psi: o.psi})
+	inst, err := entry.New(n, o.overrides)
 	if err != nil {
 		return Result{}, err
 	}
@@ -343,76 +352,27 @@ func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
 }
 
 func run(inst protocols.Instance, o options) (Result, error) {
-	backend := sim.BackendDense
-	if o.backend != "" {
-		var err error
-		if backend, err = sim.ParseBackend(o.backend); err != nil {
+	for _, err := range []error{o.backendErr, o.batchErr} {
+		if err != nil {
 			return Result{}, fmt.Errorf("popelect: %w", err)
 		}
 	}
-	var eng sim.Engine
-	var err error
-	if o.shards >= 2 {
-		eng, err = inst.ShardedEngine(rng.New(o.seed), o.shards)
-		if err == nil && o.migrationSet {
-			eng.(sim.ShardConfigurable).SetMigrationRate(o.migration)
-		}
-	} else {
-		eng, err = inst.Engine(rng.New(o.seed), backend)
+	cfg := o.cfg
+	if cfg.Shards >= 2 {
+		cfg.Backend = sim.BackendCounts // sharding overrides the backend choice
 	}
+	// All-empty specs parse to nil, which Combine drops.
+	p, err := sim.ParsePerturbations(o.churnSpec, o.corruptSpec, o.biasSpec)
 	if err != nil {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
-	if o.batch != "" || o.batchEps != 0 {
-		policy, err := sim.ParseBatchPolicy(o.batch)
-		if err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-		policy.Eps = o.batchEps
-		if ce, ok := eng.(sim.BatchConfigurable); ok {
-			ce.SetBatchPolicy(policy)
-		}
+	cfg.Perturb = sim.Combine(append(o.perturbs, p)...)
+	if o.ckptPath != "" && o.ckptEvery == 0 {
+		return Result{}, fmt.Errorf("popelect: WithCheckpoint needs a positive interval")
 	}
-	if o.workers > 1 {
-		if wc, ok := eng.(sim.WorkerConfigurable); ok {
-			wc.SetWorkers(o.workers)
-		}
-	}
-	eng.SetBudget(o.budget)
-	if st, ok := eng.(sim.StateTracker); ok {
-		st.SetTrackStates(o.trackStates)
-	}
-	perturbs := o.perturbs
-	if o.specsSet {
-		p, err := sim.ParsePerturbations(o.churnSpec, o.corruptSpec, o.biasSpec)
-		if err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-		if p != nil {
-			perturbs = append(perturbs, p)
-		}
-	}
-	if len(perturbs) > 0 {
-		pe, ok := eng.(sim.Perturbable)
-		if !ok {
-			return Result{}, fmt.Errorf("popelect: the selected engine (%T) does not support perturbations", eng)
-		}
-		// Attach before any Restore below: a checkpoint taken under a
-		// perturbation only restores into an engine carrying the same one.
-		if err := pe.SetPerturbation(sim.Combine(perturbs...)); err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-	}
-	var ck sim.Checkpointable
-	if o.ckptPath != "" || o.resumePath != "" {
-		if o.ckptPath != "" && o.ckptEvery == 0 {
-			return Result{}, fmt.Errorf("popelect: WithCheckpoint needs a positive interval")
-		}
-		c, ok := eng.(sim.Checkpointable)
-		if !ok {
-			return Result{}, fmt.Errorf("popelect: the selected engine (%T) does not support checkpointing", eng)
-		}
-		ck = c
+	eng, err := inst.TrialEngine(rng.New(cfg.Seed), cfg)
+	if err != nil {
+		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	var timeline []CensusPoint
 	var record func(step uint64, v protocols.Census)
@@ -430,19 +390,9 @@ func run(inst protocols.Instance, o options) (Result, error) {
 	// Restore after probes are registered (the snapshot's probe schedules
 	// must match the engine's probe set) and before the timeline's initial
 	// sample, which records the restored census at the restored step.
-	if o.resumePath != "" {
-		data, err := sim.ReadCheckpointFile(o.resumePath)
-		switch {
-		case err == nil:
-			if err := ck.Restore(data); err != nil {
-				return Result{}, fmt.Errorf("popelect: resume from %s: %w", o.resumePath, err)
-			}
-		case !os.IsNotExist(err):
-			return Result{}, fmt.Errorf("popelect: resume: %w", err)
-		}
-	}
-	if o.ckptPath != "" {
-		ck.SetCheckpoint(o.ckptEvery, sim.FileSink(o.ckptPath))
+	ck, err := sim.AttachCheckpoint(eng, o.resumePath, o.ckptPath, o.ckptEvery)
+	if err != nil {
+		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	if record != nil {
 		cv, err := inst.CensusOf(eng)

@@ -1,6 +1,7 @@
 package popelect
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -293,5 +294,13 @@ func TestElectCheckpointValidation(t *testing.T) {
 	}
 	if _, err := Elect(512, WithResume(path)); err == nil {
 		t.Fatal("resume from a corrupt file must error")
+	}
+	// Non-finite numeric options are errors, not a Binomial panic or an
+	// unbounded adaptive controller.
+	if _, err := ElectWith(GS18, 4096, WithShards(2), WithMigrationRate(math.NaN())); err == nil {
+		t.Fatal("a NaN migration rate must error")
+	}
+	if _, err := Elect(512, WithBackend("counts"), WithBatchEps(math.NaN())); err == nil {
+		t.Fatal("a NaN batch ε must error")
 	}
 }
