@@ -146,10 +146,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cell := tc
 		cell.Seed = tc.Seed + uint64(v)
-		resKey := store.Key{Kind: "sweep", Protocol: "gsu19", N: *n, Trials: cell.Trials,
-			Seed: cell.Seed, Backend: string(cell.Backend), Batch: cell.Batch.String(),
-			Workers: cell.Workers, Shards: cell.Shards, Migration: cell.Migration,
-			Gamma: *gamma, Extra: extra}
+		resKey := store.TrialKey("sweep", "gsu19", *n, cell)
+		resKey.Gamma = *gamma
+		resKey.Extra = extra
 		serKey := resKey
 		serKey.Kind = "sweep-series"
 		serKey.ProbeEvery = every
@@ -159,6 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			crs, hit, err := st.GetResults(resKey)
 			if err != nil {
 				return fail(1, err)
+			}
+			if hit && len(crs) != cell.Trials {
+				return fail(1, fmt.Errorf("store entry %s holds %d results for %d trials", resKey.Hash(), len(crs), cell.Trials))
 			}
 			if hit && *sdir == "" {
 				rs, cached = crs, true

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +38,52 @@ func TestGolden(t *testing.T) {
 				t.Errorf("sweep %v:\ngot:\n%s\nwant:\n%s", c.args, got, want)
 			}
 		})
+	}
+}
+
+// TestShortStoreEntryIsError pins that a store hit holding fewer results
+// than the cell's trial count fails the run instead of tabulating a
+// smaller batch: the entries of a filled store are cut to one result each,
+// and the second run must reject them.
+func TestShortStoreEntryIsError(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-what", "psi", "-n", "1024", "-trials", "2", "-backend", "counts", "-workers", "1", "-store", dir}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("filling run: exit %d\n%s", code, stderr.String())
+	}
+	cut := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(data, &env); err != nil {
+			return err
+		}
+		var results []json.RawMessage
+		if err := json.Unmarshal(env["results"], &results); err != nil {
+			return err
+		}
+		if env["results"], err = json.Marshal(results[:1]); err != nil {
+			return err
+		}
+		if data, err = json.Marshal(env); err != nil {
+			return err
+		}
+		cut++
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil || cut == 0 {
+		t.Fatalf("cutting entries: %d cut, err %v", cut, err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "holds 1 results for 2 trials") {
+		t.Fatalf("short entries: exit %d, stderr:\n%s", code, stderr.String())
 	}
 }

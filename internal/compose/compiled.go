@@ -1,13 +1,15 @@
 package compose
 
 // This file compiles the interpreted module pipeline into a flat
-// state-pair → packed-product transition memo — the same trick the counts
-// backend's delta table uses, applied to the dense hot path. The composed
-// Delta threads one Env through every module's Deliver per interaction;
-// that chain of interface calls is pure and deterministic in (r, i) (the
-// counts backend depends on exactly this), so its results can be memoized
-// per word pair and the composition stops costing anything once the run's
-// working set of pairs has been discovered.
+// state-pair → packed-product transition memo — the same pairtab.Table the
+// counts backend memoizes Delta in, applied to the dense hot path. The
+// composed Delta threads one Env through every module's Deliver per
+// interaction; that chain of interface calls is pure and deterministic in
+// (r, i) (the counts backend depends on exactly this), so its results can
+// be memoized per word pair and the composition stops costing anything
+// once the run's working set of pairs has been discovered.
+
+import "popelect/internal/pairtab"
 
 // compiledMaxWordBound caps the word range a DeltaMemo will index directly:
 // the word→id lookup is a flat int32 slice of WordBound() entries, so a
@@ -17,85 +19,48 @@ package compose
 // protocols (≤ 20 bits) compile.
 const compiledMaxWordBound = 1 << 22
 
-// deltaMemoMaxStride caps the flat pair table's side length (2048² entries
-// × 8 B = 32 MiB). Runs discover far fewer distinct words than the
-// enumeration bound — GS18 tops out near a thousand — so the table stays
-// small in practice; later-discovered words overflow onto a map cache,
-// keeping the hot early-discovered pairs table-served.
-const deltaMemoMaxStride = 2048
-
 // DeltaMemo memoizes a composed protocol's transition function over packed
 // word pairs: words get dense ids on first sight through a flat
-// word-indexed lookup, and id pairs below the current stride resolve
-// through a flat stride×stride table of packed products (sentinel ^0 =
-// empty; products pack two sub-2³²⁻¹ words, so the sentinel is never a
-// valid entry). The stride doubles with the discovered word count up to
-// deltaMemoMaxStride, beyond which pairs fall back to a map cache.
+// word-indexed lookup, and id pairs memoize the packed product
+// newR<<32 | newI in a pairtab.Table capped at the space's state count
+// (products pack two sub-2³²⁻¹ words, so they never collide with the
+// table's empty marker).
 //
 // A DeltaMemo is a single-goroutine cache: engines obtain a private one
 // via Protocol.CompileDelta (the protocol itself is never mutated, so it
 // stays shareable across concurrent trials).
 type DeltaMemo struct {
-	delta    func(r, i uint32) (uint32, uint32) // the interpreted pipeline
-	lookup   []int32                            // word → id+1 (0 = unseen)
-	words    []uint32                           // id → word
-	tab      []uint64                           // stride×stride packed products
-	stride   int
-	overflow map[uint64]uint64
+	delta  func(r, i uint32) (uint32, uint32) // the interpreted pipeline
+	lookup []int32                            // word → id+1 (0 = unseen)
+	seen   int                                // ids assigned so far
+	pairs  pairtab.Table
 }
 
 // newDeltaMemo builds a memo over the given word bound around the
-// interpreted fallback.
-func newDeltaMemo(bound uint64, delta func(r, i uint32) (uint32, uint32)) *DeltaMemo {
+// interpreted fallback, its pair table capped at size ids.
+func newDeltaMemo(bound uint64, size int, delta func(r, i uint32) (uint32, uint32)) *DeltaMemo {
 	m := &DeltaMemo{
 		delta:  delta,
 		lookup: make([]int32, bound),
 	}
-	m.grow()
+	m.pairs.Reset(size)
 	return m
-}
-
-// grow (re)allocates the pair table for the current word count, doubling
-// the stride up to deltaMemoMaxStride. Dropping memoized entries on growth
-// is fine — they are recomputed lazily from the pure pipeline.
-func (m *DeltaMemo) grow() {
-	stride := 1 << 8
-	for stride < len(m.words) {
-		stride <<= 1
-	}
-	if stride > deltaMemoMaxStride {
-		stride = deltaMemoMaxStride
-	}
-	if stride <= m.stride {
-		if m.overflow == nil {
-			m.overflow = make(map[uint64]uint64)
-		}
-		return
-	}
-	m.tab = make([]uint64, stride*stride)
-	for i := range m.tab {
-		m.tab[i] = ^uint64(0)
-	}
-	m.stride = stride
 }
 
 // id returns the dense id of word w, assigning the next free id on first
 // sight, or −1 for a word outside the declared space's bound (such pairs
 // bypass the memo entirely).
-func (m *DeltaMemo) id(w uint32) int {
+func (m *DeltaMemo) id(w uint32) int32 {
 	if int64(w) >= int64(len(m.lookup)) {
 		return -1
 	}
 	if v := m.lookup[w]; v != 0 {
-		return int(v) - 1
+		return v - 1
 	}
-	id := len(m.words)
-	m.words = append(m.words, w)
-	m.lookup[w] = int32(id + 1)
-	if id >= m.stride {
-		m.grow()
-	}
-	return id
+	m.seen++
+	m.lookup[w] = int32(m.seen)
+	m.pairs.Grow(m.seen)
+	return int32(m.seen - 1)
 }
 
 // Delta resolves one interaction through the memo, falling back to (and
@@ -106,24 +71,11 @@ func (m *DeltaMemo) Delta(r, i uint32) (uint32, uint32) {
 	if a < 0 || b < 0 {
 		return m.delta(r, i)
 	}
-	if a < m.stride && b < m.stride {
-		idx := a*m.stride + b
-		if v := m.tab[idx]; v != ^uint64(0) {
-			return uint32(v >> 32), uint32(v)
-		}
-		r2, i2 := m.delta(r, i)
-		m.tab[idx] = uint64(r2)<<32 | uint64(i2)
-		return r2, i2
-	}
-	key := uint64(a)<<32 | uint64(b)
-	if v, ok := m.overflow[key]; ok {
+	if v, ok := m.pairs.Get(a, b); ok {
 		return uint32(v >> 32), uint32(v)
 	}
 	r2, i2 := m.delta(r, i)
-	if m.overflow == nil {
-		m.overflow = make(map[uint64]uint64)
-	}
-	m.overflow[key] = uint64(r2)<<32 | uint64(i2)
+	m.pairs.Put(a, b, uint64(r2)<<32|uint64(i2))
 	return r2, i2
 }
 
@@ -137,5 +89,5 @@ func (p *Protocol) CompileDelta() func(r, i uint32) (uint32, uint32) {
 	if bound > compiledMaxWordBound {
 		return nil
 	}
-	return newDeltaMemo(bound, p.Delta).Delta
+	return newDeltaMemo(bound, p.space.Size(), p.Delta).Delta
 }

@@ -75,17 +75,17 @@ func TestCompiledDeltaMatchesInterpreted(t *testing.T) {
 }
 
 func TestCompiledDeltaOverflowPath(t *testing.T) {
-	// Force the pair table past its stride cap so late pairs route through
-	// the overflow map, by shrinking the stride locally via a tiny memo.
+	// Cap the pair table at 300 ids, below the 1024 words the field
+	// discovers, so every pair with a later-discovered word routes through
+	// the overflow map while early pairs stay table-served.
 	p := testProtocol(t, 10, 1000)
-	m := newDeltaMemo(p.Space().WordBound(), p.Delta)
-	// Discover every word first, then hammer pairs: ids ≥ stride exist iff
-	// the cap bites; with 1024 words and max stride 2048 the table covers
-	// all — so instead check the memo keeps answering correctly across the
-	// growth boundary at id 256.
+	m := newDeltaMemo(p.Space().WordBound(), 300, p.Delta)
 	states := p.Space().States()
 	for _, s := range states {
 		m.id(s)
+	}
+	if got := m.pairs.Stride(); got != 300 {
+		t.Fatalf("stride %d, want the 300-id cap", got)
 	}
 	src := rng.New(11)
 	for k := 0; k < 50000; k++ {
@@ -112,7 +112,7 @@ func TestCompiledDeltaOutOfSpaceWordFallsBack(t *testing.T) {
 	// Words outside the declared bound bypass the memo but still answer
 	// through the interpreted pipeline.
 	p := testProtocol(t, 4, 16)
-	m := newDeltaMemo(p.Space().WordBound(), p.Delta)
+	m := newDeltaMemo(p.Space().WordBound(), p.Space().Size(), p.Delta)
 	r, i := uint32(1<<20|3), uint32(5)
 	wr, wi := p.Delta(r, i)
 	gr, gi := m.Delta(r, i)

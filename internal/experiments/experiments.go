@@ -216,40 +216,24 @@ func Lookup(id string) (Runner, bool) {
 	return nil, false
 }
 
-// trialKey builds the store key of one trial batch: the experiment id, the
-// protocol name, and every TrialConfig field that influences the simulated
-// trajectories. Trial-pool concurrency (tc.Workers) is deliberately
-// excluded — RunTrials results are independent of it — while the
-// engine-internal fan-out is not (different widths consume randomness in
-// different orders).
+// trialKey builds the store key of one trial batch: store.TrialKey plus the
+// experiment's Γ override, state tracking and perturbation fingerprint.
 func trialKey(cfg Config, kind, protocol string, n int, tc sim.TrialConfig) store.Key {
-	extra := fmt.Sprintf("track=%t", tc.TrackStates)
+	k := store.TrialKey(kind, protocol, n, tc)
+	k.Gamma = cfg.Gamma
+	k.Extra = fmt.Sprintf("track=%t", tc.TrackStates)
 	if tc.Perturb != nil {
 		// Perturbations change the trajectory law, so the full fingerprint
 		// is part of the cache identity.
-		extra += ",pert=" + tc.Perturb.Fingerprint()
+		k.Extra += ",pert=" + tc.Perturb.Fingerprint()
 	}
-	return store.Key{
-		Kind:       kind,
-		Protocol:   protocol,
-		N:          n,
-		Trials:     tc.Trials,
-		Seed:       tc.Seed,
-		Budget:     tc.MaxInteractions,
-		Backend:    string(tc.Backend),
-		Batch:      tc.Batch.String(),
-		Workers:    tc.EngineWorkers,
-		Shards:     tc.Shards,
-		Migration:  tc.Migration,
-		ShardEpoch: tc.ShardEpoch,
-		Gamma:      cfg.Gamma,
-		Extra:      extra,
-	}
+	return k
 }
 
 // cachedCell runs one measurement cell through cfg.Store: a hit substitutes
-// the stored results for the run, a miss runs and stores. With no store
-// configured it just runs.
+// the stored results for the run, a miss runs and stores. A hit holding
+// other than key.Trials results is an error. With no store configured it
+// just runs.
 func cachedCell(cfg Config, key store.Key, run func() ([]sim.Result, error)) ([]sim.Result, error) {
 	if cfg.Store == nil {
 		return run()
@@ -257,6 +241,9 @@ func cachedCell(cfg Config, key store.Key, run func() ([]sim.Result, error)) ([]
 	if rs, ok, err := cfg.Store.GetResults(key); err != nil {
 		return nil, err
 	} else if ok {
+		if len(rs) != key.Trials {
+			return nil, fmt.Errorf("experiments: store entry %s holds %d results for %d trials", key.Hash(), len(rs), key.Trials)
+		}
 		return rs, nil
 	}
 	rs, err := run()

@@ -377,3 +377,25 @@ func TestStoreReuse(t *testing.T) {
 		t.Fatalf("cached run diverges from computed run:\n--- first\n%s\n--- second\n%s", first.String(), second.String())
 	}
 }
+
+// TestShortStoreEntryIsError pins that a cached cell holding fewer results
+// than its key's trial count is reported, not tabulated as a smaller batch.
+func TestShortStoreEntryIsError(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SmokeConfig()
+	cfg.Store = st
+	key := trialKey(cfg, "short", "gs18", 512, cfg.TrialConfig)
+	if err := st.PutResults(key, []sim.Result{{Converged: true, N: 512, Leaders: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = cachedCell(cfg, key, func() ([]sim.Result, error) {
+		t.Fatal("a hit must not run the cell")
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 results for 3 trials") {
+		t.Fatalf("short entry: err = %v, want a result-count error", err)
+	}
+}

@@ -605,15 +605,10 @@ func (e *CountsEngine[S]) Restore(snapshot []byte) error {
 		}
 	}
 	e.rebuildFenwick()
-	// The transition memo is pure and rebuilds lazily; only its capacity
-	// bookkeeping must match the restored state count.
-	e.deltaCache = nil
-	e.deltaStride = 0
-	e.deltaCap = e.stateBound
-	if e.deltaCap > deltaTabMaxStride {
-		e.deltaCap = deltaTabMaxStride
-	}
-	e.growDeltaTab()
+	// The transition memo is pure and refills lazily; only its stride
+	// must match the restored state count.
+	e.delta.Reset(e.stateBound)
+	e.delta.Grow(len(e.states))
 	e.aliasTab = aliasTab
 	if aliasTab != nil {
 		e.aliasOcc = aliasOcc
@@ -759,7 +754,7 @@ func (e *ShardedCountsEngine[S]) Snapshot() ([]byte, error) {
 		w.i64(int64(e.rr))
 		// Configuration fingerprint (λ and epoch shape the trajectory).
 		w.f64(e.Migration)
-		w.u64(e.EpochLen)
+		w.u64(e.epoch)
 		w.u32(uint32(len(e.subs)))
 		for k, sub := range e.subs {
 			w.i64(e.sizes[k])
@@ -787,8 +782,8 @@ func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
 		if mig != e.Migration {
 			return fmt.Errorf("sim: checkpoint migration rate λ=%g, engine has λ=%g", mig, e.Migration)
 		}
-		if epoch != e.EpochLen {
-			return fmt.Errorf("sim: checkpoint epoch length %d, engine has %d", epoch, e.EpochLen)
+		if epoch != e.epoch {
+			return fmt.Errorf("sim: checkpoint epoch length %d, engine has %d", epoch, e.epoch)
 		}
 		if rr < 0 || rr >= int64(len(e.subs)) {
 			return fmt.Errorf("sim: checkpoint allocation offset %d outside [0,%d)", rr, len(e.subs))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"popelect/internal/pairtab"
 	"popelect/internal/rng"
 )
 
@@ -95,19 +96,10 @@ type CountsEngine[S comparable] struct {
 	classCounts []int64
 	leaders     int64
 
-	// deltaCache memoizes Delta on id pairs: key a<<32|b → a'<<32|b'.
-	// Pairs whose ids both lie below deltaStride go through deltaTab, a
-	// flat stride×stride table indexed by a·stride + b (sentinel ^0 =
-	// empty) — a map lookup per interaction pair class is a measurable
-	// fraction of batch time otherwise. The stride grows with the
-	// discovered state count up to deltaCap (derived from the protocol's
-	// enumerated state-space bound and a memory budget); pairs involving
-	// later-discovered ids fall back to the map cache, which keeps the hot
-	// early-discovered pairs in the table even when a protocol outgrows it.
-	deltaCache  map[uint64]uint64
-	deltaTab    []uint64
-	deltaStride int
-	deltaCap    int
+	// delta memoizes Delta on id pairs: (a, b) → a'<<32|b'. Its stride
+	// is capped at stateBound (see pairtab); a map lookup per interaction
+	// pair class is a measurable fraction of batch time otherwise.
+	delta pairtab.Table
 
 	// stateBound is len(proto.States()), the enumeration's upper bound on
 	// how many ids can ever be assigned (computed once at construction).
@@ -202,9 +194,6 @@ func NewCountsEngine[S comparable](proto Enumerable[S], src *rng.Source) *Counts
 	e := &CountsEngine[S]{proto: proto}
 	e.unitLoop = newUnitLoop[S](e, ckptKindCounts, proto.Name(), src, n)
 	e.stateBound = len(proto.States())
-	if e.stateBound < 1 {
-		e.stateBound = 1
-	}
 	e.Reset()
 	return e
 }
@@ -223,13 +212,7 @@ func (e *CountsEngine[S]) Reset() {
 	e.activePos = e.activePos[:0]
 	e.aliasTab = nil
 	e.aliasOcc = e.aliasOcc[:0]
-	e.deltaCache = nil
-	e.deltaStride = 0
-	e.deltaCap = e.stateBound
-	if e.deltaCap > deltaTabMaxStride {
-		e.deltaCap = deltaTabMaxStride
-	}
-	e.growDeltaTab()
+	e.delta.Reset(e.stateBound)
 	e.adaptLen = 0
 	e.classCounts = make([]int64, e.proto.NumClasses())
 	e.leaders = 0
@@ -277,9 +260,7 @@ func (e *CountsEngine[S]) indexOf(s S) int32 {
 	if len(e.states) > e.fen.cap {
 		e.rebuildFenwick()
 	}
-	if len(e.states) > e.deltaStride {
-		e.growDeltaTab()
-	}
+	e.delta.Grow(len(e.states))
 	return id
 }
 
@@ -292,66 +273,15 @@ func (e *CountsEngine[S]) rebuildFenwick() {
 	}
 }
 
-// deltaTabMaxStride caps the flat transition table's side length so the
-// table never exceeds ~64 MiB (2896² entries × 8 B ≈ 64 MiB). The cap used
-// for a given protocol is min(deltaTabMaxStride, len(States())): the
-// enumeration bounds how many ids can ever exist, so protocols with small
-// state spaces get exactly-sized tables, and GSU19's ~2500 discovered
-// states at n = 10⁹ (which overflowed the previous hard 2048 stride onto
-// the map cache) stay fully table-served.
-const deltaTabMaxStride = 2896
-
-// growDeltaTab (re)allocates the flat transition table for the current
-// state count, up to the per-protocol cap. Once the cap is reached the
-// table is kept (it serves all pairs of early-discovered ids — the hot
-// ones) and later ids overflow onto the map cache. Dropping memoized
-// entries on growth is fine — they are recomputed lazily from the pure
-// Delta function.
-func (e *CountsEngine[S]) growDeltaTab() {
-	stride := 1 << 8
-	for stride < len(e.states) {
-		stride <<= 1
-	}
-	if stride > e.deltaCap {
-		stride = e.deltaCap
-	}
-	if stride <= e.deltaStride {
-		// Already at the cap: overflow ids go through the map cache.
-		if e.deltaCache == nil {
-			e.deltaCache = make(map[uint64]uint64)
-		}
-		return
-	}
-	e.deltaTab = make([]uint64, stride*stride)
-	for i := range e.deltaTab {
-		e.deltaTab[i] = ^uint64(0)
-	}
-	e.deltaStride = stride
-}
-
 // deltaIDs applies the transition function to an ordered id pair, indexing
 // any newly discovered successor states.
 func (e *CountsEngine[S]) deltaIDs(a, b int32) (int32, int32) {
-	if int(a) < e.deltaStride && int(b) < e.deltaStride {
-		idx := int(a)*e.deltaStride + int(b)
-		if v := e.deltaTab[idx]; v != ^uint64(0) {
-			return int32(v >> 32), int32(v & 0xffffffff)
-		}
-		a2, b2 := e.deltaIDsSlow(a, b)
-		// The slow path may have grown the table (new stride, entries
-		// reset); recompute the index against the current stride.
-		e.deltaTab[int(a)*e.deltaStride+int(b)] = uint64(uint32(a2))<<32 | uint64(uint32(b2))
-		return a2, b2
+	if v, ok := e.delta.Get(a, b); ok {
+		return int32(v >> 32), int32(v)
 	}
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if v, ok := e.deltaCache[key]; ok {
-		return int32(v >> 32), int32(v & 0xffffffff)
-	}
-	a2, b2 := e.deltaIDsSlow(a, b)
-	if e.deltaCache == nil {
-		e.deltaCache = make(map[uint64]uint64)
-	}
-	e.deltaCache[key] = uint64(uint32(a2))<<32 | uint64(uint32(b2))
+	na, nb := e.proto.Delta(e.states[a], e.states[b])
+	a2, b2 := e.indexOf(na), e.indexOf(nb)
+	e.delta.Put(a, b, uint64(uint32(a2))<<32|uint64(uint32(b2)))
 	return a2, b2
 }
 
@@ -360,21 +290,8 @@ func (e *CountsEngine[S]) deltaIDs(a, b int32) (int32, int32) {
 // for pairs not yet memoized; only the main goroutine may resolve those
 // (deltaIDs discovers and indexes successor states).
 func (e *CountsEngine[S]) deltaLookup(a, b int32) (int32, int32, bool) {
-	if int(a) < e.deltaStride && int(b) < e.deltaStride {
-		if v := e.deltaTab[int(a)*e.deltaStride+int(b)]; v != ^uint64(0) {
-			return int32(v >> 32), int32(v & 0xffffffff), true
-		}
-		return 0, 0, false
-	}
-	if v, ok := e.deltaCache[uint64(uint32(a))<<32|uint64(uint32(b))]; ok {
-		return int32(v >> 32), int32(v & 0xffffffff), true
-	}
-	return 0, 0, false
-}
-
-func (e *CountsEngine[S]) deltaIDsSlow(a, b int32) (int32, int32) {
-	na, nb := e.proto.Delta(e.states[a], e.states[b])
-	return e.indexOf(na), e.indexOf(nb)
+	v, ok := e.delta.Get(a, b)
+	return int32(v >> 32), int32(v), ok
 }
 
 // Counts implements Engine: the live per-class census. Callers must treat

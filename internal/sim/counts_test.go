@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"popelect/internal/pairtab"
 	"popelect/internal/protocols/gs18"
 	"popelect/internal/rng"
 )
@@ -242,37 +243,27 @@ func (p bigEnum) States() []uint32 {
 func TestDeltaTabSizedFromEnumerationBound(t *testing.T) {
 	// Tiny bound: the table clamps to it immediately.
 	small := NewCountsEngine[uint32](bigEnum{n: 10, states: 7}, rng.New(1))
-	if small.deltaCap != 7 || small.deltaStride != 7 {
-		t.Fatalf("bound-7 protocol: cap %d stride %d, want 7/7", small.deltaCap, small.deltaStride)
-	}
-	if len(small.deltaTab) != 49 {
-		t.Fatalf("bound-7 protocol: table has %d entries, want 49", len(small.deltaTab))
+	if got := small.delta.Stride(); got != 7 {
+		t.Fatalf("bound-7 protocol: stride %d, want 7", got)
 	}
 
 	// A bound beyond the old 2048 limit but within the memory budget: the
 	// stride must be able to grow past 2048 up to the bound.
 	const states = 2500
 	e := NewCountsEngine[uint32](bigEnum{n: 10, states: states}, rng.New(1))
-	if e.deltaCap != states {
-		t.Fatalf("cap %d, want %d", e.deltaCap, states)
-	}
 	for s := 0; s < states; s++ {
 		e.indexOf(uint32(s))
 	}
-	if e.deltaStride != states {
-		t.Fatalf("after discovering all %d states the stride is %d — table abandoned", states, e.deltaStride)
+	if got := e.delta.Stride(); got != states {
+		t.Fatalf("after discovering all %d states the stride is %d — table abandoned", states, got)
 	}
-	// High-id pairs are served by the flat table, not the map cache.
 	a, b := int32(2300), int32(2400)
 	a2, b2 := e.deltaIDs(a, b)
 	if want := int32((2300 + 2400) % states); a2 != want || b2 != b {
 		t.Fatalf("deltaIDs(%d, %d) = (%d, %d), want (%d, %d)", a, b, a2, b2, want, b)
 	}
-	if got := e.deltaTab[int(a)*e.deltaStride+int(b)]; got == ^uint64(0) {
-		t.Fatal("high-id pair was not memoized in the flat table")
-	}
-	if len(e.deltaCache) != 0 {
-		t.Fatalf("map cache holds %d entries; everything should fit the table", len(e.deltaCache))
+	if _, _, ok := e.deltaLookup(a, b); !ok {
+		t.Fatal("high-id pair was not memoized")
 	}
 }
 
@@ -281,32 +272,26 @@ func TestDeltaTabSizedFromEnumerationBound(t *testing.T) {
 // serving early-discovered (hot) ids, and later ids go through the map
 // cache — correctness is unaffected.
 func TestDeltaTabOverflowFallsBackToMap(t *testing.T) {
-	states := deltaTabMaxStride + 100
+	states := pairtab.MaxStride + 100
 	e := NewCountsEngine[uint32](bigEnum{n: 10, states: states}, rng.New(1))
-	if e.deltaCap != deltaTabMaxStride {
-		t.Fatalf("cap %d, want the budget stride %d", e.deltaCap, deltaTabMaxStride)
-	}
 	for s := 0; s < states; s++ {
 		e.indexOf(uint32(s))
 	}
-	if e.deltaStride != deltaTabMaxStride {
-		t.Fatalf("stride %d, want %d (table kept at cap)", e.deltaStride, deltaTabMaxStride)
-	}
-	if e.deltaTab == nil {
-		t.Fatal("table dropped on overflow; it must keep serving low-id pairs")
+	if got := e.delta.Stride(); got != pairtab.MaxStride {
+		t.Fatalf("stride %d, want the budget stride %d (table kept at cap)", got, pairtab.MaxStride)
 	}
 	// Low-id pair: table path.
 	if a2, b2 := e.deltaIDs(3, 5); a2 != 8 || b2 != 5 {
 		t.Fatalf("low-id deltaIDs = (%d, %d)", a2, b2)
 	}
 	// Pair with one id beyond the stride: map path, correct result.
-	hi := int32(deltaTabMaxStride + 50)
+	hi := int32(pairtab.MaxStride + 50)
 	want := int32((int(hi) + 2) % states)
 	if a2, b2 := e.deltaIDs(hi, 2); a2 != want || b2 != 2 {
 		t.Fatalf("high-id deltaIDs(%d, 2) = (%d, %d), want (%d, 2)", hi, a2, b2, want)
 	}
-	if len(e.deltaCache) == 0 {
-		t.Fatal("overflow pair was not memoized in the map cache")
+	if a2, b2, ok := e.deltaLookup(hi, 2); !ok || a2 != want || b2 != 2 {
+		t.Fatalf("overflow pair memo: (%d, %d, %v), want (%d, 2, true)", a2, b2, ok, want)
 	}
 	// And the engine still simulates correctly across the boundary.
 	e2 := NewCountsEngine[uint32](bigEnum{n: 5000, states: states}, rng.New(9))

@@ -27,10 +27,6 @@ type Engine interface {
 	// SetBudget caps Run's interaction count; 0 means DefaultBudget(n).
 	SetBudget(max uint64)
 
-	// Step executes exactly one interaction and reports whether the
-	// configuration changed.
-	Step() bool
-
 	// Run executes interactions until the protocol stabilizes or the
 	// budget is exhausted, and returns the Result.
 	Run() Result

@@ -21,18 +21,17 @@ import (
 // a new scenario: population protocols on a clustered communication graph,
 // where the migration rate λ is the inter-cluster mixing strength.
 //
-//   - Fidelity mode (the construction defaults: epoch n/16, λ =
-//     DefaultMigrationRate) keeps the composite law close enough to the
-//     global uniform scheduler that stabilization-time distributions are
-//     KS-consistent with dense ground truth (see TestShardedFidelityKS
-//     and the shardscale experiment).
-//   - Scenario mode (SetMigrationRate with a free λ, possibly 0) makes the
-//     clustered graph the model itself: weak inter-cluster mixing is how
-//     the derived Γ(n) phase clock is stress-tested — shards whose juntas
-//     decohere drag the aggregate bulk span past Γ/2 (the tearing
-//     signature) even while every local clock stays healthy.
+//   - Fidelity mode (λ = DefaultMigrationRate) keeps the composite law
+//     close enough to the global uniform scheduler that stabilization-time
+//     distributions are KS-consistent with dense ground truth (see
+//     TestShardedFidelityKS and the shardscale experiment).
+//   - Scenario mode (a free Migration λ, possibly 0) makes the clustered
+//     graph the model itself: weak inter-cluster mixing is how the derived
+//     Γ(n) phase clock is stress-tested — shards whose juntas decohere
+//     drag the aggregate bulk span past Γ/2 (the tearing signature) even
+//     while every local clock stays healthy.
 //
-// Scheduling: an epoch of EpochLen global interactions is allocated to the
+// Scheduling: an epoch of n₀/16 global interactions is allocated to the
 // shards proportionally to shard size (largest-remainder rounding with a
 // rotating offset, so sub-epoch advances — probe splits, budget tails — do
 // not starve a fixed shard), each shard advances its allocation under its
@@ -54,8 +53,8 @@ import (
 // different randomness orders.
 //
 // Like the single-census engines, a ShardedCountsEngine is single-goroutine
-// from the caller's perspective; the K-way fan-out is internal to Run,
-// RunSteps and Step.
+// from the caller's perspective; the K-way fan-out is internal to Run and
+// RunSteps.
 type ShardedCountsEngine[S comparable] struct {
 	// unitLoop drives Run/RunSteps and owns the step counter, population
 	// size (per-shard sizes drift with it under churn), budget, probes,
@@ -71,12 +70,12 @@ type ShardedCountsEngine[S comparable] struct {
 	// (K isolated populations — the fully decoupled scenario extreme).
 	Migration float64
 
-	// EpochLen is the number of global interactions between migration
-	// steps. The constructor sets it to DefaultShardEpoch(n) = n/16, a
-	// 1/16 parallel-time unit: short against every protocol timescale, yet
+	// epoch is the number of global interactions between migration
+	// steps, n₀/16 (floored at 1), fixed at construction. A 1/16
+	// parallel-time unit is short against every protocol timescale, yet
 	// long enough that the serial migration step (O(K · occupied states)
 	// draws) is negligible against the epoch's sampling work.
-	EpochLen uint64
+	epoch uint64
 
 	subs  []*CountsEngine[S]
 	sizes []int64 // shard populations; invariant under migration
@@ -106,21 +105,12 @@ type ShardedCountsEngine[S comparable] struct {
 
 // DefaultMigrationRate is the fidelity-mode migration probability: at every
 // epoch boundary each agent joins the exchange pool with probability 1/2.
-// Combined with the n/16 default epoch this mixes the shards an order of
+// Combined with the n/16 epoch this mixes the shards an order of
 // magnitude faster than any protocol phase advances, which is what keeps
 // the composite law KS-consistent with the global uniform scheduler (the
-// validated bar; see the shardscale experiment). Scenario runs override it
-// freely through SetMigrationRate.
+// validated bar; see the shardscale experiment). Scenario runs set
+// Migration freely.
 const DefaultMigrationRate = 0.5
-
-// DefaultShardEpoch returns the fidelity-mode epoch length for population
-// size n: n/16 interactions (a 1/16 parallel-time unit), floored at 1.
-func DefaultShardEpoch(n int) uint64 {
-	if e := uint64(n) / 16; e > 0 {
-		return e
-	}
-	return 1
-}
 
 // shardProto restricts an Enumerable protocol to one shard: the population
 // size becomes the shard size and agent indices are offset into the global
@@ -136,7 +126,7 @@ func (p shardProto[S]) N() int       { return p.size }
 func (p shardProto[S]) Init(i int) S { return p.Enumerable.Init(p.offset + i) }
 
 // NewShardedCountsEngine creates a sharded counts engine for proto with the
-// given shard count, in fidelity mode (DefaultMigrationRate, n/16 epochs).
+// given shard count, in fidelity mode (DefaultMigrationRate).
 // The population size must be at least 2; the shard count is clamped to
 // [1, n/2] so every sub-census holds at least one interacting pair.
 func NewShardedCountsEngine[S comparable](proto Enumerable[S], src *rng.Source, shards int) *ShardedCountsEngine[S] {
@@ -153,7 +143,7 @@ func NewShardedCountsEngine[S comparable](proto Enumerable[S], src *rng.Source, 
 	e := &ShardedCountsEngine[S]{
 		proto:     proto,
 		Migration: DefaultMigrationRate,
-		EpochLen:  DefaultShardEpoch(n),
+		epoch:     max(uint64(n)/16, 1),
 		subs:      make([]*CountsEngine[S], shards),
 		sizes:     make([]int64, shards),
 	}
@@ -248,19 +238,6 @@ func (e *ShardedCountsEngine[S]) EffectiveWorkers() int {
 	return len(e.subs) * inner
 }
 
-// SetMigrationRate sets λ, the per-agent per-epoch migration probability
-// (0 disables migration; the constructor default is DefaultMigrationRate).
-func (e *ShardedCountsEngine[S]) SetMigrationRate(lambda float64) { e.Migration = lambda }
-
-// SetEpochLen sets the number of interactions between migration steps
-// (0 restores the DefaultShardEpoch default).
-func (e *ShardedCountsEngine[S]) SetEpochLen(l uint64) {
-	if l == 0 {
-		l = DefaultShardEpoch(e.n)
-	}
-	e.EpochLen = l
-}
-
 // ShardCount reports the number of sub-censuses.
 func (e *ShardedCountsEngine[S]) ShardCount() int { return len(e.subs) }
 
@@ -340,8 +317,8 @@ func (e *ShardedCountsEngine[S]) SetPerturbation(p Perturbation) error {
 // (the migration exchange's determinism discipline) and delegated to the
 // sub-censuses through their own countsTarget adapters, keeping e.sizes
 // and every sub-census structure consistent. Shard sizes stop being
-// invariant under churn; the proportional epoch allocation, the Step
-// shard draw and the migration binomials all read the live sizes.
+// invariant under churn; the proportional epoch allocation and the
+// migration binomials read the live sizes.
 type shardedTarget[S comparable] struct{ e *ShardedCountsEngine[S] }
 
 func (t shardedTarget[S]) LiveN() int { return t.e.n }
@@ -420,14 +397,6 @@ func (t shardedTarget[S]) ScrambleUniform(src *rng.Source, k int64) {
 	e.mergedOK = false
 }
 
-// epochLen returns the effective epoch length (guarding a zeroed field).
-func (e *ShardedCountsEngine[S]) epochLen() uint64 {
-	if e.EpochLen > 0 {
-		return e.EpochLen
-	}
-	return DefaultShardEpoch(e.n)
-}
-
 // advance implements unitEngine: the rest of the current epoch, at most
 // limit interactions and clamped at the next probe boundary, split
 // proportionally over the shards and advanced by K concurrent goroutines;
@@ -435,12 +404,11 @@ func (e *ShardedCountsEngine[S]) epochLen() uint64 {
 // therefore detected at scheduling-unit granularity — the same rounding-up
 // the single-census engine's batches introduce.
 func (e *ShardedCountsEngine[S]) advance(limit uint64, checkStable bool) bool {
-	epoch := e.epochLen()
-	if e.sinceMig >= epoch {
+	if e.sinceMig >= e.epoch {
 		e.migrate()
 		e.sinceMig = 0
 	}
-	l := e.unitLen(min(epoch-e.sinceMig, limit))
+	l := e.unitLen(min(e.epoch-e.sinceMig, limit))
 	e.advanceShards(l)
 	e.step += l
 	e.sinceMig += l
@@ -448,7 +416,7 @@ func (e *ShardedCountsEngine[S]) advance(limit uint64, checkStable bool) bool {
 	if e.probes.due(e.step) {
 		e.fireProbes()
 	}
-	if e.sinceMig >= epoch {
+	if e.sinceMig >= e.epoch {
 		e.migrate()
 		e.sinceMig = 0
 	}
@@ -574,34 +542,6 @@ func (e *ShardedCountsEngine[S]) migrate() {
 	e.poolS = poolS[:0]
 	e.poolC = poolC[:0]
 	e.mergedOK = false
-}
-
-// Step implements Engine: one interaction in one shard, the shard drawn
-// with probability proportional to its size (the clustered scheduler's
-// law, consistent with the proportional epoch allocation) on the parent
-// stream, then executed by the shard's own exact sampler on its stream.
-func (e *ShardedCountsEngine[S]) Step() bool {
-	k := 0
-	if len(e.subs) > 1 {
-		u := int64(e.src.Uintn(uint64(e.n)))
-		for u >= e.sizes[k] {
-			u -= e.sizes[k]
-			k++
-		}
-	}
-	changed := e.subs[k].Step()
-	e.step++
-	e.sinceMig++
-	e.mergedOK = false
-	e.maybePerturb()
-	if e.probes.due(e.step) {
-		e.fireProbes()
-	}
-	if e.sinceMig >= e.epochLen() {
-		e.migrate()
-		e.sinceMig = 0
-	}
-	return changed
 }
 
 func (e *ShardedCountsEngine[S]) result(converged bool) Result {

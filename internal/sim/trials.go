@@ -65,10 +65,6 @@ type TrialConfig struct {
 	// engine's own convention, where 0 means isolated.
 	Migration float64
 
-	// ShardEpoch overrides the sharded engine's interactions-per-epoch
-	// (0 = DefaultShardEpoch). Ignored when Shards < 2.
-	ShardEpoch uint64
-
 	// Perturb attaches a perturbation (churn, corruption, scheduler bias —
 	// see Perturbation and Combine) to every trial's engine before it runs.
 	// Attachment constraints are backend-specific and surface as errors: the
@@ -221,9 +217,9 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 
 // NewTrialEngine builds one engine from cfg; every TrialConfig becomes an
 // engine here. Shards ≥ 2 selects the sharded counts backend (with
-// Migration and ShardEpoch applied), otherwise Backend picks the engine
-// (empty = dense). The budget, batch policy, engine workers and state
-// tracking are applied, and Perturb is attached last. Configuration
+// Migration applied), otherwise Backend picks the engine (empty = dense).
+// The budget, batch policy, engine workers and state tracking are applied,
+// and Perturb is attached last. Configuration
 // problems — an unknown backend, a counts or sharded request for a
 // protocol without Enumerable, a NaN λ, a batch ε that is NaN, infinite or
 // negative — are returned as errors. The trial-pool fields (Trials, Seed,
@@ -239,7 +235,6 @@ func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg T
 		if cfg.Migration != 0 {
 			e.Migration = max(cfg.Migration, 0)
 		}
-		e.SetEpochLen(cfg.ShardEpoch)
 		eng = e
 	} else {
 		var err error

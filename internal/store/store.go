@@ -82,7 +82,8 @@ type Key struct {
 	// Migration is the sharded engine's λ as configured (0 = default).
 	Migration float64 `json:"migration,omitempty"`
 
-	// ShardEpoch is the sharded engine's epoch override (0 = default).
+	// ShardEpoch is 0: the sharded engine's epoch is fixed at n/16. The
+	// field stays so that existing entries keep their hashes.
 	ShardEpoch uint64 `json:"shardEpoch,omitempty"`
 
 	// Gamma is the phase-clock resolution override (0 = derived default).
@@ -96,6 +97,28 @@ type Key struct {
 	// values, φ/ψ overrides, sweep-cell labels). Callers must render it
 	// deterministically.
 	Extra string `json:"extra,omitempty"`
+}
+
+// TrialKey returns the key of a batch of tc.Trials trials of protocol at
+// population size n: every TrialConfig field that shapes the trajectories.
+// The trial pool size (tc.Workers) is deliberately absent — RunTrials
+// results are independent of it — while the engine-internal fan-out is
+// not. Callers fill Gamma, ProbeEvery and Extra for what the configuration
+// does not carry (protocol overrides, the perturbation fingerprint).
+func TrialKey(kind, protocol string, n int, tc sim.TrialConfig) Key {
+	return Key{
+		Kind:      kind,
+		Protocol:  protocol,
+		N:         n,
+		Trials:    tc.Trials,
+		Seed:      tc.Seed,
+		Budget:    tc.MaxInteractions,
+		Backend:   string(tc.Backend),
+		Batch:     tc.Batch.String(),
+		Workers:   tc.EngineWorkers,
+		Shards:    tc.Shards,
+		Migration: tc.Migration,
+	}
 }
 
 // Hash returns the content address of the key: a hex SHA-256 over a

@@ -220,3 +220,56 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("tampered version: %v", err)
 	}
 }
+
+// FuzzStoreEntry writes arbitrary bytes where a results entry and a series
+// entry live and reads both back through GetResults and GetSeries: every
+// read may hit, miss or fail, but none may panic. The corpus is seeded with
+// the entries the tests above write, valid and corrupted.
+func FuzzStoreEntry(f *testing.F) {
+	resKey := testKey()
+	serKey := testKey()
+	serKey.Kind = "series"
+	serKey.ProbeEvery = 64
+
+	dir := f.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	entry := func(k store.Key) string {
+		h := k.Hash()
+		return filepath.Join(dir, h[:2], h+".json")
+	}
+	sr := stats.NewSeries("leaders", 0)
+	for i := 0; i < 20; i++ {
+		sr.Add(uint64(i*64), float64(20-i))
+	}
+	if err := s.PutResults(resKey, []sim.Result{
+		{Converged: true, Interactions: 123456, N: 1 << 12, Leaders: 1, LeaderID: 7, Counts: []int64{1, 4095}},
+		{Converged: false, Interactions: 999, N: 1 << 12, Leaders: 3, LeaderID: -1, Counts: []int64{3, 4093}, Seed: 1},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutSeries(serKey, []*stats.Series{sr}); err != nil {
+		f.Fatal(err)
+	}
+	for _, k := range []store.Key{resKey, serKey} {
+		data, err := os.ReadFile(entry(k))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add([]byte(strings.Replace(string(data), `"version":1`, `"version":99`, 1)))
+	}
+	f.Add([]byte("{not json"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range []store.Key{resKey, serKey} {
+			if err := os.WriteFile(entry(k), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s.GetResults(k)
+			s.GetSeries(k)
+		}
+	})
+}
