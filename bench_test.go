@@ -17,6 +17,7 @@ import (
 	"popelect/internal/epidemic"
 	"popelect/internal/experiments"
 	"popelect/internal/phaseclock"
+	"popelect/internal/protocols"
 	"popelect/internal/protocols/gs18"
 	"popelect/internal/protocols/lottery"
 	"popelect/internal/protocols/slow"
@@ -349,6 +350,37 @@ func BenchmarkBackendCountsMillion(b *testing.B) {
 // against BenchmarkBackendCountsMillion's adaptive default).
 func BenchmarkBackendCountsFixedMillion(b *testing.B) {
 	benchBackend(b, 1<<20, sim.BackendCounts, 1<<17)
+}
+
+// BenchmarkCountsEngineSetup times building the GSU19 counts engine at
+// n = 2²² through the registry (Lookup, Entry.New, Instance.Engine), the
+// setup every counts trial pays before its first interaction. GSU19 starts
+// every agent in one state, so Reset makes n Init calls but a single index
+// lookup. Reports ns/agent; there is no floor.
+func BenchmarkCountsEngineSetup(b *testing.B) {
+	const n = 1 << 22
+	for i := 0; i < b.N; i++ {
+		entry, ok := protocols.Lookup("gsu19")
+		if !ok {
+			b.Fatal("gsu19 not registered")
+		}
+		inst, err := entry.New(n, protocols.Overrides{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := inst.Engine(rng.New(uint64(i)+1), sim.BackendCounts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var agents int64
+		for _, c := range eng.Counts() {
+			agents += c
+		}
+		if agents != n {
+			b.Fatalf("iteration %d: census holds %d agents, want %d", i, agents, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
 }
 
 // --- Clock-span regression (runs in CI's bench-smoke job) ---

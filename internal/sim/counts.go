@@ -220,16 +220,20 @@ func (e *CountsEngine[S]) Reset() {
 	e.occVer = 0
 	e.occSortVer = ^uint64(0)
 	e.reactInvalidate()
-	for i := 0; i < e.n; i++ {
-		id := e.indexOf(e.proto.Init(i))
-		e.pop[id]++
-		e.classCounts[e.classOf[id]]++
-		if e.leaderOf[id] {
-			e.leaders++
+	// Count maximal runs of equal initial states: one index lookup per run,
+	// not per agent. Runs are added in agent order, so ids are still
+	// assigned in order of first appearance.
+	run, runLen := e.proto.Init(0), int64(1)
+	for i := 1; i < e.n; i++ {
+		if s := e.proto.Init(i); s != run {
+			e.addInitRun(run, runLen)
+			run, runLen = s, 0
 		}
+		runLen++
 	}
+	e.addInitRun(run, runLen)
 	e.rebuildFenwick()
-	// Rebuild the active list in id order (the init loop bumped pop
+	// Rebuild the active list in id order (the init runs bumped pop
 	// directly, bypassing the incremental maintenance).
 	e.active = e.active[:0]
 	for id := range e.activePos {
@@ -240,6 +244,16 @@ func (e *CountsEngine[S]) Reset() {
 			e.activePos[id] = int32(len(e.active))
 			e.active = append(e.active, int32(id))
 		}
+	}
+}
+
+// addInitRun adds c agents in state s to the initial census.
+func (e *CountsEngine[S]) addInitRun(s S, c int64) {
+	id := e.indexOf(s)
+	e.pop[id] += c
+	e.classCounts[e.classOf[id]] += c
+	if e.leaderOf[id] {
+		e.leaders += c
 	}
 }
 
