@@ -427,50 +427,6 @@ func BenchmarkClockSpanGS18Adaptive(b *testing.B) {
 	b.ReportMetric(float64(gamma)/2, "gamma/2")
 }
 
-// BenchmarkShardedGS18 is the sharded-population regression gate the CI
-// bench-smoke job executes: a full GS18 election at n = 2²⁰ split across
-// K = 4 concurrently-advanced sub-censuses in fidelity mode (default
-// epoch and migration rate λ), with a merged-census span probe each
-// parallel-time unit. It fails outright if the run does not elect a
-// unique leader or if the merged bulk phase span reaches Γ/2 — in
-// fidelity mode the composite must behave like the global scheduler, so
-// either failure means the migration law or the merge broke. Reports
-// throughput and the span margin as metrics.
-func BenchmarkShardedGS18(b *testing.B) {
-	n := 1 << 20
-	pr := gs18.MustNew(gs18.DefaultParams(n))
-	gamma := phaseclock.DefaultGamma(n)
-	var worst float64
-	var interactions uint64
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewShardedCountsEngine[uint32](pr, rng.New(uint64(i)+1), 4)
-		eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
-		meter := phaseclock.NewSpanMeter(gamma)
-		if err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
-			meter.Begin()
-			v.VisitStates(func(s uint32, count int64) { meter.Add(uint8(s&0xff), count) })
-			meter.End()
-		}, uint64(n)); err != nil {
-			b.Fatal(err)
-		}
-		res := eng.Run()
-		if !res.Converged || res.Leaders != 1 {
-			b.Fatalf("iteration %d: %+v", i, res)
-		}
-		if meter.MaxBulk() >= gamma/2 {
-			b.Fatalf("iteration %d: merged bulk phase span %d reached Γ/2 = %d (Γ=%d): fidelity-mode tearing",
-				i, meter.MaxBulk(), gamma/2, gamma)
-		}
-		if float64(meter.MaxBulk()) > worst {
-			worst = float64(meter.MaxBulk())
-		}
-		interactions += res.Interactions
-	}
-	b.ReportMetric(float64(interactions)/b.Elapsed().Seconds()/1e6, "Minteractions/s")
-	b.ReportMetric(worst, "max-bulk-span")
-	b.ReportMetric(float64(gamma)/2, "gamma/2")
-}
-
 // --- Multicore counts engine: sharded batch sampling ---
 
 // benchCountsParallel measures steady-state adaptive-policy throughput on

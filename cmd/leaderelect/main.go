@@ -112,12 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := []popelect.Option{popelect.WithSeed(f.Seed + uint64(t)), popelect.WithBackend(f.Backend),
 			popelect.WithBatchPolicy(f.Batch), popelect.WithBatchEps(f.BatchEps),
 			popelect.WithWorkers(f.Workers)}
-		if f.Shards > 1 {
-			opts = append(opts, popelect.WithShards(f.Shards))
-			if f.Migration >= 0 {
-				opts = append(opts, popelect.WithMigrationRate(f.Migration))
-			}
-		}
 		if *gamma != 0 {
 			opts = append(opts, popelect.WithGamma(*gamma))
 		}
@@ -157,17 +151,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(1, err)
 		}
-		if !loggedWorkers && (f.Workers > 1 || f.Shards > 1) {
+		if !loggedWorkers && f.Workers > 1 {
 			// The engine clamps its fan-out to the census width (and short
 			// batches run serially), so the realized concurrency can sit
 			// well below the request — report it once so capacity numbers
 			// aren't misread.
-			requested := f.Workers
-			if f.Shards > 1 {
-				requested *= f.Shards
-			}
 			fmt.Fprintf(stderr, "leaderelect: effective workers %d (requested %d)\n",
-				res.EffectiveWorkers, requested)
+				res.EffectiveWorkers, f.Workers)
 			loggedWorkers = true
 		}
 		if len(res.Timeline) > 0 {

@@ -20,10 +20,8 @@ func TestGolden(t *testing.T) {
 		args []string
 	}{
 		{"dense", false, []string{"-trials", "2", "-seed", "42", "-workers", "1"}},
-		{"sharded", true, []string{"-n", "16384", "-alg", "gs18", "-backend", "counts", "-shards", "4", "-migration", "0.002", "-seed", "3", "-workers", "1"}},
 		{"corrupt", true, []string{"-n", "16384", "-alg", "gs18", "-corrupt", "128@229376", "-probe-interval", "65536", "-seed", "3", "-workers", "1"}},
 		{"bias", false, []string{"-n", "4096", "-alg", "gs18", "-bias", "0=2,1=0.5", "-seed", "5", "-workers", "1"}},
-		{"reject-migration", false, []string{"-migration", "0.1", "-workers", "1"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.long && testing.Short() {

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		smoke    = fs.Bool("smoke", false, "tiny configuration for a quick look")
 		gamma    = fs.Int("gamma", 0, "phase-clock resolution Γ override for every clock-carrying protocol (0 = derived Γ(n))")
 		probe    = fs.Uint64("probe-interval", 0, "census-probe cadence for trajectory experiments, in interactions (0 = per-experiment default)")
-		sdir     = fs.String("series-dir", "", "directory where recording experiments (scalefigures, biassweep, clockspan, parscale, shardscale, resilience) write CSV files (empty = no files)")
+		sdir     = fs.String("series-dir", "", "directory where recording experiments (scalefigures, biassweep, clockspan, parscale, resilience) write CSV files (empty = no files)")
 		reps     = fs.Int("reps", 1, "timing repetitions per cell in throughput experiments (parscale): mean ± sd over reps")
 		storeDir = fs.String("store", "", "content-addressed result store directory: trial batches already computed under the same key are reused instead of re-simulated")
 	)

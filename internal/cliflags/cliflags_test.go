@@ -19,16 +19,14 @@ func parse(t *testing.T, args ...string) (sim.TrialConfig, error) {
 	return f.Config()
 }
 
-// TestConfig pins the flag → TrialConfig mapping, the λ convention change
-// included: the flag's -1 (default) and 0 (isolated) become TrialConfig's
-// 0 and a negative value.
+// TestConfig pins the flag → TrialConfig mapping.
 func TestConfig(t *testing.T) {
 	cfg, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 7 || cfg.Trials != 3 || cfg.Backend != sim.BackendDense ||
-		cfg.Batch != (sim.BatchPolicy{}) || cfg.Migration != 0 || cfg.Perturb != nil {
+		cfg.Batch != (sim.BatchPolicy{}) || cfg.Perturb != nil {
 		t.Fatalf("defaults parsed to %+v", cfg)
 	}
 	cfg, err = parse(t, "-workers", "3", "-batch", "adaptive", "-batch-eps", "0.01", "-bias", "0=2")
@@ -41,18 +39,7 @@ func TestConfig(t *testing.T) {
 	if cfg.Batch != (sim.BatchPolicy{Mode: sim.BatchAdaptive, Eps: 0.01}) || cfg.Perturb == nil {
 		t.Errorf("batch/bias parsed to %+v, %v", cfg.Batch, cfg.Perturb)
 	}
-	for _, c := range []struct {
-		flag string
-		want float64
-	}{{"-1", 0}, {"0", -1}, {"0.3", 0.3}} {
-		cfg, err := parse(t, "-shards", "4", "-migration", c.flag)
-		if err != nil || cfg.Migration != c.want {
-			t.Errorf("-migration %s: Migration=%g, %v; want %g", c.flag, cfg.Migration, err, c.want)
-		}
-	}
 	for _, bad := range [][]string{
-		{"-migration", "0.1"},
-		{"-shards", "1", "-migration", "0"},
 		{"-backend", "bogus"},
 		{"-batch", "bogus"},
 		{"-churn", "x"},

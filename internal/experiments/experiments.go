@@ -28,16 +28,13 @@ type Config struct {
 	// trial count and base seed; Workers bounds concurrent trials (0 =
 	// GOMAXPROCS); EngineWorkers caps each counts engine's sampling
 	// shards, which matters mainly for the single-engine experiments
-	// (scale, scalefigures, resilience, shardscale) where one large-n run
-	// owns the machine. Backend (empty = dense) and Batch (zero =
+	// (scale, scalefigures, resilience) where one large-n run owns the
+	// machine. Backend (empty = dense) and Batch (zero =
 	// BatchAuto) select the engine of the whole-protocol experiments;
 	// thm32 degrades a counts request to auto because its standalone clock
 	// protocol has no finite state-space enumeration. Perturb attaches to
-	// every trial-based experiment's engines; resilience and shardscale
-	// sweep their own scenario axes and ignore it. Shards and Migration
-	// (0 = the fidelity default λ, negative = isolated shards) are
-	// honoured by the scale experiment only: shardscale sweeps its own
-	// K × λ grid and every other experiment runs a single census.
+	// every trial-based experiment's engines; resilience sweeps its own
+	// scenario axes and ignores it.
 	sim.TrialConfig
 
 	// Reps is the number of timing repetitions per measurement cell in
@@ -201,7 +198,6 @@ func All() []struct {
 		{"biassweep", BiasSweep},
 		{"clockspan", ClockSpan},
 		{"parscale", ParScale},
-		{"shardscale", ShardScale},
 		{"resilience", Resilience},
 	}
 }
@@ -283,7 +279,7 @@ func mustEngine(eng sim.Engine, err error) sim.Engine {
 
 // trialBatch returns the TrialConfig of one trial batch at base seed seed:
 // the trial pool and the engine settings every trial-based experiment
-// honours. Shards and Migration stay unset (only scale applies them).
+// honours.
 func (cfg Config) trialBatch(seed uint64) sim.TrialConfig {
 	return sim.TrialConfig{Trials: cfg.Trials, Seed: seed, Workers: cfg.Workers,
 		EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb}

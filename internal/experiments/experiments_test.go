@@ -41,8 +41,7 @@ func runAndRender(t *testing.T, id string) string {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "fig1", "fig2", "fig3", "lemma41", "lemma53",
 		"lemma71", "lemma73", "thm32", "thm82", "epidemic", "ablation", "scale",
-		"scalefigures", "biassweep", "clockspan", "parscale", "shardscale",
-		"resilience"}
+		"scalefigures", "biassweep", "clockspan", "parscale", "resilience"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(all), len(want))

@@ -67,8 +67,8 @@ const resilienceBudget = 2000
 // bulk phase span against the Γ(n₀)/2 tearing threshold.
 //
 // Batch policy: the configured policy, with the zero-value auto default
-// promoted to the adaptive controller, exactly like shardscale — auto's
-// exact tier would turn the sub-10⁵ cells into per-interaction runs.
+// promoted to the adaptive controller — auto's exact tier would turn the
+// sub-10⁵ cells into per-interaction runs.
 // With cfg.SeriesDir set, one CSV row per cell lands in resilience.csv;
 // the recorded bench-results/resilience.csv comes from this experiment.
 func Resilience(cfg Config) []*Table {

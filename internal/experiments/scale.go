@@ -63,7 +63,7 @@ func runScaleRow(t *Table, name string, n, trials int, cfg Config, inst protocol
 	start := time.Now()
 	for tr := 0; tr < trials; tr++ {
 		eng, err := inst.TrialEngine(trialSource(cfg, tr), sim.TrialConfig{Backend: sim.BackendCounts,
-			Batch: cfg.Batch, EngineWorkers: cfg.EngineWorkers, Shards: cfg.Shards, Migration: cfg.Migration})
+			Batch: cfg.Batch, EngineWorkers: cfg.EngineWorkers})
 		if err != nil {
 			t.AddRow(d(n), name, "engine error: "+err.Error(), "—", "—", "—", "—")
 			return

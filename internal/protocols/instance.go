@@ -65,7 +65,7 @@ type Instance interface {
 	Engine(src *rng.Source, b sim.Backend) (sim.Engine, error)
 
 	// TrialEngine creates an engine configured by cfg (sim.NewTrialEngine
-	// under the erasure): backend or sharding, budget, batch policy,
+	// under the erasure): backend, budget, batch policy,
 	// engine workers, state tracking and perturbation.
 	TrialEngine(src *rng.Source, cfg sim.TrialConfig) (sim.Engine, error)
 

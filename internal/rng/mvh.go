@@ -12,10 +12,9 @@ import "fmt"
 // The draw is a chain of univariate Hypergeometric conditionals — urn i's
 // allocation given the remainder left by urns 0..i−1 — which is exactly the
 // joint MVH law (the chain rule), and by MVH consistency under grouping the
-// row order does not affect the law. The sharded counts engine uses this
-// for its migration exchange: per-(shard, state) migrant rows out of each
-// sub-census, and the redistribution of the pooled migrants back over the
-// shards (see sim.ShardedCountsEngine).
+// row order does not affect the law. The counts engine's perturbation
+// targets use it to remove uniformly chosen agents from the census in one
+// row draw over the occupied states.
 func (s *Source) MultiHypergeometric(dst, counts []int64, sample int64) []int64 {
 	if len(dst) != len(counts) {
 		panic(fmt.Sprintf("rng: MultiHypergeometric dst length %d != counts length %d", len(dst), len(counts)))

@@ -21,8 +21,8 @@ import (
 // fresh process and continuing yields a byte-identical trajectory: the
 // resume-equals-replay law, pinned by TestCheckpointResume*.
 //
-// Snapshots are taken only at scheduling-unit boundaries (between batches,
-// epochs, or exact chunks), where no staged diffs or half-measured drift
+// Snapshots are taken only at scheduling-unit boundaries (between batches
+// or exact chunks), where no staged diffs or half-measured drift
 // exist. Periodic checkpointing therefore has "at least every" semantics:
 // the snapshot fires at the first boundary at or after each cadence point,
 // which keeps a checkpointing run's trajectory identical to a
@@ -43,7 +43,9 @@ const CheckpointVersion = 3
 const ckptMagic = "POPCKPT\x00"
 
 // Engine kind tags inside the envelope: a snapshot can only be restored
-// into the engine kind that wrote it.
+// into the engine kind that wrote it. Kind 3 belonged to the removed
+// sharded engine; it stays reserved so its old snapshots are rejected by
+// name rather than misread.
 const (
 	ckptKindDense   byte = 1
 	ckptKindCounts  byte = 2
@@ -69,11 +71,11 @@ func ckptKindName(k byte) string {
 type CheckpointSink func(snapshot []byte) error
 
 // Checkpointable is implemented by engines whose complete run state can be
-// serialized and restored: all three backends (dense, counts, sharded).
+// serialized and restored: both backends (dense, counts).
 //
 // The contract is byte-identical resume: Restore into a freshly constructed
 // engine with the same protocol, seed-independent configuration (policy,
-// workers, shards, λ, epoch) and registered probes, then continue the run —
+// workers) and registered probes, then continue the run —
 // the trajectory, final census and stabilization time are identical to the
 // uninterrupted run's. The PRNG seed itself is part of the snapshot, not of
 // the restored engine's construction.
@@ -403,8 +405,7 @@ func enumIndex[S comparable](proto Enumerable[S]) map[S]int32 {
 // Engine middle sections; the shared head and tail are framed by the unit
 // loop (see unit.go).
 
-// Snapshot implements Checkpointable. The sharded engine nests one complete
-// counts snapshot per sub-census.
+// Snapshot implements Checkpointable.
 func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
 	if len(e.touched) != 0 {
 		return nil, fmt.Errorf("sim: snapshot mid-batch (staged diffs pending)")
@@ -435,7 +436,7 @@ func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
 		for _, c := range e.pop {
 			w.i64(c)
 		}
-		// Active list in live order (migrate() and batch setup iterate it).
+		// Active list in live order (batch setup iterates it).
 		w.u32(uint32(len(e.active)))
 		for _, id := range e.active {
 			w.u32(uint32(id))
@@ -743,94 +744,5 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 	if r.censusOn {
 		r.stateCensus = buildCensus(r.pop)
 	}
-	return nil
-}
-
-// Snapshot implements Checkpointable: the epoch and migration positions and
-// one nested counts snapshot per shard.
-func (e *ShardedCountsEngine[S]) Snapshot() ([]byte, error) {
-	return e.snapshot(func(w *ckptEnc) error {
-		w.u64(e.sinceMig)
-		w.i64(int64(e.rr))
-		// Configuration fingerprint (λ and epoch shape the trajectory).
-		w.f64(e.Migration)
-		w.u64(e.epoch)
-		w.u32(uint32(len(e.subs)))
-		for k, sub := range e.subs {
-			w.i64(e.sizes[k])
-			subSnap, err := sub.Snapshot()
-			if err != nil {
-				return fmt.Errorf("sim: shard %d: %w", k, err)
-			}
-			w.bytes(subSnap)
-		}
-		return nil
-	})
-}
-
-// Restore implements Checkpointable.
-func (e *ShardedCountsEngine[S]) Restore(snapshot []byte) error {
-	d, h, err := e.openPayload(snapshot)
-	if err != nil {
-		return err
-	}
-	sinceMig := d.u64()
-	rr := d.i64()
-	mig := d.f64()
-	epoch := d.u64()
-	if d.err == nil {
-		if mig != e.Migration {
-			return fmt.Errorf("sim: checkpoint migration rate λ=%g, engine has λ=%g", mig, e.Migration)
-		}
-		if epoch != e.epoch {
-			return fmt.Errorf("sim: checkpoint epoch length %d, engine has %d", epoch, e.epoch)
-		}
-		if rr < 0 || rr >= int64(len(e.subs)) {
-			return fmt.Errorf("sim: checkpoint allocation offset %d outside [0,%d)", rr, len(e.subs))
-		}
-	}
-	k := int(d.u32())
-	if d.err == nil && k != len(e.subs) {
-		return fmt.Errorf("sim: checkpoint has %d shards, engine has %d", k, len(e.subs))
-	}
-	if d.err != nil {
-		return fmt.Errorf("sim: checkpoint corrupted: %w", d.err)
-	}
-	subSnaps := make([][]byte, k)
-	sizes := make([]int64, k)
-	var sizeSum int64
-	for i := 0; i < k; i++ {
-		size := d.i64()
-		if h.pert.has {
-			// Shard sizes drift under churn: adopt the snapshot's, with
-			// the same floor the perturbation targets maintain.
-			if d.err == nil && (size < 2 || size > int64(h.liveN)) {
-				return fmt.Errorf("sim: checkpoint shard %d has %d agents", i, size)
-			}
-		} else if d.err == nil && size != e.sizes[i] {
-			return fmt.Errorf("sim: checkpoint shard %d has %d agents, engine shard has %d", i, size, e.sizes[i])
-		}
-		sizes[i] = size
-		sizeSum += size
-		subSnaps[i] = d.bytes()
-	}
-	if d.err == nil && sizeSum != int64(h.liveN) {
-		return fmt.Errorf("sim: checkpoint shard sizes sum to %d agents, live population is %d", sizeSum, h.liveN)
-	}
-	if err := e.commitPayload(d, h); err != nil {
-		return err
-	}
-	for i, sub := range e.subs {
-		if err := sub.Restore(subSnaps[i]); err != nil {
-			return fmt.Errorf("sim: shard %d: %w", i, err)
-		}
-		if int64(sub.n) != sizes[i] {
-			return fmt.Errorf("sim: shard %d restored %d live agents, size field says %d", i, sub.n, sizes[i])
-		}
-	}
-	copy(e.sizes, sizes)
-	e.sinceMig = sinceMig
-	e.rr = int(rr)
-	e.mergedOK = false
 	return nil
 }

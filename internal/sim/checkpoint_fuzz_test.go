@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"os"
 	"testing"
 
 	"popelect/internal/protocols/gs18"
@@ -13,12 +14,12 @@ const fuzzCkptN = 256
 
 // fuzzCkptEngines is the number of engine configurations fuzzCkptEngine
 // builds.
-const fuzzCkptEngines = 4
+const fuzzCkptEngines = 3
 
 // fuzzCkptEngine builds the engine a fuzz input restores into: kind selects
 // (modulo fuzzCkptEngines) the dense runner, the counts engine in exact
-// mode, the counts engine on fixed batches (whose snapshots carry the alias
-// cache), or the sharded engine; churn attaches a churn perturbation.
+// mode, or the counts engine on fixed batches (whose snapshots carry the
+// alias cache); churn attaches a churn perturbation.
 func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 	t.Helper()
 	pr := gs18.MustNew(gs18.DefaultParams(fuzzCkptN))
@@ -28,12 +29,10 @@ func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 		eng = sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(3))
 	case 1:
 		eng = sim.NewCountsEngine[uint32](pr, rng.New(3))
-	case 2:
+	default:
 		e := sim.NewCountsEngine[uint32](pr, rng.New(3))
 		e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: fuzzCkptN / 8})
 		eng = e
-	default:
-		eng = sim.NewShardedCountsEngine[uint32](pr, rng.New(3), 4)
 	}
 	if churn {
 		if err := eng.(sim.Perturbable).SetPerturbation(sim.Churn{LeaveRate: 2e-3, JoinRate: 2e-3}); err != nil {
@@ -56,10 +55,11 @@ func restoreResealed(t testing.TB, eng sim.Engine, payload []byte) error {
 	return ck.Restore(sim.ResealCheckpoint(template, payload))
 }
 
-// FuzzCheckpointRestore feeds mutated checkpoint payloads to Restore on all
-// three engines, seeded with snapshots of each engine configuration both
-// unperturbed and under churn. Restore may reject the input but must never panic, and an
-// accepted input must snapshot again.
+// FuzzCheckpointRestore feeds mutated checkpoint payloads to Restore on
+// both engines, seeded with snapshots of each engine configuration both
+// unperturbed and under churn, plus the nested payload of a snapshot
+// written by the removed sharded engine. Restore may reject the input but
+// must never panic, and an accepted input must snapshot again.
 func FuzzCheckpointRestore(f *testing.F) {
 	for kind := uint8(0); kind < fuzzCkptEngines; kind++ {
 		for _, churn := range []bool{false, true} {
@@ -77,6 +77,13 @@ func FuzzCheckpointRestore(f *testing.F) {
 			}
 			f.Add(kind, churn, payload)
 		}
+	}
+	sharded, err := os.ReadFile(shardedCkptFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for kind := uint8(0); kind < fuzzCkptEngines; kind++ {
+		f.Add(kind, false, sim.CheckpointPayload(sharded))
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, churn bool, payload []byte) {
 		eng := fuzzCkptEngine(t, kind, churn)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,8 +15,13 @@ import (
 	"popelect/internal/sim"
 )
 
-// ckptBackends enumerates the three checkpointable engine kinds.
-var ckptBackends = []string{"dense", "counts", "sharded"}
+// ckptBackends enumerates the checkpointable engine kinds.
+var ckptBackends = []string{"dense", "counts"}
+
+// shardedCkptFile is a snapshot written by the removed sharded engine
+// (format version 3, GS18 at n = 1024 over K = 2 shards, seed 3, after
+// 5000 interactions).
+const shardedCkptFile = "testdata/sharded-v3.ckpt"
 
 func buildCkptEngine(t *testing.T, kind string, n int, seed uint64) sim.Engine {
 	t.Helper()
@@ -26,8 +32,6 @@ func buildCkptEngine(t *testing.T, kind string, n int, seed uint64) sim.Engine {
 		return sim.NewRunner[uint32, *gs18.Protocol](pr, src)
 	case "counts":
 		return sim.NewCountsEngine[uint32](pr, src)
-	case "sharded":
-		return sim.NewShardedCountsEngine[uint32](pr, src, 4)
 	}
 	t.Fatalf("unknown engine kind %q", kind)
 	return nil
@@ -55,7 +59,7 @@ func sameResult(t *testing.T, label string, got, want sim.Result) {
 }
 
 // TestCheckpointResumeBudget is the resume-equivalence smoke at n = 2²⁰ on
-// all three backends (budget-limited so it rides the -race job): a
+// both backends (budget-limited so it rides the -race job): a
 // checkpointing run must match a plain run byte-for-byte, and resuming from
 // a mid-run snapshot in a fresh engine must land on the identical final
 // census, step count and probe series.
@@ -135,9 +139,8 @@ func TestCheckpointResumeBudget(t *testing.T) {
 // uninterrupted run stabilized, with the identical final census.
 func TestCheckpointResumeStabilization(t *testing.T) {
 	if testing.Short() {
-		// The -race smoke is TestCheckpointResumeBudget; full elections on
-		// the sharded backend at per-step granularity are minutes under
-		// the race detector.
+		// The -race smoke is TestCheckpointResumeBudget; full elections at
+		// per-step granularity are minutes under the race detector.
 		t.Skip("full-stabilization resume is covered by the long suite")
 	}
 	const n = 2048
@@ -413,7 +416,7 @@ func TestCheckpointFormatRejection(t *testing.T) {
 	wantRestoreError(t, fresh(), v2, "format version 2;")
 
 	// Payload fields that pass the framing checks but are out of range.
-	const countsExact, sharded = 1, 3 // fuzzCkptEngine kinds
+	const countsExact = 1 // fuzzCkptEngine kind
 	le := binary.LittleEndian
 	wantPayloadError(t, countsExact, true, "ahead of step", func(p []byte) {
 		// A perturbation cursor past the step would underflow the next
@@ -439,19 +442,19 @@ func TestCheckpointFormatRejection(t *testing.T) {
 		}
 		le.PutUint64(p[pops+32:], head)
 	})
-	wantPayloadError(t, sharded, false, "allocation offset", func(p []byte) {
-		_, _, mid := ckptHeadOffsets(p)
-		le.PutUint64(p[mid+8:], 4) // rr, after sinceMig; the engine has K = 4
-	})
-	wantPayloadError(t, sharded, true, "shard 0 has", func(p []byte) {
-		// Under churn shard sizes are adopted from the snapshot, so they
-		// are bounded by the live n instead of matched.
-		_, _, mid := ckptHeadOffsets(p)
-		le.PutUint64(p[mid+36:], le.Uint64(p)+1) // after sinceMig, rr, λ, epoch, K
-	})
 
 	// Engine-kind, population and protocol mismatches.
 	wantRestoreError(t, buildCkptEngine(t, "dense", n, 5), snap, "counts engine")
+	// A snapshot of the removed sharded engine (kind 3, still reserved)
+	// fails loudly by name on both engines, without a version bump.
+	sharded, err := os.ReadFile(shardedCkptFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range ckptBackends {
+		wantRestoreError(t, buildCkptEngine(t, kind, 1024, 3), sharded,
+			"checkpoint is for the sharded engine, not "+kind)
+	}
 	wantRestoreError(t, buildCkptEngine(t, "counts", n+100, 5), snap, "population")
 
 	// A registered-probe mismatch: the snapshot has no probe schedules.

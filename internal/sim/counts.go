@@ -223,9 +223,10 @@ func (e *CountsEngine[S]) Reset() {
 	// Count maximal runs of equal initial states: one index lookup per run,
 	// not per agent. Runs are added in agent order, so ids are still
 	// assigned in order of first appearance.
-	run, runLen := e.proto.Init(0), int64(1)
-	for i := 1; i < e.n; i++ {
-		if s := e.proto.Init(i); s != run {
+	proto, n := e.proto, e.n
+	run, runLen := proto.Init(0), int64(1)
+	for i := 1; i < n; i++ {
+		if s := proto.Init(i); s != run {
 			e.addInitRun(run, runLen)
 			run, runLen = s, 0
 		}
@@ -690,9 +691,9 @@ func (t countsTarget[S]) ScrambleUniform(src *rng.Source, k int64) {
 
 // censusAdd moves k agents into (k > 0) or out of (k < 0) state s,
 // maintaining every census structure (fenwick, active list, class counts,
-// leader count) and assigning s an id on first sight. It is the sharded
-// engine's migration hook; it must not be called during a batch (staged
-// diffs are relative to the batch-start census).
+// leader count) and assigning s an id on first sight. It is the
+// perturbation target's census hook; it must not be called during a batch
+// (staged diffs are relative to the batch-start census).
 func (e *CountsEngine[S]) censusAdd(s S, k int64) {
 	if k == 0 {
 		return

@@ -151,24 +151,6 @@ func TestCountsInitRunsMatchPerAgentCensus(t *testing.T) {
 		loadCensus(ref, perAgentCensus[core.State](gsu19))
 		sameSnapshots(t, e, ref)
 	})
-	t.Run("sharded", func(t *testing.T) {
-		// n = 31 over K = 3 shards of 11, 10 and 10 agents: the X/Y split
-		// at agent 18 falls inside shard 1 (agents 11–20).
-		p, err := exactmajority.New(31, 18)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewShardedCountsEngine[uint32](p, rng.New(seed), 3)
-		ref := NewShardedCountsEngine[uint32](p, rng.New(seed), 3)
-		for k, sub := range e.subs {
-			checkInitCensus(t, "shard", sub)
-			loadCensus(ref.subs[k], perAgentCensus[uint32](ref.subs[k].proto))
-		}
-		if got := len(e.subs[1].states); got != 2 {
-			t.Fatalf("shard 1 holds %d initial states, want the X/Y split", got)
-		}
-		sameSnapshots(t, e, ref)
-	})
 }
 
 // sameSnapshots compares e's and ref's snapshots at step 0 and again after

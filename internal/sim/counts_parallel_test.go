@@ -88,7 +88,7 @@ func TestParallelSmoke(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersStabilize runs the sharded engine to stabilization:
+// TestParallelWorkersStabilize runs the parallel batch path to stabilization:
 // every worker count elects exactly one leader.
 func TestParallelWorkersStabilize(t *testing.T) {
 	if testing.Short() {

@@ -84,8 +84,8 @@ type WorkerConfigurable interface {
 // the counts backend clamps its batch fan-out to occupied/2 and drops
 // short batches to the serial path, so the realized width can be well
 // below the configured one. EffectiveWorkers returns the widest fan-out
-// used since the last Reset (for the sharded engine, shard count × widest
-// in-batch fan-out); CLIs log it once so capacity tables aren't misread.
+// used since the last Reset; CLIs log it once so capacity tables aren't
+// misread.
 type WorkerReporter interface {
 	EffectiveWorkers() int
 }

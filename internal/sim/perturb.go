@@ -13,8 +13,8 @@ import (
 // models applied on top of any protocol, on every backend, through one
 // interface. A Perturbation mutates the population at scheduling-unit
 // boundaries — after every step on the dense runner, at batch (or exact
-// chunk) boundaries on the counts engine, at epoch-advance boundaries on
-// the sharded engine — mirroring the checkpoint hook discipline: the
+// chunk) boundaries on the counts engine — mirroring the checkpoint hook
+// discipline: the
 // engine's sampling law inside a unit is untouched, and the perturbation
 // acts on the census between units. Boundary application does not bias the
 // scheduler because units are bounded (pertCadence) while a perturbation
@@ -36,15 +36,15 @@ import (
 const NoBoundary = math.MaxUint64
 
 // pertStreamTag is the Split tag of the perturbation stream — far outside
-// the shard-index tags the sharded engine uses, so the streams can never
-// collide.
+// the worker-index tags the in-batch sampler uses, so the streams can
+// never collide.
 const pertStreamTag = 0x7065727475726200 // "perturb\0"
 
 // PerturbTarget is the engine-side mutation surface a Perturbation acts
 // through. Every engine exposes its population at scheduling-unit
 // boundaries behind this interface; implementations keep all census
-// structures (class counts, leader counts, fenwick trees, active lists,
-// shard sizes) consistent.
+// structures (class counts, leader counts, fenwick trees, active lists)
+// consistent.
 type PerturbTarget interface {
 	// LiveN is the current population size (time-varying under churn).
 	LiveN() int
@@ -484,7 +484,7 @@ func (m multiPerturb) ClassWeights() []float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-side bookkeeping, shared by all three backends.
+// Engine-side bookkeeping, shared by both backends.
 
 // pertState is an engine's perturbation bookkeeping: the attached
 // perturbation, its dedicated stream, the last-applied boundary, the
@@ -576,8 +576,8 @@ func (ps *pertState) clampUnit(now, l, cadence uint64) uint64 {
 }
 
 // pertCadence is the scheduling-unit bound while a perturbation is live:
-// n/16 interactions (a 1/16 parallel-time unit, matching the sharded
-// epoch default), floored at the adaptive controller's exact-chunk floor.
+// n/16 interactions (a 1/16 parallel-time unit), floored at the adaptive
+// controller's exact-chunk floor.
 func pertCadence(n int) uint64 {
 	c := uint64(n) / 16
 	if c < adaptiveFloor {

@@ -32,7 +32,7 @@ func traceHash(t *testing.T, eng sim.Engine, every uint64) string {
 // the exact trajectories the engines produced before the scenario layer
 // existed: the golden hashes below were recorded on the pre-perturbation
 // tree, so any refactor that changes how an unperturbed engine consumes
-// randomness or applies transitions — on any of the five engine
+// randomness or applies transitions — on any of the four engine
 // configurations — fails this test. Attaching no perturbation must be a
 // true no-op.
 func TestNilPerturbationTraceGolden(t *testing.T) {
@@ -76,14 +76,6 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
 				e.SetWorkers(4)
 				return e, 10000
-			},
-		},
-		{
-			name: "sharded-k3",
-			want: "7fa75ba21a43868f",
-			make: func(t *testing.T) (sim.Engine, uint64) {
-				pr := gs18.MustNew(gs18.DefaultParams(20000))
-				return sim.NewShardedCountsEngine[uint32](pr, rng.New(15), 3), 10000
 			},
 		},
 	}

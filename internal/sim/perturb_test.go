@@ -237,8 +237,7 @@ func TestPerturbedElectionAtScale(t *testing.T) {
 }
 
 // perturbCases enumerates the engine × perturbation resume matrix: every
-// built-in on every backend that supports it (the sharded backend rejects
-// bias). The corruption one-shot is placed after the first checkpoint so
+// built-in on every backend. The corruption one-shot is placed after the first checkpoint so
 // the resumed run must replay a still-pending forced boundary.
 func perturbCases(n int) []struct {
 	kind string
@@ -254,7 +253,6 @@ func perturbCases(n int) []struct {
 		{"dense", churn}, {"dense", corrupt}, {"dense", bias},
 		{"counts", churn}, {"counts", corrupt}, {"counts", bias},
 		{"counts-adaptive", churn}, {"counts-adaptive", bias},
-		{"sharded", churn}, {"sharded", corrupt},
 	}
 }
 
@@ -391,14 +389,5 @@ func TestPerturbCheckpointFlagMismatch(t *testing.T) {
 	}
 	if ok.Steps() != perturbed.Steps() {
 		t.Fatalf("restored step %d, want %d", ok.Steps(), perturbed.Steps())
-	}
-}
-
-// TestShardedRejectsBias pins the documented backend constraint.
-func TestShardedRejectsBias(t *testing.T) {
-	eng := buildCkptEngine(t, "sharded", 1024, 3)
-	err := eng.(sim.Perturbable).SetPerturbation(sim.Bias{Weights: []float64{2}})
-	if err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Fatalf("sharded engine accepted a bias perturbation: %v", err)
 	}
 }

@@ -94,28 +94,67 @@ func TestProbeCensusSeriesDenseVsCountsReplay(t *testing.T) {
 	}
 }
 
+// batchedPolicies are the counts engine's two batched regimes: fixed
+// 2048-step batches (misaligned with the 1000-interval probes below) and
+// the adaptive controller, whose lengths follow the measured drift.
+var batchedPolicies = []struct {
+	name   string
+	policy sim.BatchPolicy
+}{
+	{"fixed", sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11}},
+	{"adaptive", sim.BatchPolicy{Mode: sim.BatchAdaptive}},
+}
+
 // TestCountsBatchProbeFiresAtExactCadence pins the batch-splitting
-// contract: in the batched regime, probes fire exactly at multiples of
+// contract: in the batched regimes, probes fire exactly at multiples of
 // their interval — the engine shortens batches to end on probe boundaries
-// instead of letting the batch stride past them.
+// instead of letting the batch stride past them — and each fire observes
+// a census holding the whole population.
 func TestCountsBatchProbeFiresAtExactCadence(t *testing.T) {
-	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
-	e := sim.NewCountsEngine[uint32](pr, rng.New(17))
-	// Force batch mode (n < ExactMaxN would default to exact).
-	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
-	const every = 1000 // misaligned with the 2048-step batches
-	var fires []uint64
-	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
-		fires = append(fires, step)
-	}, every)
-	e.RunSteps(10_000)
-	if len(fires) != 10 {
-		t.Fatalf("probe fired %d times over 10000 steps at interval 1000: %v", len(fires), fires)
-	}
-	for i, s := range fires {
-		if s != uint64(i+1)*every {
-			t.Fatalf("fire %d at step %d, want %d", i, s, uint64(i+1)*every)
-		}
+	const n = 1 << 14
+	pr := gs18.MustNew(gs18.DefaultParams(n))
+	for _, bp := range batchedPolicies {
+		t.Run(bp.name, func(t *testing.T) {
+			e := sim.NewCountsEngine[uint32](pr, rng.New(17))
+			e.SetBatchPolicy(bp.policy)
+			const every = 1000
+			var fires []uint64
+			e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+				fires = append(fires, step)
+				if v.Step() != step || v.N() != n {
+					t.Fatalf("view step %d n %d at fire step %d", v.Step(), v.N(), step)
+				}
+				var mass int64
+				occupied := 0
+				v.VisitStates(func(s uint32, c int64) {
+					if c <= 0 {
+						t.Fatalf("census reported state %#x with count %d", s, c)
+					}
+					mass += c
+					occupied++
+				})
+				if mass != n || occupied != v.Occupied() {
+					t.Fatalf("step %d: census mass %d (want %d), VisitStates yielded %d states, Occupied %d",
+						step, mass, n, occupied, v.Occupied())
+				}
+				var classMass int64
+				for _, c := range v.Classes() {
+					classMass += c
+				}
+				if classMass != n {
+					t.Fatalf("class census mass %d at step %d, want %d", classMass, step, n)
+				}
+			}, every)
+			e.RunSteps(10_000)
+			if len(fires) != 10 {
+				t.Fatalf("probe fired %d times over 10000 steps at interval 1000: %v", len(fires), fires)
+			}
+			for i, s := range fires {
+				if s != uint64(i+1)*every {
+					t.Fatalf("fire %d at step %d, want %d", i, s, uint64(i+1)*every)
+				}
+			}
+		})
 	}
 }
 
@@ -230,28 +269,41 @@ func TestFinalFireNotDuplicatedAtBoundary(t *testing.T) {
 }
 
 // TestFinalFireNotDuplicatedAtBoundaryBatched is the same contract inside
-// the counts backend's batched regime, where the final step is reached by
-// a probe-boundary batch split rather than an exact step.
+// the counts backend's batched regimes, where the final step is reached by
+// a probe-boundary batch split rather than an exact step; a budget off the
+// cadence still gets its final fire.
 func TestFinalFireNotDuplicatedAtBoundaryBatched(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
-	e := sim.NewCountsEngine[uint32](pr, rng.New(11))
-	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
-	e.SetBudget(6000) // 6 × the 1000-interval: budget is an exact multiple
-	var fires []uint64
-	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
-		fires = append(fires, step)
-	}, 1000)
-	res := e.Run()
-	if res.Converged {
-		t.Fatalf("GS18 cannot stabilize in 6000 interactions at n=2^14: %+v", res)
-	}
-	if len(fires) != 6 {
-		t.Fatalf("%d fires %v, want 6 with exactly one at step 6000", len(fires), fires)
-	}
-	for i, s := range fires {
-		if s != uint64(i+1)*1000 {
-			t.Fatalf("fire %d at step %d, want %d", i, s, (i+1)*1000)
-		}
+	for _, bp := range batchedPolicies {
+		t.Run(bp.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				budget uint64
+				want   []uint64
+			}{
+				{6000, []uint64{1000, 2000, 3000, 4000, 5000, 6000}},
+				{6500, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 6500}},
+			} {
+				e := sim.NewCountsEngine[uint32](pr, rng.New(11))
+				e.SetBatchPolicy(bp.policy)
+				e.SetBudget(tc.budget)
+				var fires []uint64
+				e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+					fires = append(fires, step)
+				}, 1000)
+				res := e.Run()
+				if res.Converged {
+					t.Fatalf("GS18 cannot stabilize in %d interactions at n=2^14: %+v", tc.budget, res)
+				}
+				if len(fires) != len(tc.want) {
+					t.Fatalf("budget %d: %d fires %v, want %v", tc.budget, len(fires), fires, tc.want)
+				}
+				for i, s := range fires {
+					if s != tc.want[i] {
+						t.Fatalf("budget %d: fire %d at step %d, want %d", tc.budget, i, s, tc.want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

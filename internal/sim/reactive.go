@@ -122,7 +122,7 @@ type reactState struct {
 
 // reactInvalidate drops the exact-mode reactive structures. Cheap (one
 // flag); every census mutation outside the skip walker's own bumps —
-// batches, perturbation targets, migration, replay, restore, reset —
+// batches, perturbation targets, replay, restore, reset —
 // calls it, and the walker rebuilds lazily at its next engagement.
 func (e *CountsEngine[S]) reactInvalidate() {
 	e.react.valid = false
@@ -390,7 +390,7 @@ func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 		var g uint64
 		if R == 0 {
 			// No occupied pair is reactive: the census is frozen until an
-			// external event (perturbation, migration) changes it. Jump
+			// external event (a perturbation) changes it. Jump
 			// boundary to boundary without consuming randomness.
 			g = room
 		} else {

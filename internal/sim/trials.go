@@ -51,25 +51,11 @@ type TrialConfig struct {
 	// and ≥ 0 on every backend. See BatchPolicy.
 	Batch BatchPolicy
 
-	// Shards ≥ 2 runs each trial on the sharded counts backend with that
-	// many sub-censuses (see ShardedCountsEngine); 0 or 1 keeps the
-	// single-census engine. Requires an Enumerable protocol and is
-	// incompatible with BackendDense.
-	Shards int
-
-	// Migration is the sharded engine's λ (per-agent per-epoch migration
-	// probability): 0 keeps the fidelity default (DefaultMigrationRate),
-	// a positive value sets λ for scenario runs, and a negative value
-	// disables migration entirely (K isolated populations); NaN is an
-	// error. Ignored when Shards < 2. TrialMigration converts from the
-	// engine's own convention, where 0 means isolated.
-	Migration float64
-
 	// Perturb attaches a perturbation (churn, corruption, scheduler bias —
 	// see Perturbation and Combine) to every trial's engine before it runs.
 	// Attachment constraints are backend-specific and surface as errors: the
-	// dense backend needs an Enumerable protocol, the sharded backend
-	// rejects bias weights. Nil runs unperturbed on the historical path.
+	// dense backend needs an Enumerable protocol. Nil runs unperturbed on
+	// the historical path.
 	Perturb Perturbation
 
 	// CheckpointEvery > 0 snapshots each trial's engine about every that
@@ -86,16 +72,6 @@ type TrialConfig struct {
 	// killed sweep resumes with the same config and finishes byte-identically
 	// to an uninterrupted run (the resume-equals-replay law).
 	Resume bool
-}
-
-// TrialMigration converts a migration probability λ in the sharded
-// engine's convention (0 = isolated shards) into TrialConfig.Migration,
-// whose zero value keeps the fidelity default instead.
-func TrialMigration(lambda float64) float64 {
-	if lambda == 0 {
-		return -1
-	}
-	return lambda
 }
 
 // TrialCheckpointPath returns the checkpoint file RunTrials uses for one
@@ -216,31 +192,20 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 }
 
 // NewTrialEngine builds one engine from cfg; every TrialConfig becomes an
-// engine here. Shards ≥ 2 selects the sharded counts backend (with
-// Migration applied), otherwise Backend picks the engine (empty = dense).
-// The budget, batch policy, engine workers and state tracking are applied,
-// and Perturb is attached last. Configuration
-// problems — an unknown backend, a counts or sharded request for a
-// protocol without Enumerable, a NaN λ, a batch ε that is NaN, infinite or
-// negative — are returned as errors. The trial-pool fields (Trials, Seed,
-// Workers) and the checkpoint fields are RunTrials' business, not the
-// engine's; see AttachCheckpoint for the latter.
+// engine here: Backend picks the engine (empty = dense). The budget, batch
+// policy, engine workers and state tracking are applied, and Perturb is
+// attached last. Configuration problems — an unknown backend, a counts
+// request for a protocol without Enumerable, a batch ε that is NaN,
+// infinite or negative — are returned as errors. The trial-pool fields
+// (Trials, Seed, Workers) and the checkpoint fields are RunTrials'
+// business, not the engine's; see AttachCheckpoint for the latter.
 func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg TrialConfig) (Engine, error) {
 	if err := checkTrialConfig[S](proto, cfg); err != nil {
 		return nil, err
 	}
-	var eng Engine
-	if cfg.Shards >= 2 {
-		e := NewShardedCountsEngine[S](any(proto).(Enumerable[S]), src, cfg.Shards)
-		if cfg.Migration != 0 {
-			e.Migration = max(cfg.Migration, 0)
-		}
-		eng = e
-	} else {
-		var err error
-		if eng, err = NewEngine[S, P](proto, src, cfg.Backend); err != nil {
-			return nil, err
-		}
+	eng, err := NewEngine[S, P](proto, src, cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
 	eng.SetBudget(cfg.MaxInteractions)
 	if bc, ok := eng.(BatchConfigurable); ok {
@@ -266,26 +231,14 @@ func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg T
 // return for proto, without building anything. RunTrialsProbed passes the
 // zero P, so the capability checks go by protocol type.
 func checkTrialConfig[S comparable, P Protocol[S]](proto P, cfg TrialConfig) error {
-	_, enumerable := any(proto).(Enumerable[S])
 	switch cfg.Backend {
 	case "", BackendDense, BackendAuto:
 	case BackendCounts:
-		if !enumerable {
+		if _, ok := any(proto).(Enumerable[S]); !ok {
 			return fmt.Errorf("sim: backend counts requires protocol type %T to implement Enumerable (finite state-space enumeration)", proto)
 		}
 	default:
 		return fmt.Errorf("sim: unknown backend %q (want dense, counts or auto)", cfg.Backend)
-	}
-	if cfg.Shards >= 2 {
-		if cfg.Backend == BackendDense {
-			return fmt.Errorf("sim: sharded populations need a counts backend, not %q", cfg.Backend)
-		}
-		if !enumerable {
-			return fmt.Errorf("sim: sharded populations require protocol type %T to implement Enumerable", proto)
-		}
-		if math.IsNaN(cfg.Migration) {
-			return fmt.Errorf("sim: migration rate λ is NaN")
-		}
 	}
 	if eps := cfg.Batch.Eps; math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
 		return fmt.Errorf("sim: batch drift bound ε = %g (want a finite value ≥ 0)", eps)

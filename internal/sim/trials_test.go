@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -160,6 +161,19 @@ func TestRunTrialsCountsErrorsWithoutEnumerable(t *testing.T) {
 	}
 	if rs != nil {
 		t.Fatalf("misconfigured RunTrials must not return results, got %d", len(rs))
+	}
+}
+
+// TestRunTrialsRejectsBadBatchEps pins that non-finite or negative batch
+// drift bounds are rejected up front, not left to unbound the adaptive
+// controller.
+func TestRunTrialsRejectsBadBatchEps(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), -0.1} {
+		_, err := RunTrials[uint32, enumDuel](func(int) enumDuel { return enumDuel{duel{50}} }, TrialConfig{
+			Trials: 1, Backend: BackendCounts, Batch: BatchPolicy{Mode: BatchAdaptive, Eps: eps}})
+		if err == nil {
+			t.Errorf("RunTrials accepted ε=%g", eps)
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"popelect/internal/rng"
 )
 
-// The scheduling-unit loop: the one Run/RunSteps driver all three engines
-// share. Every engine advances in scheduling units — a run of interactions
-// between boundaries on the dense runner, one batch or exact chunk on the
-// counts engine, one epoch slice on the sharded engine — and supplies only
+// The scheduling-unit loop: the one Run/RunSteps driver both engines share.
+// Every engine advances in scheduling units — a run of interactions between
+// boundaries on the dense runner, one batch or exact chunk on the counts
+// engine — and supplies only
 // `advance` (one unit of at most `limit` interactions, firing due probes
 // inside it at their exact cadence), its stability test, its Snapshot and its
 // census view. Everything between units is the loop's, in this order at
@@ -28,9 +28,9 @@ import (
 // and when Run ends, the final probe fire (skipping probes whose periodic
 // schedule already fired at the final step).
 //
-// Unit lengths come from two clamps, each written once below. Batches and
-// sharded epoch slices use unitLen: they end on the next probe boundary and on
-// the perturbation's forced boundary and cadence. Exact chunks use exactLen,
+// Unit lengths come from two clamps, each written once below. Batches use
+// unitLen: they end on the next probe boundary and on the perturbation's
+// forced boundary and cadence. Exact chunks use exactLen,
 // which follows two rules:
 //
 //   - exact chunks are never split at probe boundaries: Step fires due probes
@@ -159,7 +159,7 @@ func (u *unitLoop[S]) maybeCheckpoint() {
 	}
 }
 
-// unitLen clamps a batch or epoch-slice length l at the next probe boundary
+// unitLen clamps a batch length l at the next probe boundary
 // (so the probe observes the census at its exact step) and at the
 // perturbation's forced boundary and cadence.
 func (u *unitLoop[S]) unitLen(l uint64) uint64 {
@@ -192,10 +192,10 @@ func (u *unitLoop[S]) Steps() uint64 { return u.step }
 func (u *unitLoop[S]) SetBudget(max uint64) { u.MaxInteractions = max }
 
 // AddProbe implements ProbeTarget: p fires every `every` interactions plus
-// once at the end of Run (every == 0: end of Run only). Batches and epoch
-// slices split at probe boundaries so probes observe the census at their
-// exact cadence; a cadence much shorter than the batch length therefore
-// shortens batches and costs throughput.
+// once at the end of Run (every == 0: end of Run only). Batches split at
+// probe boundaries so probes observe the census at their exact cadence; a
+// cadence much shorter than the batch length therefore shortens batches
+// and costs throughput.
 func (u *unitLoop[S]) AddProbe(p Probe[S], every uint64) {
 	u.probes.add(p, every, u.step)
 }

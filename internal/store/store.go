@@ -1,7 +1,7 @@
 // Package store is a content-addressed cache for simulation artifacts:
 // trial results and probe time-series, keyed by a hash of everything that
 // determines them (protocol, population size, seed, budget, backend, batch
-// policy, sharding, protocol parameters, and a format version). Because
+// policy, protocol parameters, and a format version). Because
 // every engine is deterministic given its configuration and PRNG stream,
 // the cache key fully determines the value — a hit can be substituted for
 // a re-run, which is what lets sweeps and the paper experiments skip cells
@@ -38,8 +38,8 @@ const schemaVersion = 1
 // equal keys are byte-identical by the determinism contract, which is the
 // only reason substituting a cached value is sound. Fields irrelevant to a
 // given entry stay at their zero value (the hash covers them anyway, so a
-// zero Shards and an unset Shards are the same key — as they should be,
-// since both select the single-census engine).
+// zero Gamma and an unset Gamma are the same key — as they should be,
+// since both select the derived default).
 type Key struct {
 	// Kind namespaces the entry: what computation produced it
 	// (e.g. "trials", "series", an experiment id). Entries of different
@@ -76,16 +76,6 @@ type Key struct {
 	// results are independent of its pool size.
 	Workers int `json:"workers,omitempty"`
 
-	// Shards is the sharded engine's K (0 or 1 = single census).
-	Shards int `json:"shards,omitempty"`
-
-	// Migration is the sharded engine's λ as configured (0 = default).
-	Migration float64 `json:"migration,omitempty"`
-
-	// ShardEpoch is 0: the sharded engine's epoch is fixed at n/16. The
-	// field stays so that existing entries keep their hashes.
-	ShardEpoch uint64 `json:"shardEpoch,omitempty"`
-
 	// Gamma is the phase-clock resolution override (0 = derived default).
 	Gamma int `json:"gamma,omitempty"`
 
@@ -107,17 +97,15 @@ type Key struct {
 // does not carry (protocol overrides, the perturbation fingerprint).
 func TrialKey(kind, protocol string, n int, tc sim.TrialConfig) Key {
 	return Key{
-		Kind:      kind,
-		Protocol:  protocol,
-		N:         n,
-		Trials:    tc.Trials,
-		Seed:      tc.Seed,
-		Budget:    tc.MaxInteractions,
-		Backend:   string(tc.Backend),
-		Batch:     tc.Batch.String(),
-		Workers:   tc.EngineWorkers,
-		Shards:    tc.Shards,
-		Migration: tc.Migration,
+		Kind:     kind,
+		Protocol: protocol,
+		N:        n,
+		Trials:   tc.Trials,
+		Seed:     tc.Seed,
+		Budget:   tc.MaxInteractions,
+		Backend:  string(tc.Backend),
+		Batch:    tc.Batch.String(),
+		Workers:  tc.EngineWorkers,
 	}
 }
 
@@ -140,9 +128,10 @@ func (k Key) Hash() string {
 	field("backend", k.Backend)
 	field("batch", k.Batch)
 	field("workers", strconv.Itoa(k.Workers))
-	field("shards", strconv.Itoa(k.Shards))
-	field("migration", strconv.FormatFloat(k.Migration, 'g', -1, 64))
-	field("shardEpoch", strconv.FormatUint(k.ShardEpoch, 10))
+	// Removed sharded-engine fields, kept constant so existing entries keep their addresses.
+	field("shards", "0")
+	field("migration", "0")
+	field("shardEpoch", "0")
 	field("gamma", strconv.Itoa(k.Gamma))
 	field("probeEvery", strconv.FormatUint(k.ProbeEvery, 10))
 	field("extra", k.Extra)

@@ -24,6 +24,15 @@ func testKey() store.Key {
 	}
 }
 
+// TestKeyHashGolden pins the content address of testKey, so entries
+// written by earlier binaries keep answering lookups.
+func TestKeyHashGolden(t *testing.T) {
+	const want = "98dfefd55241b27aee62df9ff41dc73a2392ae9de378b12ae330b818820a3016"
+	if got := testKey().Hash(); got != want {
+		t.Fatalf("testKey hash %s, golden %s — existing store entries would miss", got, want)
+	}
+}
+
 func TestKeyHashStableAndSensitive(t *testing.T) {
 	k := testKey()
 	if k.Hash() != k.Hash() {
@@ -41,9 +50,6 @@ func TestKeyHashStableAndSensitive(t *testing.T) {
 		"backend":    func(k *store.Key) { k.Backend = "dense" },
 		"batch":      func(k *store.Key) { k.Batch = "exact" },
 		"workers":    func(k *store.Key) { k.Workers = 8 },
-		"shards":     func(k *store.Key) { k.Shards = 4 },
-		"migration":  func(k *store.Key) { k.Migration = 0.25 },
-		"shardEpoch": func(k *store.Key) { k.ShardEpoch = 1024 },
 		"gamma":      func(k *store.Key) { k.Gamma = 60 },
 		"probeEvery": func(k *store.Key) { k.ProbeEvery = 256 },
 		"extra":      func(k *store.Key) { k.Extra = "bias=0.5" },

@@ -83,9 +83,8 @@ type Result struct {
 	// the run (an empirical space measure), if state tracking was on.
 	DistinctStates int
 	// EffectiveWorkers is the concurrency the engine actually used (the
-	// counts backend clamps its batch fan-out to the census width; the
-	// sharded backend reports shard count × in-batch fan-out). 1 for the
-	// serial paths and the dense backend.
+	// counts backend clamps its batch fan-out to the census width). 1 for
+	// the serial paths and the dense backend.
 	EffectiveWorkers int
 	// Timeline is the census timeline recorded by WithCensusTimeline
 	// (nil without it): one sample per interval plus the initial
@@ -202,28 +201,6 @@ func WithWorkers(workers int) Option {
 	}
 }
 
-// WithShards partitions the population into K sub-censuses advanced by K
-// concurrent goroutines with no per-interaction coordination, exchanging
-// agents at epoch boundaries (the sharded counts backend; see
-// sim.ShardedCountsEngine). K ≤ 1 keeps a single census. Sharding requires
-// an enumerable protocol and overrides the WithBackend choice (the dense
-// backend cannot shard); WithWorkers then sets each shard's in-batch
-// fan-out, multiplying total concurrency to K·w. Determinism contract: a
-// fixed (K, λ, seed) tuple replays byte-identically on any machine;
-// different K or λ are different models. Defaults to fidelity mode —
-// epoch n/16, λ = sim.DefaultMigrationRate — whose stabilization-time law
-// is validated KS-consistent with the global uniform scheduler.
-func WithShards(shards int) Option { return func(o *options) { o.cfg.Shards = shards } }
-
-// WithMigrationRate sets λ, the probability that an agent joins the
-// inter-shard exchange at each epoch boundary (scenario mode: the
-// clustered communication graph is the model, and weak λ is how the
-// derived Γ(n) clock gets stress-tested). 0 disables migration entirely,
-// leaving K isolated populations. Only meaningful with WithShards ≥ 2.
-func WithMigrationRate(lambda float64) Option {
-	return func(o *options) { o.cfg.Migration = sim.TrialMigration(lambda) }
-}
-
 // WithCensusTimeline records a census sample (leader count, occupied
 // states) every interval interactions into Result.Timeline, plus the
 // initial configuration and the stabilization point. It works on every
@@ -279,8 +256,7 @@ func WithCorruption(k int, at uint64) Option {
 
 // WithBias skews the scheduler away from uniformity: an agent in census
 // class c is chosen for an interaction with relative weight weights[c]
-// (missing classes weigh 1). Supported on the dense and counts backends;
-// the sharded backend rejects it.
+// (missing classes weigh 1). Supported on both backends.
 func WithBias(weights ...float64) Option {
 	return func(o *options) {
 		o.perturbs = append(o.perturbs, sim.Bias{Weights: weights})
@@ -358,9 +334,6 @@ func run(inst protocols.Instance, o options) (Result, error) {
 		}
 	}
 	cfg := o.cfg
-	if cfg.Shards >= 2 {
-		cfg.Backend = sim.BackendCounts // sharding overrides the backend choice
-	}
 	// All-empty specs parse to nil, which Combine drops.
 	p, err := sim.ParsePerturbations(o.churnSpec, o.corruptSpec, o.biasSpec)
 	if err != nil {
