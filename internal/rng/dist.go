@@ -419,44 +419,57 @@ func logFactorial(k int64) float64 {
 // sampler the counts simulation backend uses to pick interaction pair
 // classes proportionally to state-count products.
 //
-// An Alias is immutable after construction and safe for concurrent Sample
-// calls with distinct Sources.
+// Sample calls with distinct Sources are safe to run concurrently; Rebuild
+// replaces the table in place and must not overlap them. The zero Alias is
+// empty and becomes usable after Rebuild.
 type Alias struct {
 	prob  []float64
 	alias []int32
+	// small and large are the Vose construction's work stacks, kept so a
+	// Rebuild allocates nothing once the table has reached its size.
+	small, large []int32
 }
 
 // NewAlias builds an alias table over the given non-negative weights, which
 // need not be normalized. It returns an error if weights is empty, contains
 // a negative or non-finite entry, or sums to zero.
 func NewAlias(weights []float64) (*Alias, error) {
+	a := new(Alias)
+	if err := a.Rebuild(weights); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Rebuild replaces a's table with one over weights, reusing a's storage.
+// The construction is NewAlias's, so the rebuilt table is identical to a
+// fresh one over the same weights. On error a is left unchanged.
+func (a *Alias) Rebuild(weights []float64) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, fmt.Errorf("rng: NewAlias with no weights")
+		return fmt.Errorf("rng: alias table with no weights")
 	}
 	if n > 1<<31-1 {
-		return nil, fmt.Errorf("rng: NewAlias with %d weights (max %d)", n, 1<<31-1)
+		return fmt.Errorf("rng: alias table with %d weights (max %d)", n, 1<<31-1)
 	}
 	total := 0.0
 	for i, w := range weights {
 		if w < 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-			return nil, fmt.Errorf("rng: NewAlias weight[%d] = %v", i, w)
+			return fmt.Errorf("rng: alias weight[%d] = %v", i, w)
 		}
 		total += w
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("rng: NewAlias with all-zero weights")
+		return fmt.Errorf("rng: alias table with all-zero weights")
 	}
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-	}
+	a.prob = resize(a.prob, n)
+	a.alias = resize(a.alias, n)
 	// Vose's stack-based construction: scale weights to mean 1, then pair
 	// each under-full category with an over-full donor.
 	scaled := a.prob // reuse as scratch; overwritten below
 	scale := float64(n) / total
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	small := resize(a.small, n)[:0]
+	large := resize(a.large, n)[:0]
 	for i, w := range weights {
 		scaled[i] = w * scale
 		if scaled[i] < 1 {
@@ -486,7 +499,17 @@ func NewAlias(weights []float64) (*Alias, error) {
 		a.prob[i] = 1
 		a.alias[i] = i
 	}
-	return a, nil
+	a.small, a.large = small, large
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MustAlias is NewAlias for known-good weights.

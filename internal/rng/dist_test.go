@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -482,6 +483,39 @@ func TestAliasSingleCategory(t *testing.T) {
 		if a.Sample(s) != 0 {
 			t.Fatal("single-category alias must always return 0")
 		}
+	}
+}
+
+// TestAliasRebuildMatchesNew pins Rebuild to NewAlias's construction: a
+// table rebuilt in place over any weights — larger, smaller, after a
+// rejected input — equals a fresh one, and once its storage has grown a
+// rebuild allocates nothing.
+func TestAliasRebuildMatchesNew(t *testing.T) {
+	var a Alias
+	for _, weights := range [][]float64{
+		{5, 0, 1, 3, 0.5, 0.5},
+		{2, 7},
+		{1, 1, 1, 1, 1, 1, 1, 9, 0, 4},
+		{42},
+	} {
+		if err := a.Rebuild(weights); err != nil {
+			t.Fatal(err)
+		}
+		fresh := MustAlias(weights)
+		if !slices.Equal(a.prob, fresh.prob) || !slices.Equal(a.alias, fresh.alias) {
+			t.Fatalf("Rebuild(%v) = %v/%v, NewAlias %v/%v", weights, a.prob, a.alias, fresh.prob, fresh.alias)
+		}
+		before := slices.Clone(a.prob)
+		if err := a.Rebuild([]float64{1, -1}); err == nil {
+			t.Fatal("Rebuild with a negative weight must fail")
+		}
+		if !slices.Equal(a.prob, before) {
+			t.Fatal("failed Rebuild modified the table")
+		}
+	}
+	w := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	if allocs := testing.AllocsPerRun(10, func() { a.Rebuild(w) }); allocs != 0 {
+		t.Fatalf("Rebuild allocated %.0f times", allocs)
 	}
 }
 

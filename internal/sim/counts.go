@@ -143,18 +143,17 @@ type CountsEngine[S comparable] struct {
 	enumStates []S
 	biasW      []float64
 
-	// disableReactive forces the reference samplers: no silent-step
-	// skipping in exact mode and no reactive-column pruning in batches
-	// (see reactive.go). The differential law tests compare this
-	// reference against the optimized paths; it is not otherwise useful —
-	// both transformations are distribution-exact.
+	// disableReactive forces the reference exact walker: no silent-step
+	// skipping (see reactive.go). The differential law tests compare this
+	// reference against the skip walker; it is not otherwise useful — the
+	// skip is distribution-exact.
 	disableReactive bool
 
 	// occVer counts occupancy transitions (states entering or leaving the
 	// active list). It versions every structure derived from the occupied
-	// *set* — the reactive layer's partner lists and column classification,
-	// and the batch path's sorted-occ cache — so they rebuild lazily
-	// exactly when membership changes.
+	// *set* — the reactive layer's partner lists and the batch path's
+	// sorted-occ cache — so they rebuild lazily exactly when membership
+	// changes.
 	occVer uint64
 	// occSortVer is the occVer the cached sorted e.occ was built against
 	// (^0 = no cache). The cached order is reused only while it is still
@@ -167,9 +166,8 @@ type CountsEngine[S comparable] struct {
 	// batches).
 	allIDs []int32
 
-	// react is the reactive-pair layer: silent-step skipping in exact mode
-	// and globally-silent column classification for batch pruning. See
-	// reactive.go for the structure and the maintenance law.
+	// react is the reactive-pair layer: silent-step skipping in exact
+	// mode. See reactive.go for the structure and the maintenance law.
 	react reactState
 }
 
@@ -994,29 +992,6 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 		poolInit[j] = pool[j]
 	}
 
-	// Reactive-column pruning (see reactive.go): when some occupied
-	// columns are globally silent — Delta(a, b) = (a, b) for every
-	// occupied responder a — their initiator pools are merged into one
-	// aggregated pseudo-column. Each row draws its silent share with a
-	// single hypergeometric and then runs its chain over the reactive
-	// columns only; grouping exchangeable categories of a multivariate
-	// hypergeometric marginalizes them exactly, and a globally silent
-	// initiator has no census effect under any row, so the joint law of
-	// the staged reactive cell counts is unchanged (pinned by the
-	// differential law test against the disableReactive reference).
-	if !e.disableReactive && e.gsilColumns() > 0 {
-		silentRem := int64(0)
-		for j, id := range occ {
-			if e.react.gsil[id] {
-				silentRem += pool[j]
-			}
-		}
-		if silentRem > 0 {
-			e.samplePrunedRows(resp, pool, poolTotal, silentRem)
-			return
-		}
-	}
-
 	// The alias sampler proposes from cached batch-start weights and
 	// corrects by rejection, which degenerates once most of the pool is
 	// consumed; for long batches every row goes through the hypergeometric
@@ -1141,8 +1116,8 @@ const aliasMinAccept = 0.5
 // ensureAlias makes the cached alias sampler valid for the current batch
 // (occ and poolInit must be set): the cache is reused when it was built
 // over the same occupied layout and every class's batch-start pool still
-// fits under its cached weight, and rebuilt from the current pool
-// otherwise.
+// fits under its cached weight, and rebuilt in place from the current
+// pool otherwise.
 func (e *CountsEngine[S]) ensureAlias() {
 	occ, poolInit := e.occ, e.poolInit
 	poolTotal := int64(0)
@@ -1169,7 +1144,12 @@ func (e *CountsEngine[S]) ensureAlias() {
 	}
 	e.aliasW = w
 	e.aliasWSum = sum
-	e.aliasTab = rng.MustAlias(w)
+	if e.aliasTab == nil {
+		e.aliasTab = new(rng.Alias)
+	}
+	if err := e.aliasTab.Rebuild(w); err != nil {
+		panic(err)
+	}
 	e.aliasOcc = append(e.aliasOcc[:0], occ...)
 }
 

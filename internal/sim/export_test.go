@@ -1,7 +1,7 @@
 package sim
 
-// SetDisableReactive switches e to the reference samplers (no silent-step
-// skipping, no reactive-column pruning) for the differential law tests.
+// SetDisableReactive switches e to the reference exact walker (no
+// silent-step skipping) for the differential law tests.
 func SetDisableReactive[S comparable](e *CountsEngine[S], disable bool) { e.disableReactive = disable }
 
 // ResealCheckpoint replaces a snapshot's payload, keeping its envelope

@@ -2,8 +2,7 @@ package sim
 
 import "math"
 
-// Reactive-pair layer: silent-step skipping in exact mode and
-// reactive-column pruning in the batch sampler.
+// Reactive-pair layer: silent-step skipping in exact mode.
 //
 // A pair class (a, b) is *silent* when Delta(a, b) = (a, b): sampling it
 // leaves the census untouched. Protocols spend wildly different fractions
@@ -81,22 +80,13 @@ const (
 	// Protocols with wide censuses (the lottery's rank payloads) never
 	// engage — they are also the measured 100%-reactive ones.
 	reactMaxOcc = 2048
-
-	// reactBatchMaxOcc bounds the batch sampler's globally-silent column
-	// classification (O(occ²) worst case with early exit, cached per
-	// occupancy version). The batched protocols the pruning pays for have
-	// single-digit occupied counts; wide-census batches skip
-	// classification and keep the reference chains.
-	reactBatchMaxOcc = 512
 )
 
 // reactState holds the reactive-pair structures. All of it is derived
 // state: a pure function of the live census and the protocol's transition
 // function, rebuilt on demand and never serialized.
 type reactState struct {
-	// valid gates the exact-mode structures below (w, rvals, fen, R,
-	// partner lists). The batch classification (gsil*) is versioned
-	// independently by gsilVer.
+	// valid gates the structures below (w, rvals, fen, R, partner lists).
 	valid bool
 
 	w     []int64 // id → reactive initiator units for one responder agent in id
@@ -110,14 +100,6 @@ type reactState struct {
 	// and stamped with the occVer it was built at.
 	partners   [][]int32
 	partnerVer []uint64
-
-	// Globally-silent column classification for the batch sampler:
-	// gsil[id] reports that initiator column id is silent against every
-	// occupied responder. Valid while gsilVer == occVer; gsilN counts the
-	// silent occupied columns.
-	gsil    []bool
-	gsilVer uint64
-	gsilN   int
 }
 
 // reactInvalidate drops the exact-mode reactive structures. Cheap (one
@@ -126,7 +108,6 @@ type reactState struct {
 // calls it, and the walker rebuilds lazily at its next engagement.
 func (e *CountsEngine[S]) reactInvalidate() {
 	e.react.valid = false
-	e.react.gsilVer = ^uint64(0)
 }
 
 // skipEligible reports whether exact chunks may use the skip walker at
@@ -146,19 +127,6 @@ func (e *CountsEngine[S]) skipEligible() bool {
 func (e *CountsEngine[S]) reactivePair(a, b int32) bool {
 	a2, b2 := e.deltaIDs(a, b)
 	return a2 != a || b2 != b
-}
-
-// pairSilentDirect reports whether ordered id pair (a, b) is silent by
-// evaluating the protocol's transition on the states themselves, without
-// touching the id-assigning delta memo. The batch classification must use
-// this form: probing through deltaIDs would assign successor ids in
-// classification-scan order, perturbing the trajectory of batches that
-// end up with nothing to prune (and the memo's fill state differs between
-// a resumed and an uninterrupted run, so memo-only probing would break
-// resume-equals-replay).
-func (e *CountsEngine[S]) pairSilentDirect(a, b int32) bool {
-	na, nb := e.proto.Delta(e.states[a], e.states[b])
-	return na == e.states[a] && nb == e.states[b]
 }
 
 // growKeep grows s to length n, zero-filling new slots and preserving
@@ -420,89 +388,4 @@ func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 		}
 	}
 	return false
-}
-
-// gsilColumns ensures the globally-silent column classification is
-// current for the occupied set and returns the number of occupied columns
-// that are silent against every occupied responder. Cached per occupancy
-// version; the scan walks the sorted e.occ layout (deterministic, and
-// identical across resume), breaking out of a column at its first
-// reactive responder — always-reactive protocols pay O(occ) per rebuild,
-// not O(occ²).
-func (e *CountsEngine[S]) gsilColumns() int {
-	rs := &e.react
-	if rs.gsilVer == e.occVer {
-		return rs.gsilN
-	}
-	rs.gsilVer = e.occVer
-	rs.gsilN = 0
-	occ := e.occ
-	if len(occ) > reactBatchMaxOcc {
-		return 0
-	}
-	rs.gsil = growKeep(rs.gsil, len(e.states))
-	for _, b := range occ {
-		rs.gsil[b] = false
-	}
-	for _, b := range occ {
-		silent := true
-		for _, a := range occ {
-			if !e.pairSilentDirect(a, b) {
-				silent = false
-				break
-			}
-		}
-		if silent {
-			rs.gsil[b] = true
-			rs.gsilN++
-		}
-	}
-	return rs.gsilN
-}
-
-// samplePrunedRows is the batch pairing loop with reactive-column
-// pruning: every row first draws its share of the aggregated
-// globally-silent pool (one hypergeometric, staged nowhere — silent
-// initiators have no census effect), then chains over the reactive
-// columns only. Rows and columns stay in the sorted occ order; the
-// silent aggregate is drawn first in each row's chain, which is unbiased
-// by exchangeability of the chain's category order.
-func (e *CountsEngine[S]) samplePrunedRows(resp, pool []int64, poolTotal, silentRem int64) {
-	occ := e.occ
-	gsil := e.react.gsil
-	for j, id := range occ {
-		k := resp[j]
-		if k == 0 {
-			continue
-		}
-		remPool := poolTotal
-		d := k
-		if silentRem > 0 && d > 0 {
-			ks := e.hyper(silentRem, remPool-silentRem, d)
-			d -= ks
-			remPool -= silentRem
-			silentRem -= ks
-		}
-		for b := range occ {
-			if d == 0 {
-				break
-			}
-			if gsil[occ[b]] {
-				continue
-			}
-			pb := pool[b]
-			if pb == 0 {
-				continue
-			}
-			kb := e.hyper(pb, remPool-pb, d)
-			if kb > 0 {
-				pool[b] = pb - kb
-				d -= kb
-				a2, b2 := e.deltaIDs(id, occ[b])
-				e.stage(id, occ[b], a2, b2, kb)
-			}
-			remPool -= pb
-		}
-		poolTotal -= k
-	}
 }

@@ -11,19 +11,24 @@ import (
 // bruteReactive recomputes the reactive-mass state from scratch: for every
 // occupied responder a, w[a] = Σ_{b occupied} react(a,b)·pop[b] − react(a,a)
 // (the subtraction removes the self-pair, which needs two distinct agents),
-// and R = Σ_a pop[a]·w[a]. Probes through pairSilentDirect so the check
+// and R = Σ_a pop[a]·w[a]. Evaluates the protocol's transition on the
+// states themselves, bypassing the id-assigning delta memo, so the check
 // itself cannot perturb the engine's id assignment.
 func bruteReactive[S comparable](e *CountsEngine[S]) (map[int32]int64, int64) {
+	reactive := func(a, b int32) bool {
+		na, nb := e.proto.Delta(e.states[a], e.states[b])
+		return na != e.states[a] || nb != e.states[b]
+	}
 	w := make(map[int32]int64, len(e.active))
 	var total int64
 	for _, a := range e.active {
 		var wa int64
 		for _, b := range e.active {
-			if !e.pairSilentDirect(a, b) {
+			if reactive(a, b) {
 				wa += e.pop[b]
 			}
 		}
-		if !e.pairSilentDirect(a, a) {
+		if reactive(a, a) {
 			wa--
 		}
 		w[a] = wa
@@ -154,33 +159,6 @@ func TestGeomSkip(t *testing.T) {
 	want := (1 - p) / p
 	if mean < want*0.97 || mean > want*1.03 {
 		t.Fatalf("empirical mean %.1f, want %.1f ± 3%%", mean, want)
-	}
-}
-
-// TestBatchPruningClassifiesEpidemic pins the globally-silent column
-// classification on the epidemic's two-state census: the susceptible
-// column is silent against both occupied responders (a susceptible
-// initiator infects nobody), the infected column is not, and the
-// classification is cached per occupancy version.
-func TestBatchPruningClassifiesEpidemic(t *testing.T) {
-	p, err := epidemic.New(1<<12, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewCountsEngine[uint32](p, rng.New(1))
-	// The classification scans the sorted occupied-column cache, which only
-	// the batch loop maintains — run one forced batch to populate it.
-	e.Policy = BatchPolicy{Mode: BatchFixed, Len: 1 << 9}
-	e.RunSteps(1 << 9)
-	if got := e.gsilColumns(); got != 1 {
-		t.Fatalf("gsilColumns = %d, want 1 (the susceptible column)", got)
-	}
-	if !e.react.gsil[e.indexOf(0)] || e.react.gsil[e.indexOf(1)] {
-		t.Fatalf("classification wrong: gsil[S]=%v gsil[I]=%v, want true/false",
-			e.react.gsil[e.indexOf(0)], e.react.gsil[e.indexOf(1)])
-	}
-	if ver := e.react.gsilVer; ver != e.occVer {
-		t.Fatalf("classification not cached: gsilVer %d, occVer %d", ver, e.occVer)
 	}
 }
 

@@ -29,9 +29,12 @@ import (
 )
 
 // schemaVersion is folded into every key hash; bump it whenever the
-// meaning of a key field or the envelope layout changes, so stale entries
-// from older binaries miss instead of deserializing wrongly.
-const schemaVersion = 1
+// meaning of a key field or the envelope layout changes, or when the
+// trajectory an unchanged key stands for changes, so stale entries from
+// older binaries miss instead of being served as current results.
+// Version 2: the serial batch sampler no longer prunes silent initiator
+// columns, which moves batched runs of protocols with silent pairs.
+const schemaVersion = 2
 
 // Key identifies one cached computation. Every field that influences the
 // simulated trajectory or its observation must appear here; two runs with

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -25,9 +26,10 @@ func testKey() store.Key {
 }
 
 // TestKeyHashGolden pins the content address of testKey, so entries
-// written by earlier binaries keep answering lookups.
+// written by earlier binaries keep answering lookups. It moves only with a
+// deliberate schemaVersion bump.
 func TestKeyHashGolden(t *testing.T) {
-	const want = "98dfefd55241b27aee62df9ff41dc73a2392ae9de378b12ae330b818820a3016"
+	const want = "dfbd3339cea09e2a85dd64746db288d654d596c22589058953a874876713ec5b"
 	if got := testKey().Hash(); got != want {
 		t.Fatalf("testKey hash %s, golden %s — existing store entries would miss", got, want)
 	}
@@ -215,7 +217,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
+	tampered := retagVersion(data)
 	if tampered == string(data) {
 		t.Fatal("could not rewrite version field")
 	}
@@ -225,6 +227,12 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if _, _, err := s.GetResults(k); err == nil || !strings.Contains(err.Error(), "schema version") {
 		t.Fatalf("tampered version: %v", err)
 	}
+}
+
+// retagVersion rewrites an entry's schema version field to 99, a version
+// no binary writes.
+func retagVersion(data []byte) string {
+	return regexp.MustCompile(`"version":\d+`).ReplaceAllString(string(data), `"version":99`)
 }
 
 // FuzzStoreEntry writes arbitrary bytes where a results entry and a series
@@ -265,7 +273,7 @@ func FuzzStoreEntry(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
-		f.Add([]byte(strings.Replace(string(data), `"version":1`, `"version":99`, 1)))
+		f.Add([]byte(retagVersion(data)))
 	}
 	f.Add([]byte("{not json"))
 
