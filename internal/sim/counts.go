@@ -1236,14 +1236,22 @@ func (f *fenwick) add(i int32, d int64) {
 
 // find returns the smallest slot index whose prefix sum exceeds u; with u
 // uniform on [0, total) this selects a slot proportionally to its count.
+//
+// Preconditions: u < total, every slot value is non-negative, and total <
+// 2⁶³. The descent is branchless — each level takes its step under a sign
+// mask instead of a data-dependent branch the CPU cannot predict — so a
+// violated precondition returns a wrong slot rather than failing. The
+// descent starts below the root: tree[cap] holds the total, which no
+// u < total can step past.
 func (f *fenwick) find(u uint64) int32 {
+	tree := f.tree
 	pos := 0
 	rem := int64(u)
-	for bit := f.cap; bit > 0; bit >>= 1 {
-		if next := pos + bit; next <= f.cap && f.tree[next] <= rem {
-			pos = next
-			rem -= f.tree[next]
-		}
+	for bit := f.cap >> 1; bit > 0; bit >>= 1 {
+		v := tree[pos+bit]
+		m := ^((rem - v) >> 63) // all ones iff v <= rem
+		pos += bit & int(m)
+		rem -= v & m
 	}
 	return int32(pos)
 }

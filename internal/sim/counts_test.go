@@ -192,24 +192,154 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-func TestFenwick(t *testing.T) {
-	var f fenwick
-	f.init(5)
-	counts := []int64{3, 0, 2, 5, 1}
-	for i, c := range counts {
-		f.add(int32(i), c)
-	}
-	// The u-th unit item (0-based) lands in the slot covering it.
-	want := []int32{0, 0, 0, 2, 2, 3, 3, 3, 3, 3, 4}
-	for u, w := range want {
-		if got := f.find(uint64(u)); got != w {
-			t.Fatalf("find(%d) = %d, want %d", u, got, w)
+// bruteFind is find's reference: the smallest slot whose prefix sum over
+// vals exceeds u, by a linear scan.
+func bruteFind(vals []int64, u uint64) int32 {
+	var prefix uint64
+	for i, v := range vals {
+		prefix += uint64(v)
+		if prefix > u {
+			return int32(i)
 		}
 	}
-	f.add(0, -3)
-	if got := f.find(0); got != 2 {
-		t.Fatalf("after removal find(0) = %d, want 2", got)
+	panic("bruteFind: u ≥ total")
+}
+
+// checkFind compares f.find against bruteFind over vals. Totals up to
+// 2¹⁶ are checked at every u in [0, total); larger ones at both ends of
+// every occupied slot's range plus 64 uniform draws.
+func checkFind(t *testing.T, f *fenwick, vals []int64, src *rng.Source, ctx string) {
+	t.Helper()
+	var total uint64
+	for _, v := range vals {
+		total += uint64(v)
 	}
+	if total == 0 {
+		return
+	}
+	var us []uint64
+	if total <= 1<<16 {
+		for u := uint64(0); u < total; u++ {
+			us = append(us, u)
+		}
+	} else {
+		var prefix uint64
+		for _, v := range vals {
+			if v > 0 {
+				us = append(us, prefix, prefix+uint64(v)-1)
+			}
+			prefix += uint64(v)
+		}
+		for range 64 {
+			us = append(us, src.Uintn(total))
+		}
+	}
+	for _, u := range us {
+		if got, want := f.find(u), bruteFind(vals, u); got != want {
+			t.Fatalf("%s: find(%d) = %d, want %d (slots %v)", ctx, u, got, want, vals)
+		}
+	}
+}
+
+// loadFenwick initialises f to len(vals) slots holding vals.
+func loadFenwick(f *fenwick, vals []int64) {
+	f.init(len(vals))
+	for i, v := range vals {
+		f.add(int32(i), v)
+	}
+}
+
+// fenwickTable is a fixed slot table and the capacity init rounds it to.
+type fenwickTable struct {
+	name string
+	vals []int64
+	cap  int
+}
+
+// checkFenwickTables loads each fixed table, checks its rounded-up
+// capacity, and compares find against the linear scan.
+func checkFenwickTables(t *testing.T, src *rng.Source, cases []fenwickTable) {
+	t.Helper()
+	for _, tc := range cases {
+		var f fenwick
+		loadFenwick(&f, tc.vals)
+		if f.cap != tc.cap {
+			t.Fatalf("%s: cap = %d, want %d", tc.name, f.cap, tc.cap)
+		}
+		checkFind(t, &f, tc.vals, src, tc.name)
+	}
+}
+
+// checkEmptySlot empties one slot of vals and checks that its range is
+// handed to the next occupied slot: find(u) = wantAfter, and every u
+// still agrees with the linear scan.
+func checkEmptySlot(t *testing.T, src *rng.Source, vals []int64, slot int32, u uint64, wantAfter int32) {
+	t.Helper()
+	var f fenwick
+	loadFenwick(&f, vals)
+	f.add(slot, -vals[slot])
+	vals[slot] = 0
+	if got := f.find(u); got != wantAfter {
+		t.Fatalf("after emptying slot %d, find(%d) = %d, want %d", slot, u, got, wantAfter)
+	}
+	checkFind(t, &f, vals, src, "after emptying a slot")
+}
+
+// TestFenwickFind walks the selection tree over its exact support for a
+// non-power-of-two slot count (9 slots, cap 16), an exact power of two
+// with only the last slot occupied, and the single slot; then empties a
+// slot and checks its range collapses onto the next occupied one.
+func TestFenwickFind(t *testing.T) {
+	src := rng.New(2)
+	checkFenwickTables(t, src, []fenwickTable{
+		{"nine slots", []int64{3, 0, 7, 1, 0, 0, 5, 2, 9}, 16},
+		{"power of two, last slot only", []int64{0, 0, 0, 10}, 4},
+		{"single slot", []int64{5}, 1},
+	})
+	checkEmptySlot(t, src, []int64{3, 0, 7, 1, 0, 0, 5, 2, 9}, 2, 3, 3)
+}
+
+// TestFenwick checks find against a linear prefix scan: fixed tables
+// (odd slot counts, leading zero slots), every slot count 1–70 with
+// random small values and interleaved adds, a reused tree re-initialised
+// to other sizes, and slot values near 2⁶⁰ (the bound on reactive pair
+// masses).
+func TestFenwick(t *testing.T) {
+	src := rng.New(1)
+	checkFenwickTables(t, src, []fenwickTable{
+		{"five slots", []int64{3, 0, 2, 5, 1}, 8},
+		{"leading zeros", []int64{0, 0, 0, 0, 0, 0, 0, 1}, 8},
+		{"near 2^60", []int64{1<<60 - 1, 0, 1 << 60, 3, 1<<60 + 7, 1, 1<<60 - 5}, 8},
+	})
+	checkEmptySlot(t, src, []int64{3, 0, 2, 5, 1}, 0, 0, 2)
+
+	// Every slot count 1–70, about a third of slots zero, adds
+	// interleaved with finds; one tree is reused across all of them, so
+	// each init must clear what the previous size left behind.
+	var g fenwick
+	for n := 1; n <= 70; n++ {
+		vals := make([]int64, n)
+		for i := range vals {
+			if src.Uintn(3) != 0 {
+				vals[i] = int64(src.Uintn(6))
+			}
+		}
+		loadFenwick(&g, vals)
+		checkFind(t, &g, vals, src, "random")
+		for range 3 * n {
+			i := int32(src.Uintn(uint64(n)))
+			d := int64(src.Uintn(5)) - 2
+			if vals[i]+d < 0 {
+				d = -vals[i]
+			}
+			g.add(i, d)
+			vals[i] += d
+			checkFind(t, &g, vals, src, "after add")
+		}
+	}
+	// Shrinking re-init of the reused tree: no stale mass survives.
+	loadFenwick(&g, []int64{0, 4, 0})
+	checkFind(t, &g, []int64{0, 4, 0}, src, "re-init after 70 slots")
 }
 
 // bigEnum is an Enumerable fixture with a configurable state-space bound,

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"popelect/internal/core"
+	"popelect/internal/epidemic"
+	"popelect/internal/protocols/approxmajority"
 	"popelect/internal/protocols/gs18"
 	"popelect/internal/rng"
 	"popelect/internal/sim"
@@ -33,14 +35,18 @@ func traceHash[S comparable](t *testing.T, eng sim.Engine, every uint64) string 
 // the exact trajectories the engines produced before the scenario layer
 // existed: the golden hashes below were recorded on the pre-perturbation
 // tree, so any refactor that changes how an unperturbed engine consumes
-// randomness or applies transitions — on any of the four engine
+// randomness or applies transitions — on any of the engine
 // configurations — fails this test. Attaching no perturbation must be a
 // true no-op.
 //
 // The gsu19-adaptive hash was recorded after the others. GSU19 is the one
-// case whose census has silent pairs, so it pins the serial batch
+// batched case whose census has silent pairs, so it pins the serial batch
 // sampler's two row rules (alias rows and hypergeometric chains) on a
-// census with silent initiator columns.
+// census with silent initiator columns. The two exact-skip hashes were
+// recorded later still, before the branchless Fenwick descent, so that
+// every Fenwick draw site is pinned: counts-exact covers Step, the
+// exact-skip cases the reactive draw, and TestBiasedExactTraceGolden the
+// biased one.
 func TestNilPerturbationTraceGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -96,6 +102,37 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			},
 			hash: traceHash[core.State],
 		},
+		{
+			// The epidemic's converged census is silent, so the exact
+			// walker's silent-step skip engages and reactSample runs.
+			// With the skip disabled the same case hashes
+			// 8c5a0a712876fd01. Only uninfected responders are reactive,
+			// so its reactive Fenwick draw has a single outcome.
+			name: "epidemic-exact-skip",
+			want: "07dff1b7daf978d8",
+			make: func(t *testing.T) (sim.Engine, uint64) {
+				p, err := epidemic.New(1<<12, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.NewCountsEngine[uint32](p, rng.New(16)), 2048
+			},
+		},
+		{
+			// Approximate majority's endgame is mostly silent too, but
+			// with X, Y and blank responders all reactive, so this case
+			// pins which responder reactSample's Fenwick draw picks.
+			// With the skip disabled it hashes 7a880f652bf93d97.
+			name: "approxmajority-exact-skip",
+			want: "6557477791e3a0b5",
+			make: func(t *testing.T) (sim.Engine, uint64) {
+				p, err := approxmajority.New(1<<12, 2600)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.NewCountsEngine[uint32](p, rng.New(18)), 2048
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,5 +145,21 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				t.Fatalf("trajectory hash %s, golden %s — the nil-perturbation path drifted from its recorded trajectory", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestBiasedExactTraceGolden pins the exact counts mode under a bias
+// perturbation, whose draws go through biasedUnit's proposal-and-accept
+// loop rather than Step's two plain Fenwick draws. The hash was recorded
+// before the branchless Fenwick descent.
+func TestBiasedExactTraceGolden(t *testing.T) {
+	pr := gs18.MustNew(gs18.DefaultParams(3000))
+	e := sim.NewCountsEngine[uint32](pr, rng.New(17))
+	if err := e.SetPerturbation(sim.Bias{Weights: []float64{2, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "0f493b52c1e67cfc"
+	if got := traceHash[uint32](t, e, 1500); got != want {
+		t.Fatalf("trajectory hash %s, golden %s — the biased exact path drifted from its recorded trajectory", got, want)
 	}
 }

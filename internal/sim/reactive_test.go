@@ -162,64 +162,6 @@ func TestGeomSkip(t *testing.T) {
 	}
 }
 
-// --- satellite: fenwick coverage ---
-
-// TestFenwickFind walks the selection tree over its exact support: for a
-// non-power-of-two slot count, every u in a slot's prefix range must map
-// back to that slot, including both boundaries and u = total−1.
-func TestFenwickFind(t *testing.T) {
-	counts := []int64{3, 0, 7, 1, 0, 0, 5, 2, 9} // 9 slots: cap rounds to 16
-	var f fenwick
-	f.init(len(counts))
-	if f.cap != 16 {
-		t.Fatalf("cap = %d, want 16 for 9 slots", f.cap)
-	}
-	var total int64
-	for i, c := range counts {
-		f.add(int32(i), c)
-		total += c
-	}
-	var prefix int64
-	for i, c := range counts {
-		for _, u := range []int64{prefix, prefix + c - 1} {
-			if c == 0 {
-				continue
-			}
-			if got := f.find(uint64(u)); got != int32(i) {
-				t.Fatalf("find(%d) = %d, want slot %d (count %d, prefix %d)", u, got, i, c, prefix)
-			}
-		}
-		prefix += c
-	}
-	if got := f.find(uint64(total - 1)); got != 8 {
-		t.Fatalf("find(total−1) = %d, want the last occupied slot 8", got)
-	}
-	// Decrement a slot to zero: its range must collapse onto the next
-	// occupied slot.
-	f.add(2, -7)
-	if got := f.find(3); got != 3 {
-		t.Fatalf("after zeroing slot 2, find(3) = %d, want 3", got)
-	}
-	// Exact power-of-two count and the single-slot edge.
-	var g fenwick
-	g.init(4)
-	if g.cap != 4 {
-		t.Fatalf("cap = %d, want 4", g.cap)
-	}
-	g.add(3, 10)
-	for u := uint64(0); u < 10; u++ {
-		if got := g.find(u); got != 3 {
-			t.Fatalf("find(%d) = %d, want 3", u, got)
-		}
-	}
-	var h fenwick
-	h.init(1)
-	h.add(0, 5)
-	if got := h.find(4); got != 0 {
-		t.Fatalf("single slot: find(4) = %d, want 0", got)
-	}
-}
-
 // --- satellite: clampHyper coverage ---
 
 // TestClampHyper pins the support clamps: a hypergeometric draw of `sample`
