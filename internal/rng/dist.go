@@ -532,25 +532,3 @@ func (a *Alias) Sample(s *Source) int {
 	}
 	return int(a.alias[i])
 }
-
-// Normal returns a standard normal variate, using the Marsaglia polar
-// method with the second variate of each round cached — on average half a
-// log and half a sqrt per draw.
-func (s *Source) Normal() float64 {
-	if s.hasSpare {
-		s.hasSpare = false
-		return s.spare
-	}
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q >= 1 || q == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(q) / q)
-		s.spare = v * f
-		s.hasSpare = true
-		return u * f
-	}
-}

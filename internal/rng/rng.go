@@ -10,17 +10,12 @@ package rng
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Source is a xoshiro256++ pseudo-random generator. The zero value is not a
 // valid generator; use New or NewStream.
 type Source struct {
 	s0, s1, s2, s3 uint64
-
-	// Marsaglia polar method spare (see Normal).
-	spare    float64
-	hasSpare bool
 }
 
 // splitMix64 advances x by the SplitMix64 sequence and returns the next
@@ -55,8 +50,6 @@ func NewStream(seed uint64, stream uint64) *Source {
 
 // Seed resets the generator state from a 64-bit seed.
 func (s *Source) Seed(seed uint64) {
-	s.spare = 0
-	s.hasSpare = false
 	x := seed
 	s.s0 = splitMix64(&x)
 	s.s1 = splitMix64(&x)
@@ -107,33 +100,31 @@ func (s *Source) Split(shard uint64) *Source {
 }
 
 // SourceStateLen is the length in bytes of a Source state snapshot: four
-// xoshiro256++ state words, the Marsaglia polar spare value, and its
-// validity flag.
+// xoshiro256++ state words and a reserved 9-byte tail. The tail once held a
+// cached normal variate and its spare flag; State writes it as zeros, and
+// SetState checks only that the spare flag (byte 40) is 0 or 1, so
+// snapshots written while the tail was in use still restore.
 const SourceStateLen = 4*8 + 8 + 1
 
 // State returns the complete generator state as a fixed-length byte
 // snapshot. Restoring the snapshot with SetState — in this process or any
-// other — yields a generator whose future output is identical to this one's,
-// including the cached Normal() spare. Split-derived children are covered
-// automatically: Split is a pure function of the parent state, so a restored
-// parent produces identical children.
+// other — yields a generator whose future output is identical to this one's.
+// Split-derived children are covered automatically: Split is a pure function
+// of the parent state, so a restored parent produces identical children.
 func (s *Source) State() []byte {
 	buf := make([]byte, SourceStateLen)
 	binary.LittleEndian.PutUint64(buf[0:], s.s0)
 	binary.LittleEndian.PutUint64(buf[8:], s.s1)
 	binary.LittleEndian.PutUint64(buf[16:], s.s2)
 	binary.LittleEndian.PutUint64(buf[24:], s.s3)
-	binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(s.spare))
-	if s.hasSpare {
-		buf[40] = 1
-	}
 	return buf
 }
 
 // SetState restores a state snapshot previously produced by State. It
 // rejects snapshots of the wrong length, snapshots whose xoshiro state words
-// are all zero (the one invalid xoshiro256++ state), and corrupted spare
-// flags, leaving the generator untouched on error.
+// are all zero (the one invalid xoshiro256++ state), and a spare flag other
+// than 0 or 1, leaving the generator untouched on error. The rest of the
+// tail is ignored: no draw reads it.
 func (s *Source) SetState(state []byte) error {
 	if len(state) != SourceStateLen {
 		return fmt.Errorf("rng: bad state length %d (want %d)", len(state), SourceStateLen)
@@ -149,8 +140,6 @@ func (s *Source) SetState(state []byte) error {
 		return fmt.Errorf("rng: invalid state: spare flag %d", state[40])
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
-	s.spare = math.Float64frombits(binary.LittleEndian.Uint64(state[32:]))
-	s.hasSpare = state[40] == 1
 	return nil
 }
 

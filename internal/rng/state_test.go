@@ -1,20 +1,19 @@
 package rng
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
 
-// sameOutput asserts a and b produce identical output for the next n draws,
-// mixing Uint64 and Normal so the polar-method spare is exercised.
+// sameOutput asserts a and b produce identical output for the next n
+// draws.
 func sameOutput(t *testing.T, a, b *Source, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if got, want := a.Uint64(), b.Uint64(); got != want {
 			t.Fatalf("draw %d: Uint64 %d != %d", i, got, want)
-		}
-		if got, want := a.Normal(), b.Normal(); got != want {
-			t.Fatalf("draw %d: Normal %g != %g", i, got, want)
 		}
 	}
 }
@@ -33,7 +32,6 @@ func TestStateRoundTripAdvanced(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		a.Uint64()
 	}
-	a.Normal() // leave a spare cached so hasSpare=true is serialized
 	b := New(0xdead)
 	if err := b.SetState(a.State()); err != nil {
 		t.Fatalf("SetState: %v", err)
@@ -46,7 +44,6 @@ func TestStateRoundTripSplitDerived(t *testing.T) {
 	parent.Uint64()
 	child := parent.Split(5)
 	child.Uint64()
-	child.Normal()
 
 	// Restoring the child directly round-trips.
 	c2 := New(1)
@@ -62,6 +59,32 @@ func TestStateRoundTripSplitDerived(t *testing.T) {
 		t.Fatalf("SetState(parent): %v", err)
 	}
 	sameOutput(t, parent.Split(9), p2.Split(9), 100)
+}
+
+// TestStateReservedTail pins the snapshot's 9-byte tail (bytes 32–40),
+// which once held a cached normal variate and its spare flag: State writes
+// it as zeros, and a snapshot with the flag set and a non-zero spare value
+// restores to the same stream as one with a zero tail.
+func TestStateReservedTail(t *testing.T) {
+	a := NewStream(7, 3)
+	a.Uint64()
+	st := a.State()
+	for i, b := range st[32:] {
+		if b != 0 {
+			t.Fatalf("State byte %d = %#x, want 0", 32+i, b)
+		}
+	}
+	spare := append([]byte{}, st...)
+	binary.LittleEndian.PutUint64(spare[32:], math.Float64bits(-1.25))
+	spare[40] = 1
+	b, c := New(1), New(2)
+	if err := b.SetState(st); err != nil {
+		t.Fatalf("SetState(flag 0): %v", err)
+	}
+	if err := c.SetState(spare); err != nil {
+		t.Fatalf("SetState(flag 1): %v", err)
+	}
+	sameOutput(t, b, c, 200)
 }
 
 func TestSetStateRejectsBadInput(t *testing.T) {

@@ -816,42 +816,12 @@ func (e *CountsEngine[S]) exactChunk(l uint64, checkStable bool) bool {
 	return converged
 }
 
-// hyperNormalMinVar is the variance threshold above which the batch chains
-// approximate a hypergeometric draw with a moment-matched rounded normal
-// (support-clamped). At the σ ≥ 5 this sets, an individual draw's pmf error
-// is on the order of 1/σ ≤ 20% on the skew term (mean and variance are
-// exact); across the thousands of independent cell draws of a batch these
-// errors largely cancel, and the net effect is bounded by the same
-// cross-backend tolerance tests that bound the batching bias itself. The
-// payoff is removing the log-gamma evaluations that otherwise dominate
-// batch time. Draws with smaller variance — in particular everything
-// involving the small candidate classes, where integrality is critical —
-// stay exact.
-const hyperNormalMinVar = 25
-
-// hyper draws from Hypergeometric(good, bad, sample): exactly for
-// small-variance draws, via a moment-matched normal for large ones.
-func (e *CountsEngine[S]) hyper(good, bad, sample int64) int64 {
-	return hyperDraw(e.src, good, bad, sample)
-}
-
-// hyperDraw is hyper on an explicit source — the batch shards draw from
-// their own per-shard streams (see counts_parallel.go).
+// hyperDraw draws from Hypergeometric(good, bad, sample) on an explicit
+// source: the serial chains pass the engine's stream, the in-batch
+// workers their own (see counts_parallel.go). Every draw is exact, so a
+// batch is a true multivariate hypergeometric split.
 func hyperDraw(src *rng.Source, good, bad, sample int64) int64 {
-	if good == 0 || sample == 0 {
-		return 0
-	}
-	if bad == 0 {
-		return sample
-	}
-	nf := float64(good + bad)
-	mean := float64(sample) * float64(good) / nf
-	v := mean * (float64(bad) / nf) * float64(good+bad-sample) / (nf - 1)
-	if v < hyperNormalMinVar {
-		return clampHyper(src.Hypergeometric(good, bad, sample), good, bad, sample)
-	}
-	k := int64(math.Round(mean + math.Sqrt(v)*src.Normal()))
-	return clampHyper(k, good, bad, sample)
+	return clampHyper(src.Hypergeometric(good, bad, sample), good, bad, sample)
 }
 
 // clampHyper bounds a hypergeometric draw to its exact support, guarding
@@ -975,7 +945,7 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 		c := e.pop[id]
 		var k int64
 		if need > 0 {
-			k = e.hyper(c, rem-c, need)
+			k = hyperDraw(e.src, c, rem-c, need)
 		}
 		resp[j] = k
 		need -= k
@@ -1047,7 +1017,7 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 			if pb == 0 {
 				continue
 			}
-			kb := e.hyper(pb, remPool-pb, d)
+			kb := hyperDraw(e.src, pb, remPool-pb, d)
 			if kb > 0 {
 				pool[b] = pb - kb
 				d -= kb

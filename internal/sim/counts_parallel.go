@@ -114,7 +114,7 @@ func (e *CountsEngine[S]) sampleBatchSharded(l uint64, w int) {
 		sh := &shards[s]
 		var k int64
 		if need > 0 {
-			k = e.hyper(sh.count, rem-sh.count, need)
+			k = hyperDraw(e.src, sh.count, rem-sh.count, need)
 		}
 		sh.resp = k
 		need -= k
@@ -160,7 +160,7 @@ func (e *CountsEngine[S]) sampleBatchSharded(l uint64, w int) {
 			if ps == 0 {
 				continue
 			}
-			ks := e.hyper(ps, remPool-ps, d)
+			ks := hyperDraw(e.src, ps, remPool-ps, d)
 			if ks > 0 {
 				sh.alloc[j] = ks
 				sh.pool -= ks

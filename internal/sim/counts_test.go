@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"popelect/internal/pairtab"
@@ -340,6 +342,51 @@ func TestFenwick(t *testing.T) {
 	// Shrinking re-init of the reused tree: no stale mass survives.
 	loadFenwick(&g, []int64{0, 4, 0})
 	checkFind(t, &g, []int64{0, 4, 0}, src, "re-init after 70 slots")
+}
+
+// TestHyperDrawIsExact pins the batch chains' draw law: on twin sources,
+// hyperDraw returns rng.Hypergeometric's draw, draw for draw, both where
+// the variance is ≥ 25 (the first three points, where a moment-matched
+// Normal would also fit mean and variance) and where it is small, and on
+// the empty and full edges. Each point runs in its own goroutine on its
+// own sources, as the in-batch workers do, so the race job covers the
+// workers' concurrent draws on the shared log-factorial table.
+func TestHyperDrawIsExact(t *testing.T) {
+	points := []struct{ good, bad, sample int64 }{
+		{1000, 100_000_000, 2_600_000},
+		{1_000_000, 100_000_000, 3000},
+		{400, 100_000, 8000},
+		{30, 70, 8},
+		{5, 1_000_000, 400_000},
+		{200, 300, 100},
+		{0, 50, 20},
+		{50, 0, 20},
+		{50, 50, 0},
+		{50, 50, 100},
+	}
+	var wg sync.WaitGroup
+	errs := make([]string, len(points))
+	for i, p := range points {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, b := rng.New(uint64(i)+1), rng.New(uint64(i)+1)
+			for d := range 2000 {
+				got := hyperDraw(a, p.good, p.bad, p.sample)
+				if want := b.Hypergeometric(p.good, p.bad, p.sample); got != want {
+					errs[i] = fmt.Sprintf("hyperDraw(%d, %d, %d) draw %d = %d, Hypergeometric gives %d",
+						p.good, p.bad, p.sample, d, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
+	}
 }
 
 // bigEnum is an Enumerable fixture with a configurable state-space bound,

@@ -34,7 +34,9 @@ import (
 // older binaries miss instead of being served as current results.
 // Version 2: the serial batch sampler no longer prunes silent initiator
 // columns, which moves batched runs of protocols with silent pairs.
-const schemaVersion = 2
+// Version 3: every batch draw is an exact hypergeometric draw (no rounded
+// Normal for large variances), which moves every batched run.
+const schemaVersion = 3
 
 // Key identifies one cached computation. Every field that influences the
 // simulated trajectory or its observation must appear here; two runs with

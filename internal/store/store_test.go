@@ -29,7 +29,7 @@ func testKey() store.Key {
 // written by earlier binaries keep answering lookups. It moves only with a
 // deliberate schemaVersion bump.
 func TestKeyHashGolden(t *testing.T) {
-	const want = "dfbd3339cea09e2a85dd64746db288d654d596c22589058953a874876713ec5b"
+	const want = "2cff423d64d0d9fad70ea76eacc1a1c827e4aa62f754c8821c70742cb13acc55"
 	if got := testKey().Hash(); got != want {
 		t.Fatalf("testKey hash %s, golden %s — existing store entries would miss", got, want)
 	}
