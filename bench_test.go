@@ -627,7 +627,10 @@ func BenchmarkAliasSample(b *testing.B) {
 	for i := range w {
 		w[i] = float64(i%7) + 0.1
 	}
-	a := rng.MustAlias(w)
+	a, err := rng.NewAlias(w)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink += a.Sample(s)

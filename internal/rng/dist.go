@@ -512,15 +512,6 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// MustAlias is NewAlias for known-good weights.
-func MustAlias(weights []float64) *Alias {
-	a, err := NewAlias(weights)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // N returns the number of categories.
 func (a *Alias) N() int { return len(a.prob) }
 

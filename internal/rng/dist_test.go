@@ -483,7 +483,10 @@ func TestAliasMatchesWeights(t *testing.T) {
 }
 
 func TestAliasSingleCategory(t *testing.T) {
-	a := MustAlias([]float64{42})
+	a, err := NewAlias([]float64{42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(137)
 	for i := 0; i < 100; i++ {
 		if a.Sample(s) != 0 {
@@ -507,7 +510,10 @@ func TestAliasRebuildMatchesNew(t *testing.T) {
 		if err := a.Rebuild(weights); err != nil {
 			t.Fatal(err)
 		}
-		fresh := MustAlias(weights)
+		fresh, err := NewAlias(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !slices.Equal(a.prob, fresh.prob) || !slices.Equal(a.alias, fresh.alias) {
 			t.Fatalf("Rebuild(%v) = %v/%v, NewAlias %v/%v", weights, a.prob, a.alias, fresh.prob, fresh.alias)
 		}

@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"popelect/internal/rng"
 )
 
 // Checkpointing turns the engines' implicit run state into an explicit
@@ -17,9 +15,10 @@ import (
 // depends on — the census, the step counter, the PRNG stream position
 // (rng.Source.State), the batch-policy controller state, the probe cadence
 // positions, and the order-sensitive internals (state-id assignment order,
-// active-list order, the cached alias weights) — so that restoring it in a
-// fresh process and continuing yields a byte-identical trajectory: the
-// resume-equals-replay law, pinned by TestCheckpointResume*.
+// active-list order) — so that restoring it in a fresh process and
+// continuing yields a byte-identical trajectory: the resume-equals-replay
+// law, pinned by TestCheckpointResume*. Batches carry nothing to the next
+// batch but the census, so no sampler cache is part of a snapshot.
 //
 // Snapshots are taken only at scheduling-unit boundaries (between batches
 // or exact chunks), where no staged diffs or half-measured drift
@@ -36,7 +35,11 @@ import (
 // resumes need the perturbation stream position and boundary cursor);
 // the envelope's population field holds the initial n₀. Version 3 dropped
 // the removed legacy BatchLen knob from the counts configuration
-// fingerprint.
+// fingerprint. Older version-3 snapshots of batched counts runs set the
+// counts payload's alias-cache flag and append the serial sampler's
+// cross-batch alias cache; that cache is gone, the flag is always written
+// as 0, and Restore rejects a 1 by name (dense and exact-mode counts
+// snapshots never set it, so they are unchanged).
 const CheckpointVersion = 3
 
 // ckptMagic is the snapshot file format tag.
@@ -441,19 +444,8 @@ func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
 		for _, id := range e.active {
 			w.u32(uint32(id))
 		}
-		// Alias cache: the cached weights govern how much randomness the
-		// rejection sampler consumes, so they are part of the trajectory.
-		w.boolean(e.aliasTab != nil)
-		if e.aliasTab != nil {
-			w.u32(uint32(len(e.aliasOcc)))
-			for _, id := range e.aliasOcc {
-				w.u32(uint32(id))
-			}
-			for _, wt := range e.aliasW[:len(e.aliasOcc)] {
-				w.f64(wt)
-			}
-			w.f64(e.aliasWSum)
-		}
+		// The alias-cache flag, always 0 (see CheckpointVersion).
+		w.boolean(false)
 		return nil
 	})
 }
@@ -548,36 +540,10 @@ func (e *CountsEngine[S]) Restore(snapshot []byte) error {
 		activePos[id] = int32(i)
 	}
 
-	var aliasTab *rng.Alias
-	var aliasOcc []int32
-	var aliasW []float64
-	var aliasWSum float64
+	// The alias-cache flag (see CheckpointVersion): a set flag is a batched
+	// snapshot whose rejection randomness a memoryless batch cannot replay.
 	if r.boolean() {
-		k := int(r.u32())
-		if r.err != nil || k < 1 || k > m {
-			return fmt.Errorf("sim: checkpoint alias cache over %d classes (states: %d)", k, m)
-		}
-		aliasOcc = make([]int32, k)
-		for i := range aliasOcc {
-			id := int32(r.u32())
-			if r.err == nil && (id < 0 || int(id) >= m) {
-				return fmt.Errorf("sim: checkpoint alias cache references state id %d", id)
-			}
-			aliasOcc[i] = id
-		}
-		aliasW = make([]float64, k)
-		for i := range aliasW {
-			aliasW[i] = r.f64()
-		}
-		aliasWSum = r.f64()
-		if r.err == nil {
-			// The Vose construction is deterministic: rebuilding from the
-			// serialized weights yields the identical table (and therefore
-			// the identical rejection-sampling randomness consumption).
-			if aliasTab, err = rng.NewAlias(aliasW); err != nil {
-				return fmt.Errorf("sim: checkpoint alias cache: %w", err)
-			}
-		}
+		return fmt.Errorf("sim: checkpoint carries the removed cross-batch alias cache (written by an older binary)")
 	}
 	if err := e.commitPayload(r, h); err != nil {
 		return err
@@ -610,24 +576,15 @@ func (e *CountsEngine[S]) Restore(snapshot []byte) error {
 	// must match the restored state count.
 	e.delta.Reset(e.stateBound)
 	e.delta.Grow(len(e.states))
-	e.aliasTab = aliasTab
-	if aliasTab != nil {
-		e.aliasOcc = aliasOcc
-		e.aliasW = aliasW
-		e.aliasWSum = aliasWSum
-	} else {
-		e.aliasOcc = e.aliasOcc[:0]
-	}
 	e.adaptLen = adaptLen
 	e.effWorkers = effWorkers
-	// Reactive-pair structures and the sorted-occ cache are derived state
-	// and deliberately not serialized: drop them and let the samplers
-	// rebuild from the restored census. Rebuilds are pure functions of
-	// census + active order (both restored above), so a resumed run
-	// reconstructs exactly what the interrupted run's caches held — see
-	// reactive.go's resume argument.
+	// Reactive-pair structures are derived state and deliberately not
+	// serialized: drop them and let the skip walker rebuild from the
+	// restored census. Rebuilds are pure functions of census + active
+	// order (both restored above), so a resumed run reconstructs exactly
+	// what the interrupted run's structures held — see reactive.go's
+	// resume argument.
 	e.occVer = 0
-	e.occSortVer = ^uint64(0)
 	e.reactInvalidate()
 	return nil
 }

@@ -18,8 +18,8 @@ const fuzzCkptEngines = 3
 
 // fuzzCkptEngine builds the engine a fuzz input restores into: kind selects
 // (modulo fuzzCkptEngines) the dense runner, the counts engine in exact
-// mode, or the counts engine on fixed batches (whose snapshots carry the
-// alias cache); churn attaches a churn perturbation.
+// mode, or the counts engine on fixed batches (whose snapshots fall
+// between batches); churn attaches a churn perturbation.
 func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 	t.Helper()
 	pr := gs18.MustNew(gs18.DefaultParams(fuzzCkptN))

@@ -442,6 +442,20 @@ func TestCheckpointFormatRejection(t *testing.T) {
 		}
 		le.PutUint64(p[pops+32:], head)
 	})
+	const countsBatched = 2 // fuzzCkptEngine kind
+	wantPayloadError(t, countsBatched, false, "removed cross-batch alias cache", func(p []byte) {
+		// Batched snapshots of older binaries set the alias-cache flag
+		// after the active list and appended the cache; a memoryless batch
+		// cannot replay their rejection randomness.
+		_, _, mid := ckptHeadOffsets(p)
+		m := int(le.Uint32(p[mid+41:]))
+		act := mid + 45 + 12*m // after the states and their counts
+		flag := act + 4 + 4*int(le.Uint32(p[act:]))
+		if p[flag] != 0 {
+			t.Fatalf("alias-cache flag is %d, want 0", p[flag])
+		}
+		p[flag] = 1
+	})
 
 	// Engine-kind, population and protocol mismatches.
 	wantRestoreError(t, buildCkptEngine(t, "dense", n, 5), snap, "counts engine")

@@ -110,7 +110,8 @@ type CountsEngine[S comparable] struct {
 	// yet initialized; see updateAdaptive).
 	adaptLen uint64
 
-	// Per-batch scratch, reused across batches.
+	// Per-batch scratch, reused across batches. occ is the batch's sorted
+	// occupied layout (and the exact-chunk drift measurement's id list).
 	occ      []int32
 	resp     []int64
 	pool     []int64
@@ -118,15 +119,12 @@ type CountsEngine[S comparable] struct {
 	touched  []int32
 	snapPop  []int64 // census snapshot for exact-chunk drift measurement
 
-	// Cached alias sampler for the small-row pairing path, reused across
-	// batches while it stays valid (see ensureAlias): aliasOcc is the occ
-	// layout it was built for, aliasW its weights (inflated by
-	// aliasHeadroom over the build batch's pool so modest census growth
-	// does not force a rebuild), aliasWSum their total.
-	aliasTab  *rng.Alias
-	aliasOcc  []int32
-	aliasW    []float64
-	aliasWSum float64
+	// aliasTab is the proposal table of takeOne, rebuilt in place over the
+	// weight scratch aliasW by each batch that draws through it: the
+	// small-row pairing and the biased path. Nothing in it outlives the
+	// batch that built it.
+	aliasTab rng.Alias
+	aliasW   []float64
 
 	// shards is the worker-pool scratch of the parallel batch path.
 	shards []countsShard
@@ -136,12 +134,10 @@ type CountsEngine[S comparable] struct {
 	effWorkers int
 
 	// enumIdx is the lazily built state → States()-index map of the
-	// snapshot codec, enumStates the lazily built state enumeration for
-	// perturbation scrambles, and biasW the biased batch path's per-batch
-	// alias weight scratch.
+	// snapshot codec, and enumStates the lazily built state enumeration for
+	// perturbation scrambles.
 	enumIdx    map[S]int32
 	enumStates []S
-	biasW      []float64
 
 	// disableReactive forces the reference exact walker: no silent-step
 	// skipping (see reactive.go). The differential law tests compare this
@@ -150,21 +146,10 @@ type CountsEngine[S comparable] struct {
 	disableReactive bool
 
 	// occVer counts occupancy transitions (states entering or leaving the
-	// active list). It versions every structure derived from the occupied
-	// *set* — the reactive layer's partner lists and the batch path's
-	// sorted-occ cache — so they rebuild lazily exactly when membership
-	// changes.
+	// active list). It versions the reactive layer's partner lists, which
+	// are derived from the occupied *set*, so they rebuild lazily exactly
+	// when membership changes.
 	occVer uint64
-	// occSortVer is the occVer the cached sorted e.occ was built against
-	// (^0 = no cache). The cached order is reused only while it is still
-	// sorted under the live census (see runBatch), which keeps the batch
-	// column order a pure function of the census — resume-equals-replay
-	// needs no serialized sort state.
-	occSortVer uint64
-	// allIDs is the exact-chunk drift measurement's all-states scratch
-	// (it must not alias e.occ: the sorted-occ cache persists across
-	// batches).
-	allIDs []int32
 
 	// react is the reactive-pair layer: silent-step skipping in exact
 	// mode. See reactive.go for the structure and the maintenance law.
@@ -208,15 +193,12 @@ func (e *CountsEngine[S]) Reset() {
 	e.diff = e.diff[:0]
 	e.active = e.active[:0]
 	e.activePos = e.activePos[:0]
-	e.aliasTab = nil
-	e.aliasOcc = e.aliasOcc[:0]
 	e.delta.Reset(e.stateBound)
 	e.adaptLen = 0
 	e.classCounts = make([]int64, e.proto.NumClasses())
 	e.leaders = 0
 	e.effWorkers = 0
 	e.occVer = 0
-	e.occSortVer = ^uint64(0)
 	e.reactInvalidate()
 	// Count maximal runs of equal initial states: one index lookup per run,
 	// not per agent. Runs are added in agent order, so ids are still
@@ -792,11 +774,11 @@ func (e *CountsEngine[S]) exactChunk(l uint64, checkStable bool) bool {
 	if adaptive {
 		snap := e.snapPop
 		eps := e.resolvedPolicy().Eps
-		ids := e.allIDs[:0]
+		ids := e.occ[:0]
 		for id := range e.pop {
 			ids = append(ids, int32(id))
 		}
-		e.allIDs = ids
+		e.occ = ids
 		e.updateAdaptive(done, eps,
 			ids,
 			func(id int32) int64 {
@@ -850,37 +832,25 @@ func (e *CountsEngine[S]) runBatch(l uint64) {
 	// would invalidate them anyway, so drop them up front and let the next
 	// exact chunk rebuild lazily.
 	e.reactInvalidate()
-	// Occupied state positions, taken from the sparse active list. occ,
-	// and every per-position slice below, is indexed by position in occ,
-	// not by state id. Largest classes first (ties by id, so the order is
-	// independent of the active list's internal order): the pairing chains
-	// below scan columns in this order, so a row's draw budget is
-	// exhausted after the few big columns and the long tail of near-empty
-	// classes is rarely visited at all.
-	//
-	// The sorted layout is cached across batches: while occupancy
-	// membership is unchanged (occVer) AND the cached order is still
-	// sorted under the live census, the sort (and the active-list copy)
-	// is skipped. The verification pass keeps the order a pure function
-	// of the census — a resumed run re-sorts to the identical layout a
-	// continuing run's cache holds, so resume-equals-replay needs no
-	// serialized sort state.
-	occ := e.occ
-	if e.occSortVer != e.occVer || len(occ) != len(e.active) || !e.occStillSorted() {
-		occ = append(occ[:0], e.active...)
-		slices.SortFunc(occ, func(a, b int32) int {
-			pa, pb := e.pop[a], e.pop[b]
-			if pa != pb {
-				if pa > pb {
-					return -1
-				}
-				return 1
+	// Occupied state positions, taken from the sparse active list and
+	// sorted afresh every batch. occ, and every per-position slice below,
+	// is indexed by position in occ, not by state id. Largest classes
+	// first (ties by id, a total order, so the layout is a function of the
+	// census alone): the pairing chains below scan columns in this order,
+	// so a row's draw budget is exhausted after the few big columns and
+	// the long tail of near-empty classes is rarely visited at all.
+	occ := append(e.occ[:0], e.active...)
+	slices.SortFunc(occ, func(a, b int32) int {
+		pa, pb := e.pop[a], e.pop[b]
+		if pa != pb {
+			if pa > pb {
+				return -1
 			}
-			return int(a) - int(b)
-		})
-		e.occ = occ
-		e.occSortVer = e.occVer
-	}
+			return 1
+		}
+		return int(a) - int(b)
+	})
+	e.occ = occ
 
 	if e.pert.bias != nil {
 		e.sampleBatchBiased(l)
@@ -914,22 +884,6 @@ func (e *CountsEngine[S]) runBatch(l uint64) {
 	e.step += l
 }
 
-// occStillSorted reports whether the cached e.occ layout is still sorted
-// by (count descending, id ascending) under the live census — the
-// condition under which runBatch may reuse it without re-sorting. The
-// check is O(occupied) against the sort's O(occupied·log); bulk phases,
-// where counts drift slowly, pass it almost every batch.
-func (e *CountsEngine[S]) occStillSorted() bool {
-	occ := e.occ
-	for i := 1; i < len(occ); i++ {
-		pa, pb := e.pop[occ[i-1]], e.pop[occ[i]]
-		if pa < pb || (pa == pb && occ[i-1] > occ[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // sampleBatchSerial draws one batch of l interactions on the caller's
 // goroutine and stages its census deltas (the historical single-stream
 // path; Workers ≤ 1 and small batches come through here).
@@ -953,7 +907,7 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 	}
 
 	// Initiator pool: the remaining agents. poolInit keeps the batch-start
-	// pool for the alias cache's validity check.
+	// pool, the alias rows' proposal weights.
 	pool := ensureLen(&e.pool, len(occ))
 	poolInit := ensureLen(&e.poolInit, len(occ))
 	poolTotal := int64(e.n) - int64(l)
@@ -962,12 +916,11 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 		poolInit[j] = pool[j]
 	}
 
-	// The alias sampler proposes from cached batch-start weights and
-	// corrects by rejection, which degenerates once most of the pool is
-	// consumed; for long batches every row goes through the hypergeometric
-	// chains, which handle pool exhaustion exactly. The table itself is
-	// built lazily (batches whose rows are all large never need it) and
-	// cached across batches (see ensureAlias).
+	// The alias rows propose from the batch-start pool and correct by
+	// rejection, which degenerates once most of the pool is consumed; for
+	// long batches every row goes through the hypergeometric chains, which
+	// handle pool exhaustion exactly. The table is built at the batch's
+	// first small row (batches whose rows are all large never need it).
 	smallRow := int64(smallRowMax)
 	if int64(l) > int64(e.n)/3 {
 		smallRow = 0
@@ -983,22 +936,18 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 		}
 		if k <= smallRow {
 			if !aliasReady {
-				e.ensureAlias()
+				w := ensureLen(&e.aliasW, len(occ))
+				for j, p := range poolInit {
+					w[j] = float64(p)
+				}
+				if err := e.aliasTab.Rebuild(w); err != nil {
+					panic(err)
+				}
 				aliasReady = true
 			}
-			// Draw k initiators one by one: propose from the cached
-			// weights via the alias table, accept with probability
-			// pool/weight — exact sampling without replacement, valid
-			// because every cached weight bounds its current pool.
+			// Draw k initiators one by one, without replacement.
 			for t := int64(0); t < k; t++ {
-				var b int
-				for {
-					b = e.aliasTab.Sample(e.src)
-					if pool[b] > 0 && e.aliasW[b]*e.src.Float64() < float64(pool[b]) {
-						break
-					}
-				}
-				pool[b]--
+				b := e.takeOne(poolInit, pool)
 				poolTotal--
 				a2, b2 := e.deltaIDs(id, occ[b])
 				e.stage(id, occ[b], a2, b2, 1)
@@ -1032,13 +981,12 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 
 // sampleBatchBiased draws one batch of l interactions under a bias
 // perturbation: each interaction's responder and initiator are drawn in
-// sequence from an alias table over count×weight built at batch start,
-// with rejection correcting for pool depletion (accept pool/start — the
-// class weight cancels). Sequential weighted sampling without replacement
-// over 2·l distinct agents is the biased batch law; with all-equal
-// weights it reduces to the unbiased batch law (a uniformly random
-// ordered 2l-tuple of distinct agents, whose responder set follows the
-// same MVH split the aggregated path realizes). nextAdvance caps biased
+// sequence by takeOne from an alias table over count×weight built at
+// batch start. Sequential weighted sampling without replacement over 2·l
+// distinct agents is the biased batch law; with all-equal weights it
+// reduces to the unbiased batch law (a uniformly random ordered 2l-tuple
+// of distinct agents, whose responder set follows the same MVH split the
+// aggregated path realizes). nextAdvance caps biased
 // batches at n/3 interactions so the acceptance rate stays above 1/3;
 // the path is serial — per-interaction role draws cannot reuse the shard
 // fan-out's aggregated chains.
@@ -1046,81 +994,37 @@ func (e *CountsEngine[S]) sampleBatchBiased(l uint64) {
 	occ := e.occ
 	start := ensureLen(&e.poolInit, len(occ))
 	pool := ensureLen(&e.pool, len(occ))
-	w := ensureLen(&e.biasW, len(occ))
+	w := ensureLen(&e.aliasW, len(occ))
 	for j, id := range occ {
 		start[j] = e.pop[id]
 		pool[j] = start[j]
 		w[j] = float64(start[j]) * e.pert.bias[e.classOf[id]]
 	}
-	tab := rng.MustAlias(w)
-	draw := func() int {
-		for {
-			j := tab.Sample(e.src)
-			if pool[j] > 0 && float64(start[j])*e.src.Float64() < float64(pool[j]) {
-				return j
-			}
-		}
+	if err := e.aliasTab.Rebuild(w); err != nil {
+		panic(err)
 	}
 	for t := uint64(0); t < l; t++ {
-		a := draw()
-		pool[a]--
-		b := draw()
-		pool[b]--
+		a := e.takeOne(start, pool)
+		b := e.takeOne(start, pool)
 		a2, b2 := e.deltaIDs(occ[a], occ[b])
 		e.stage(occ[a], occ[b], a2, b2, 1)
 	}
 }
 
-// aliasHeadroom inflates the cached alias weights over the pool they are
-// built from. The rejection acceptance pool[b]/aliasW[b] is exact for any
-// aliasW[b] ≥ pool[b], so the inflated cache stays valid across batches
-// until some class outgrows its cached weight — modest census drift costs
-// ~11% extra rejections instead of a rebuild per batch.
-const aliasHeadroom = 1.125
-
-// aliasMinAccept bounds the cache's proposal efficiency: the table is
-// rebuilt tight once the current pool total falls below this fraction of
-// the cached weight total (rejection would dominate beyond).
-const aliasMinAccept = 0.5
-
-// ensureAlias makes the cached alias sampler valid for the current batch
-// (occ and poolInit must be set): the cache is reused when it was built
-// over the same occupied layout and every class's batch-start pool still
-// fits under its cached weight, and rebuilt in place from the current
-// pool otherwise.
-func (e *CountsEngine[S]) ensureAlias() {
-	occ, poolInit := e.occ, e.poolInit
-	poolTotal := int64(0)
-	for _, p := range poolInit {
-		poolTotal += p
-	}
-	if e.aliasTab != nil && len(e.aliasOcc) == len(occ) && float64(poolTotal) >= aliasMinAccept*e.aliasWSum {
-		ok := true
-		for j, id := range occ {
-			if id != e.aliasOcc[j] || float64(poolInit[j]) > e.aliasW[j] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
+// takeOne draws one agent without replacement from a pool that held
+// start[j] agents of occ position j at batch start and holds pool[j] now,
+// decrements its pool entry and returns j. e.aliasTab must be built over
+// start[j] times a per-position weight: a proposal j is accepted with
+// probability pool[j]/start[j], which corrects for depletion exactly, and
+// the weight cancels.
+func (e *CountsEngine[S]) takeOne(start, pool []int64) int {
+	for {
+		j := e.aliasTab.Sample(e.src)
+		if pool[j] > 0 && float64(start[j])*e.src.Float64() < float64(pool[j]) {
+			pool[j]--
+			return j
 		}
 	}
-	w := ensureLen(&e.aliasW, len(occ))
-	sum := 0.0
-	for j, p := range poolInit {
-		w[j] = float64(p) * aliasHeadroom
-		sum += w[j]
-	}
-	e.aliasW = w
-	e.aliasWSum = sum
-	if e.aliasTab == nil {
-		e.aliasTab = new(rng.Alias)
-	}
-	if err := e.aliasTab.Rebuild(w); err != nil {
-		panic(err)
-	}
-	e.aliasOcc = append(e.aliasOcc[:0], occ...)
 }
 
 // stage records the census effect of k interactions of one pair class

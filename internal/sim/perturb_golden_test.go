@@ -34,8 +34,9 @@ func traceHash[S comparable](t *testing.T, eng sim.Engine, every uint64) string 
 // TestNilPerturbationTraceGolden pins the perturbation-free code paths to
 // the exact trajectories the engines produced before the scenario layer
 // existed: the golden hashes below were recorded on the pre-perturbation
-// tree (the three batched ones re-recorded since, when the batch chains'
-// Normal approximation was deleted), so any refactor that changes how an
+// tree (the three batched ones re-recorded since: when the batch chains'
+// Normal approximation was deleted, and again when the serial sampler's
+// cross-batch alias cache was), so any refactor that changes how an
 // unperturbed engine consumes randomness or applies transitions — on any
 // of the engine configurations — fails this test. Attaching no
 // perturbation must be a true no-op.
@@ -73,9 +74,11 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 		},
 		{
 			// Batched: re-recorded when every batch draw became exact
-			// (it hashed ec5c4648f611d00b under the Normal approximation).
+			// (it hashed ec5c4648f611d00b under the Normal approximation),
+			// and when batches stopped caching alias tables (was
+			// 51a7b54849d099d1).
 			name: "counts-adaptive",
-			want: "51a7b54849d099d1",
+			want: "ad2b6a62242bafe6",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(3000))
 				e := sim.NewCountsEngine[uint32](pr, rng.New(13))
@@ -84,9 +87,10 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			},
 		},
 		{
-			// Batched, re-recorded with exact draws (was 4e81b915a94cf090).
+			// Batched, re-recorded with exact draws (was 4e81b915a94cf090)
+			// and without the alias cache (was 41c622455b74432d).
 			name: "counts-fixed-w4",
-			want: "41c622455b74432d",
+			want: "d4de01295ce074f5",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(20000))
 				e := sim.NewCountsEngine[uint32](pr, rng.New(14))
@@ -96,9 +100,10 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			},
 		},
 		{
-			// Batched, re-recorded with exact draws (was 7c4eeb67b4bfe480).
+			// Batched, re-recorded with exact draws (was 7c4eeb67b4bfe480)
+			// and without the alias cache (was 907315bb2f0e85c3).
 			name: "gsu19-adaptive",
-			want: "907315bb2f0e85c3",
+			want: "da86b2c8891c802f",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := core.MustNew(core.DefaultParams(3000))
 				e := sim.NewCountsEngine[core.State](pr, rng.New(15))

@@ -36,7 +36,9 @@ import (
 // columns, which moves batched runs of protocols with silent pairs.
 // Version 3: every batch draw is an exact hypergeometric draw (no rounded
 // Normal for large variances), which moves every batched run.
-const schemaVersion = 3
+// Version 4: batches no longer reuse the serial sampler's alias table
+// across batches, which moves serially sampled batched runs.
+const schemaVersion = 4
 
 // Key identifies one cached computation. Every field that influences the
 // simulated trajectory or its observation must appear here; two runs with

@@ -29,7 +29,7 @@ func testKey() store.Key {
 // written by earlier binaries keep answering lookups. It moves only with a
 // deliberate schemaVersion bump.
 func TestKeyHashGolden(t *testing.T) {
-	const want = "2cff423d64d0d9fad70ea76eacc1a1c827e4aa62f754c8821c70742cb13acc55"
+	const want = "d6cdb6d45ff76cd36e7045569ef02abe79f7b8fd9b94e4d89cb98dbb31f39967"
 	if got := testKey().Hash(); got != want {
 		t.Fatalf("testKey hash %s, golden %s — existing store entries would miss", got, want)
 	}
