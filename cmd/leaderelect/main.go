@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		n         = fs.Int("n", 10000, "population size")
 		alg       = fs.String("alg", "gsu19", "protocol name from the registry, or 'list' to print it")
-		gamma     = fs.Int("gamma", 0, "phase clock resolution Γ (0 = derived Γ(n): next even ≥ 2·log₂ n, floor 36)")
 		phi       = fs.Int("phi", 0, "coin level cap Φ (0 = default)")
 		psi       = fs.Int("psi", 0, "drag range Ψ (0 = default)")
 		verbose   = fs.Bool("v", false, "print a census timeline (gsu19 only; forces the dense backend)")
@@ -101,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	if *verbose && *alg == "gsu19" {
-		if err := runVerbose(stdout, *n, f.Seed, *gamma, *phi, *psi); err != nil {
+		if err := runVerbose(stdout, *n, f.Seed, f.Gamma, *phi, *psi); err != nil {
 			return fail(1, err)
 		}
 		return 0
@@ -112,8 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := []popelect.Option{popelect.WithSeed(f.Seed + uint64(t)), popelect.WithBackend(f.Backend),
 			popelect.WithBatchPolicy(f.Batch), popelect.WithBatchEps(f.BatchEps),
 			popelect.WithWorkers(f.Workers)}
-		if *gamma != 0 {
-			opts = append(opts, popelect.WithGamma(*gamma))
+		if f.Gamma != 0 {
+			opts = append(opts, popelect.WithGamma(f.Gamma))
 		}
 		if *phi != 0 {
 			opts = append(opts, popelect.WithPhi(*phi))

@@ -27,7 +27,6 @@ import (
 
 	"popelect/internal/cliflags"
 	"popelect/internal/experiments"
-	"popelect/internal/phaseclock"
 	"popelect/internal/store"
 )
 
@@ -44,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sizes    = fs.String("sizes", "", "comma-separated population sizes (default: experiment preset)")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		smoke    = fs.Bool("smoke", false, "tiny configuration for a quick look")
-		gamma    = fs.Int("gamma", 0, "phase-clock resolution Γ override for every clock-carrying protocol (0 = derived Γ(n))")
 		probe    = fs.Uint64("probe-interval", 0, "census-probe cadence for trajectory experiments, in interactions (0 = per-experiment default)")
 		sdir     = fs.String("series-dir", "", "directory where recording experiments (scalefigures, biassweep, clockspan, parscale, resilience) write CSV files (empty = no files)")
 		reps     = fs.Int("reps", 1, "timing repetitions per cell in throughput experiments (parscale): mean ± sd over reps")
@@ -53,6 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	f := cliflags.Register(fs, 0, 0)
 	fs.Lookup("seed").Usage = "base PRNG seed (0 = experiment preset)"
 	fs.Lookup("trials").Usage = "trials per measurement point (0 = experiment preset)"
+	fs.Lookup("gamma").Usage = "phase-clock resolution Γ override for every clock-carrying protocol (0 = derived Γ(n))"
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -111,12 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	defer stop()
-	if *gamma != 0 {
-		if err := phaseclock.Validate(*gamma); err != nil {
-			return fail(2, err)
-		}
-		cfg.Gamma = *gamma
-	}
+	cfg.Gamma = f.Gamma
 
 	var ids []string
 	if *exp == "all" {

@@ -41,12 +41,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		what     = fs.String("what", "gamma", "parameter to sweep: gamma, phi, psi")
 		n        = fs.Int("n", 4096, "population size")
-		gamma    = fs.Int("gamma", 0, "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)")
 		probe    = fs.Uint64("probe-interval", 0, "census-probe cadence for trajectory recording (0 = n/4)")
 		sdir     = fs.String("series-dir", "", "write a mean leader-count trajectory CSV per swept value into this directory")
 		storeDir = fs.String("store", "", "content-addressed result store directory: sweep cells already computed under the same key (parameters, n, trials, seed, backend, policy) are reused instead of re-simulated")
 	)
 	f := cliflags.Register(fs, 1, 5)
+	fs.Lookup("gamma").Usage = "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)"
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -108,8 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lnn := math.Log(float64(*n))
 	for _, v := range values {
 		params := core.DefaultParams(*n)
-		if *gamma != 0 && *what != "gamma" {
-			params.Gamma = *gamma
+		if f.Gamma != 0 && *what != "gamma" {
+			params.Gamma = f.Gamma
 		}
 		mutate(&params, v)
 		pr, err := core.New(params)
@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cell := tc
 		cell.Seed = tc.Seed + uint64(v)
 		resKey := store.TrialKey("sweep", "gsu19", *n, cell)
-		resKey.Gamma = *gamma
+		resKey.Gamma = f.Gamma
 		resKey.Extra = extra
 		serKey := resKey
 		serKey.Kind = "sweep-series"

@@ -13,14 +13,16 @@ import (
 
 // TestGolden pins whole command lines: each testdata/NAME.golden holds the
 // command's stdout, then "--- stderr" and its stderr, then "--- exit N".
-// The files were recorded before the flags moved to internal/cliflags, so
-// a diff means a command line changed its output.
+// The files were recorded before the flags moved to internal/cliflags
+// (reject-gamma when -gamma joined them), so a diff means a command line
+// changed its output.
 func TestGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
 	}{
 		{"phi-counts", []string{"-what", "phi", "-n", "2048", "-trials", "3", "-backend", "counts", "-workers", "1"}},
+		{"reject-gamma", []string{"-what", "phi", "-n", "1000", "-trials", "1", "-gamma", "7", "-workers", "1"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -1,6 +1,6 @@
 // Package cliflags is the command-line flag set the CLIs share: the trial,
-// engine, perturbation and profiling flags, registered on a caller's
-// flag.FlagSet and parsed into one sim.TrialConfig.
+// engine, perturbation, phase-clock and profiling flags, registered on a
+// caller's flag.FlagSet and parsed into one sim.TrialConfig.
 package cliflags
 
 import (
@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"popelect/internal/phaseclock"
 	"popelect/internal/sim"
 )
 
@@ -20,6 +21,7 @@ type Flags struct {
 	Backend, Batch         string
 	BatchEps               float64
 	Workers                int
+	Gamma                  int
 	Churn, Corrupt, Bias   string
 	CPUProfile, MemProfile string
 	fs                     *flag.FlagSet
@@ -35,6 +37,7 @@ func Register(fs *flag.FlagSet, seed uint64, trials int) *Flags {
 	fs.StringVar(&f.Batch, "batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
 	fs.Float64Var(&f.BatchEps, "batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "worker bound: concurrent trials, and sampling shards inside each counts engine (a fixed value ⇒ byte-identical runs per seed on any machine; 1 = serial)")
+	fs.IntVar(&f.Gamma, "gamma", 0, "phase-clock resolution Γ override (0 = derived Γ(n): next even ≥ 2·log₂ n, floor 36)")
 	fs.StringVar(&f.Churn, "churn", "", "population churn spec: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step (e.g. 2.5e-3:8.3e-4@3e6)")
 	fs.StringVar(&f.Corrupt, "corrupt", "", "state corruption spec: K@STEP scrambles K uniformly chosen agents once at STEP, or RATE[@UNTIL] scrambles continuously")
 	fs.StringVar(&f.Bias, "bias", "", "scheduler bias spec: CLASS=WEIGHT,... non-uniform interaction weights per census class")
@@ -45,8 +48,14 @@ func Register(fs *flag.FlagSet, seed uint64, trials int) *Flags {
 
 // Config parses and cross-checks the flag values into the trial
 // configuration: -workers bounds both the trial pool and each engine's
-// sampling shards.
+// sampling shards. A nonzero -gamma must be a valid phase-clock resolution;
+// the commands read it from Gamma.
 func (f *Flags) Config() (sim.TrialConfig, error) {
+	if f.Gamma != 0 {
+		if err := phaseclock.Validate(f.Gamma); err != nil {
+			return sim.TrialConfig{}, err
+		}
+	}
 	backend, err := sim.ParseBackend(f.Backend)
 	if err != nil {
 		return sim.TrialConfig{}, err

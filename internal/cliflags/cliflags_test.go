@@ -43,6 +43,8 @@ func TestConfig(t *testing.T) {
 		{"-backend", "bogus"},
 		{"-batch", "bogus"},
 		{"-churn", "x"},
+		{"-gamma", "7"},
+		{"-gamma", "2"},
 	} {
 		if _, err := parse(t, bad...); err == nil {
 			t.Errorf("%v accepted", bad)

@@ -111,7 +111,7 @@ type CountsEngine[S comparable] struct {
 	adaptLen uint64
 
 	// Per-batch scratch, reused across batches. occ is the batch's sorted
-	// occupied layout (and the exact-chunk drift measurement's id list).
+	// occupied layout.
 	occ      []int32
 	resp     []int64
 	pool     []int64
@@ -139,10 +139,11 @@ type CountsEngine[S comparable] struct {
 	enumIdx    map[S]int32
 	enumStates []S
 
-	// disableReactive forces the reference exact walker: no silent-step
-	// skipping (see reactive.go). The differential law tests compare this
-	// reference against the skip walker; it is not otherwise useful — the
-	// skip is distribution-exact.
+	// disableReactive keeps the exact walker disengaged: it steps every
+	// interaction plainly, with no silent-step skipping (see reactive.go).
+	// The differential law tests compare this reference against the
+	// engaging walker; it is not otherwise useful — the skip is
+	// distribution-exact.
 	disableReactive bool
 
 	// occVer counts occupancy transitions (states entering or leaving the
@@ -366,65 +367,49 @@ func (e *CountsEngine[S]) bump(id int32, d int64) {
 // so "a distinct initiator" is a redraw of the responder's unit index —
 // cheaper than temporarily removing the responder from the prefix tree.
 func (e *CountsEngine[S]) Step() bool {
-	if e.pert.bias != nil {
-		return e.stepBiased()
-	}
-	u1 := e.src.Uintn(uint64(e.n))
-	a := e.fen.find(u1)
-	u2 := e.src.Uintn(uint64(e.n))
-	for u2 == u1 {
-		u2 = e.src.Uintn(uint64(e.n))
-	}
-	b := e.fen.find(u2)
+	u, a := e.drawUnit(math.MaxUint64) // no unit equals MaxUint64
+	_, b := e.drawUnit(u)
 	e.step++
-	a2, b2 := e.deltaIDs(a, b)
-	changed := a2 != a || b2 != b
-	if changed {
-		e.moveOne(a, a2)
-		e.moveOne(b, b2)
-	}
-	if e.probes.due(e.step) {
-		e.fireProbes()
-	}
-	return changed
+	return e.interact(a, b)
 }
 
-// stepBiased is Step under a bias perturbation: each role's census unit
-// is proposed uniformly and accepted proportionally to its state's class
-// weight — the counts-backend mirror of the dense runner's biasedPair.
-// With all-equal weights the acceptance test short-circuits and both law
-// and randomness consumption degenerate to the uniform Step exactly.
-func (e *CountsEngine[S]) stepBiased() bool {
-	u1, a := e.biasedUnit(math.MaxUint64)
-	_, b := e.biasedUnit(u1)
-	e.step++
-	a2, b2 := e.deltaIDs(a, b)
-	changed := a2 != a || b2 != b
-	if changed {
-		e.moveOne(a, a2)
-		e.moveOne(b, b2)
-	}
-	if e.probes.due(e.step) {
-		e.fireProbes()
-	}
-	return changed
-}
-
-// biasedUnit draws one census unit (an implicit agent index) under the
-// bias, excluding a previously drawn unit, and returns it with its state
-// id.
-func (e *CountsEngine[S]) biasedUnit(exclude uint64) (uint64, int32) {
+// drawUnit draws one census unit (an implicit agent index) other than
+// exclude and returns it with its state id. Under a bias perturbation the
+// unit is accepted proportionally to its state's class weight — the
+// counts-backend mirror of the dense runner's biasedPair; with all-equal
+// weights the acceptance test short-circuits and both law and randomness
+// consumption degenerate to the uniform draw exactly.
+func (e *CountsEngine[S]) drawUnit(exclude uint64) (uint64, int32) {
 	for {
 		u := e.src.Uintn(uint64(e.n))
 		if u == exclude {
 			continue
 		}
 		id := e.fen.find(u)
+		if e.pert.bias == nil {
+			return u, id
+		}
 		w := e.pert.bias[e.classOf[id]]
 		if w == e.pert.biasMax || e.src.Float64()*e.pert.biasMax < w {
 			return u, id
 		}
 	}
+}
+
+// interact commits one exact interaction of a responder in state a with an
+// initiator in state b, whose step the caller has already counted, and
+// fires the probes due at e.step. It reports whether the census changed.
+func (e *CountsEngine[S]) interact(a, b int32) bool {
+	a2, b2 := e.deltaIDs(a, b)
+	changed := a2 != a || b2 != b
+	if changed {
+		e.moveOne(a, a2)
+		e.moveOne(b, b2)
+	}
+	if e.probes.due(e.step) {
+		e.fireProbes()
+	}
+	return changed
 }
 
 // moveOne transfers one agent between states, skipping identity moves.
@@ -449,16 +434,7 @@ func (e *CountsEngine[S]) ApplyPair(responder, initiator S) bool {
 	}
 	e.reactInvalidate()
 	e.step++
-	a2, b2 := e.deltaIDs(a, b)
-	changed := a2 != a || b2 != b
-	if changed {
-		e.moveOne(a, a2)
-		e.moveOne(b, b2)
-	}
-	if e.probes.due(e.step) {
-		e.fireProbes()
-	}
-	return changed
+	return e.interact(a, b)
 }
 
 // Adaptive controller tuning. The controller bounds the expected census
@@ -619,11 +595,12 @@ type countsTarget[S comparable] struct{ e *CountsEngine[S] }
 func (t countsTarget[S]) LiveN() int { return t.e.n }
 
 // removeUniformMVH removes k agents chosen uniformly without replacement
-// from the census: one MultiHypergeometric row over the occupied states,
-// allocated in active-list order (the order is serialized in checkpoints,
-// so the draw replays identically across resume). Clamps k to the live
-// population; reports how many agents were actually removed. Shared by the
-// churn and scramble perturbation targets.
+// from the census: one multivariate hypergeometric row over the occupied
+// states, drawn as the batch sampler's hyperDraw chain in active-list
+// order (the order is serialized in checkpoints, so the draw replays
+// identically across resume). Clamps k to the live population; reports how
+// many agents were actually removed. Shared by the churn and scramble
+// perturbation targets.
 func (e *CountsEngine[S]) removeUniformMVH(src *rng.Source, k int64) int64 {
 	if k > int64(e.n) {
 		k = int64(e.n)
@@ -632,17 +609,15 @@ func (e *CountsEngine[S]) removeUniformMVH(src *rng.Source, k int64) int64 {
 		return 0
 	}
 	e.reactInvalidate()
-	ids := append([]int32(nil), e.active...)
-	rows := make([]int64, len(ids))
-	for i, id := range ids {
-		rows[i] = e.pop[id]
-	}
-	alloc := make([]int64, len(ids))
-	src.MultiHypergeometric(alloc, rows, k)
-	for i, id := range ids {
-		if alloc[i] > 0 {
-			e.bump(id, -alloc[i])
+	rem, need := int64(e.n), k
+	// Walk a copy: bump swap-removes emptied states from e.active.
+	for _, id := range slices.Clone(e.active) {
+		c := e.pop[id]
+		if x := hyperDraw(src, c, rem-c, need); x > 0 {
+			e.bump(id, -x)
+			need -= x
 		}
+		rem -= c
 	}
 	return k
 }
@@ -683,32 +658,31 @@ func (e *CountsEngine[S]) censusAdd(s S, k int64) {
 }
 
 // updateAdaptive recomputes the controller's next batch length from the
-// realized per-state census drift (deltas, indexed like pops) of the last
-// scheduling unit of l interactions, where pops holds the unit's *starting*
-// counts. The next length is the largest ℓ for which every state's
+// drift record of the last scheduling unit of l interactions: for every id
+// in e.touched, e.diff holds the census change between the unit's two
+// endpoint censuses and e.pop the endpoint it was measured from. Drift is
+// symmetric in the endpoints, so a record taken from either end yields the
+// same length. The next length is the largest ℓ for which every state's
 // extrapolated drift stays inside its allowance — an ε fraction of the
 // state's count, floored at adaptiveSmallAbs agents for small states —
 // clamped to geometric growth (×adaptiveGrow) on the way up and unclamped
 // on the way down.
-func (e *CountsEngine[S]) updateAdaptive(l uint64, eps float64, ids []int32, deltas func(id int32) int64, pops func(id int32) int64) {
+func (e *CountsEngine[S]) updateAdaptive(l uint64, eps float64) {
 	if l == 0 {
 		return
 	}
 	bound := math.Inf(1)
-	for _, id := range ids {
-		d := deltas(id)
-		if d < 0 {
-			d = -d
-		}
+	for _, id := range e.touched {
+		d := e.diff[id]
 		if d == 0 {
 			continue
 		}
 		// Credit a state with the larger of its endpoint counts so states
 		// growing from zero are bounded by where they ended up, not where
 		// they started.
-		c := pops(id)
-		if after := c + deltas(id); after > c {
-			c = after
+		c := max(e.pop[id], e.pop[id]+d)
+		if d < 0 {
+			d = -d
 		}
 		floor := adaptiveChurnAbs
 		if e.leaderOf[id] {
@@ -735,65 +709,40 @@ func (e *CountsEngine[S]) updateAdaptive(l uint64, eps float64, ids []int32, del
 	e.adaptLen = next
 }
 
-// exactChunk advances up to l exact interactions. With checkStable it
-// re-evaluates the stability predicate after every census-changing step
-// (Stable is absorbing on census classes, so unchanged steps cannot flip
-// it) and stops at the exact interaction where the protocol stabilizes,
-// returning true. Under the adaptive policy the chunk's census drift is
-// measured against a snapshot so the controller can re-enter the batched
-// regime.
-//
-// When the chunk is eligible (no bias, population inside the int64
-// pair-mass gate, skipping not disabled), the inner loop is the
-// self-gating silent-step skip walker of reactive.go: it steps plainly
-// while interactions keep changing the census and switches to analytic
-// geometric skipping once a long run of silent steps shows the reactive
-// pair mass has collapsed. Both walkers advance e.step identically per
-// interaction and fire probes at the same boundaries; only randomness
-// consumption differs (the skip draws one geometric variate per silent
-// run instead of two uniforms per silent step).
+// exactChunk advances up to l exact interactions through the walker of
+// reactive.go, which steps plainly and, where the chunk may skip, switches
+// to analytic silent-step skipping once a long run of silent steps shows
+// the reactive pair mass has collapsed. With checkStable it re-evaluates
+// the stability predicate after every census-changing step (Stable is
+// absorbing on census classes, so unchanged steps cannot flip it) and
+// stops at the exact interaction where the protocol stabilizes, returning
+// true. Under the adaptive policy the chunk's census drift is measured
+// against a snapshot so the controller can re-enter the batched regime.
 func (e *CountsEngine[S]) exactChunk(l uint64, checkStable bool) bool {
 	adaptive := e.adaptiveOn()
 	if adaptive {
 		e.snapPop = append(e.snapPop[:0], e.pop...)
 	}
 	start := e.step
-	end := e.step + l
-	var converged bool
-	if e.skipEligible() {
-		converged = e.exactChunkSkip(end, checkStable)
-	} else {
-		for e.step < end {
-			if e.Step() && checkStable && e.proto.Stable(e.classCounts) {
-				converged = true
-				break
+	converged := e.exactChunkSkip(start+l, checkStable)
+	if adaptive {
+		// Record the drift from the chunk's end: diff = start − end
+		// against the live (end) census.
+		for id, c := range e.pop {
+			var old int64
+			if id < len(e.snapPop) {
+				old = e.snapPop[id]
+			}
+			if d := old - c; d != 0 {
+				e.diff[id] = d
+				e.touched = append(e.touched, int32(id))
 			}
 		}
-	}
-	done := e.step - start
-	if adaptive {
-		snap := e.snapPop
-		eps := e.resolvedPolicy().Eps
-		ids := e.occ[:0]
-		for id := range e.pop {
-			ids = append(ids, int32(id))
+		e.updateAdaptive(e.step-start, e.resolvedPolicy().Eps)
+		for _, id := range e.touched {
+			e.diff[id] = 0
 		}
-		e.occ = ids
-		e.updateAdaptive(done, eps,
-			ids,
-			func(id int32) int64 {
-				old := int64(0)
-				if int(id) < len(snap) {
-					old = snap[id]
-				}
-				return e.pop[id] - old
-			},
-			func(id int32) int64 {
-				if int(id) < len(snap) {
-					return snap[id]
-				}
-				return 0
-			})
+		e.touched = e.touched[:0]
 	}
 	return converged
 }
@@ -866,9 +815,7 @@ func (e *CountsEngine[S]) runBatch(l uint64) {
 	// Feed the realized per-state drift to the adaptive controller while
 	// e.pop still holds the batch-start census.
 	if p := e.resolvedPolicy(); p.Mode == BatchAdaptive {
-		e.updateAdaptive(l, p.Eps, e.touched,
-			func(id int32) int64 { return e.diff[id] },
-			func(id int32) int64 { return e.pop[id] })
+		e.updateAdaptive(l, p.Eps)
 	}
 
 	// Commit the staged census changes.

@@ -554,23 +554,24 @@ func TestResolvedPolicy(t *testing.T) {
 
 // TestUpdateAdaptive exercises the drift controller's arithmetic directly:
 // relative bounds on big states, the absolute floor on small ones,
-// geometric growth through quiescent batches, and the n/2 cap.
+// geometric growth through quiescent batches, the n/2 cap, and the
+// symmetry of a drift record in the unit's two endpoints.
 func TestUpdateAdaptive(t *testing.T) {
 	e := NewCountsEngine[uint32](enumDuel{duel{1 << 20}}, rng.New(1))
 	e.Policy = BatchPolicy{Mode: BatchAdaptive, Eps: 0.1}
 
-	mk := func(deltas, pops map[int32]int64) (ids []int32, d, p func(int32) int64) {
-		for id := range pops {
-			ids = append(ids, id)
-		}
-		return ids, func(id int32) int64 { return deltas[id] }, func(id int32) int64 { return pops[id] }
+	// record makes id 0's drift record: census pop at the measured
+	// endpoint, change diff towards the other one.
+	record := func(pop, diff int64) {
+		e.pop[0], e.diff[0] = pop, diff
+		e.touched = append(e.touched[:0], 0)
 	}
 
 	// Big state: count 10000, realized drift 200 over l=1000 → allowed
 	// 0.1·10000 = 1000 → bound = 1000·1000/200 = 5000, above 2·l, so
 	// growth clamps to 2000.
-	ids, d, p := mk(map[int32]int64{0: 200}, map[int32]int64{0: 10000})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(10000, 200)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 2000 {
 		t.Fatalf("growth-clamped bound: adaptLen = %d, want 2000", e.adaptLen)
 	}
@@ -578,44 +579,56 @@ func TestUpdateAdaptive(t *testing.T) {
 	// A shrinking state is bounded by its starting count: drift −800 per
 	// 1000 with allowed 0.1·10000 = 1000 → bound 1000·1000/800 = 1250,
 	// between l and 2l, so the bound itself is taken.
-	ids, d, p = mk(map[int32]int64{0: -800}, map[int32]int64{0: 10000})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(10000, -800)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 1250 {
 		t.Fatalf("bound between l and 2l: adaptLen = %d, want 1250", e.adaptLen)
 	}
 
 	// Violent drift shrinks without a clamp: drift −5000 over 1000 with
 	// allowed 1000 → bound 200.
-	ids, d, p = mk(map[int32]int64{0: -5000}, map[int32]int64{0: 10000})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(10000, -5000)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 200 {
 		t.Fatalf("shrink: adaptLen = %d, want 200", e.adaptLen)
 	}
 
 	// Small state: count 3, drift −3 over 1000 → the absolute allowance (4
 	// agents) governs: bound = 4·1000/3 = 1333.
-	ids, d, p = mk(map[int32]int64{0: -3}, map[int32]int64{0: 3})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(3, -3)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 1333 {
 		t.Fatalf("small-state floor: adaptLen = %d, want 1333", e.adaptLen)
 	}
 
 	// A state growing from zero is credited with its end count: delta 500
 	// from pop 0 → c = 500, allowed 50 → bound 100.
-	ids, d, p = mk(map[int32]int64{0: 500}, map[int32]int64{0: 0})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(0, 500)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 100 {
 		t.Fatalf("growing-from-zero credit: adaptLen = %d, want 100", e.adaptLen)
 	}
 
+	// One unit recorded from its start (10000, +200) and from its end
+	// (10200, −200) gives the same length: both credit the larger endpoint,
+	// allowed 0.03·10200 ≈ 306 → bound ≈ 1530, between l and 2l.
+	record(10000, 200)
+	e.updateAdaptive(1000, 0.03)
+	fromStart := e.adaptLen
+	record(10200, -200)
+	e.updateAdaptive(1000, 0.03)
+	if e.adaptLen != fromStart || fromStart <= 1500 || fromStart >= 2000 {
+		t.Fatalf("endpoint symmetry: adaptLen %d from the start, %d from the end, want equal in (1500, 2000)", fromStart, e.adaptLen)
+	}
+
 	// Quiescent batch: no drift at all → pure geometric growth, capped at
 	// n/2.
-	ids, d, p = mk(nil, map[int32]int64{0: 10000})
-	e.updateAdaptive(1000, 0.1, ids, d, p)
+	record(10000, 0)
+	e.updateAdaptive(1000, 0.1)
 	if e.adaptLen != 2000 {
 		t.Fatalf("quiescent growth: adaptLen = %d, want 2000", e.adaptLen)
 	}
-	e.updateAdaptive(uint64(e.n), 0.1, ids, d, p)
+	e.updateAdaptive(uint64(e.n), 0.1)
 	if e.adaptLen != uint64(e.n)/2 {
 		t.Fatalf("cap: adaptLen = %d, want n/2 = %d", e.adaptLen, e.n/2)
 	}

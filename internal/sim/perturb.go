@@ -122,15 +122,16 @@ type Churn struct {
 	// JoinRate is the per-interaction arrival probability mass: joiners
 	// enter in Init(j) for a uniform j in [0, n₀).
 	JoinRate float64
-	// From and Until bound the active window to steps in (From, Until];
-	// Until 0 means the whole run. A run with a finite window stabilizes
-	// after it, so recovery time is measurable.
-	From, Until uint64
-	// MinN floors the live population (default 4): departures never drag
-	// n below it, so every backend keeps an interacting pair and the
-	// counts engine keeps its batch machinery well-defined.
-	MinN int
+	// Until bounds the active window to steps in (0, Until]; 0 means the
+	// whole run. A run with a finite window stabilizes after it, so
+	// recovery time is measurable.
+	Until uint64
 }
+
+// churnMinN floors the live population under churn: departures never drag
+// n below it, so every backend keeps an interacting pair and the counts
+// engine keeps its batch machinery well-defined.
+const churnMinN = 4
 
 // Validate checks the configuration.
 func (c Churn) Validate() error {
@@ -140,29 +141,18 @@ func (c Churn) Validate() error {
 	if c.JoinRate < 0 || c.JoinRate >= 1 || math.IsNaN(c.JoinRate) {
 		return fmt.Errorf("sim: churn join rate %g outside [0, 1)", c.JoinRate)
 	}
-	if c.Until != 0 && c.Until <= c.From {
-		return fmt.Errorf("sim: churn window (%d, %d] is empty", c.From, c.Until)
-	}
-	if c.MinN < 0 {
-		return fmt.Errorf("sim: churn MinN %d negative", c.MinN)
-	}
 	return nil
 }
 
 // Name implements Perturbation.
 func (c Churn) Name() string { return "churn" }
 
-// Fingerprint implements Perturbation.
+// Fingerprint implements Perturbation. The fixed window start and floor
+// stay in the string, so store keys and checkpoint handshakes keep the
+// form they had while both were settable.
 func (c Churn) Fingerprint() string {
-	return fmt.Sprintf("churn(leave=%g,join=%g,from=%d,until=%d,minn=%d)",
-		c.LeaveRate, c.JoinRate, c.From, c.Until, c.minN())
-}
-
-func (c Churn) minN() int {
-	if c.MinN < 2 {
-		return 4
-	}
-	return c.MinN
+	return fmt.Sprintf("churn(leave=%g,join=%g,from=0,until=%d,minn=%d)",
+		c.LeaveRate, c.JoinRate, c.Until, churnMinN)
 }
 
 // NextBoundary implements Perturbation: churn is rate-based, any boundary.
@@ -182,27 +172,24 @@ func (c Churn) QuiescentAfter() uint64 {
 // ClassWeights implements Perturbation.
 func (c Churn) ClassWeights() []float64 { return nil }
 
-// windowSpan returns the number of steps of (prev, now] inside (From, Until].
-func windowSpan(prev, now, from, until uint64) uint64 {
-	lo := prev
-	if from > lo {
-		lo = from
-	}
+// windowSpan returns the number of steps of (prev, now] inside (0, until]
+// (until 0: unbounded).
+func windowSpan(prev, now, until uint64) uint64 {
 	hi := now
 	if until != 0 && until < hi {
 		hi = until
 	}
-	if hi <= lo {
+	if hi <= prev {
 		return 0
 	}
-	return hi - lo
+	return hi - prev
 }
 
 // Apply implements Perturbation: joins first, then departures (the fixed
 // order is part of the law — a boundary's joiners are exposed to the same
 // boundary's departures).
 func (c Churn) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
-	span := windowSpan(prev, now, c.From, c.Until)
+	span := windowSpan(prev, now, c.Until)
 	if span == 0 {
 		return
 	}
@@ -213,7 +200,7 @@ func (c Churn) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
 	}
 	if c.LeaveRate > 0 {
 		leaves := src.Binomial(int64(span), c.LeaveRate)
-		if maxOut := int64(t.LiveN()) - int64(c.minN()); leaves > maxOut {
+		if maxOut := int64(t.LiveN()) - churnMinN; leaves > maxOut {
 			leaves = maxOut
 		}
 		if leaves > 0 {
@@ -237,9 +224,9 @@ type Corruption struct {
 	K  int64
 	At uint64
 	// Rate is a continuous per-interaction scramble probability over the
-	// (From, Until] window (0 disables; Until 0 = whole run).
-	Rate        float64
-	From, Until uint64
+	// (0, Until] window (0 disables; Until 0 = whole run).
+	Rate  float64
+	Until uint64
 }
 
 // Validate checks the configuration.
@@ -256,19 +243,17 @@ func (c Corruption) Validate() error {
 	if c.K == 0 && c.Rate == 0 {
 		return fmt.Errorf("sim: corruption with neither K@At nor a rate")
 	}
-	if c.Until != 0 && c.Until <= c.From {
-		return fmt.Errorf("sim: corruption window (%d, %d] is empty", c.From, c.Until)
-	}
 	return nil
 }
 
 // Name implements Perturbation.
 func (c Corruption) Name() string { return "corruption" }
 
-// Fingerprint implements Perturbation.
+// Fingerprint implements Perturbation (with the fixed window start, as
+// for Churn).
 func (c Corruption) Fingerprint() string {
-	return fmt.Sprintf("corrupt(k=%d,at=%d,rate=%g,from=%d,until=%d)",
-		c.K, c.At, c.Rate, c.From, c.Until)
+	return fmt.Sprintf("corrupt(k=%d,at=%d,rate=%g,from=0,until=%d)",
+		c.K, c.At, c.Rate, c.Until)
 }
 
 // NextBoundary implements Perturbation: the one-shot step is forced.
@@ -311,7 +296,7 @@ func (c Corruption) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
 		t.ScrambleUniform(src, k)
 	}
 	if c.Rate > 0 {
-		if span := windowSpan(prev, now, c.From, c.Until); span > 0 {
+		if span := windowSpan(prev, now, c.Until); span > 0 {
 			k := src.Binomial(int64(span), c.Rate)
 			if live := int64(t.LiveN()); k > live {
 				k = live

@@ -48,7 +48,9 @@ func traceHash[S comparable](t *testing.T, eng sim.Engine, every uint64) string 
 // recorded later still, before the branchless Fenwick descent, so that
 // every Fenwick draw site is pinned: counts-exact covers Step, the
 // exact-skip cases the reactive draw, and TestBiasedExactTraceGolden the
-// biased one.
+// biased one. The two exact-noskip cases were recorded with the skip
+// disabled, before the plain exact loop was folded into the walker; they
+// pin the walker's disengaged state.
 func TestNilPerturbationTraceGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -115,9 +117,8 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 		{
 			// The epidemic's converged census is silent, so the exact
 			// walker's silent-step skip engages and reactSample runs.
-			// With the skip disabled the same case hashes
-			// 8c5a0a712876fd01. Only uninfected responders are reactive,
-			// so its reactive Fenwick draw has a single outcome.
+			// Only uninfected responders are reactive, so its reactive
+			// Fenwick draw has a single outcome.
 			name: "epidemic-exact-skip",
 			want: "07dff1b7daf978d8",
 			make: func(t *testing.T) (sim.Engine, uint64) {
@@ -132,7 +133,6 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			// Approximate majority's endgame is mostly silent too, but
 			// with X, Y and blank responders all reactive, so this case
 			// pins which responder reactSample's Fenwick draw picks.
-			// With the skip disabled it hashes 7a880f652bf93d97.
 			name: "approxmajority-exact-skip",
 			want: "6557477791e3a0b5",
 			make: func(t *testing.T) (sim.Engine, uint64) {
@@ -141,6 +141,35 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				return sim.NewCountsEngine[uint32](p, rng.New(18)), 2048
+			},
+		},
+		{
+			// The epidemic case with the skip disabled: the walker never
+			// engages and steps every interaction plainly.
+			name: "epidemic-exact-noskip",
+			want: "8c5a0a712876fd01",
+			make: func(t *testing.T) (sim.Engine, uint64) {
+				p, err := epidemic.New(1<<12, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := sim.NewCountsEngine[uint32](p, rng.New(16))
+				sim.SetDisableReactive(e, true)
+				return e, 2048
+			},
+		},
+		{
+			// The approximate-majority case with the skip disabled.
+			name: "approxmajority-exact-noskip",
+			want: "7a880f652bf93d97",
+			make: func(t *testing.T) (sim.Engine, uint64) {
+				p, err := approxmajority.New(1<<12, 2600)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := sim.NewCountsEngine[uint32](p, rng.New(18))
+				sim.SetDisableReactive(e, true)
+				return e, 2048
 			},
 		},
 	}
@@ -159,9 +188,10 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 }
 
 // TestBiasedExactTraceGolden pins the exact counts mode under a bias
-// perturbation, whose draws go through biasedUnit's proposal-and-accept
-// loop rather than Step's two plain Fenwick draws. The hash was recorded
-// before the branchless Fenwick descent.
+// perturbation, where drawUnit accepts each proposed unit by its class
+// weight instead of returning the first Fenwick draw, and the walker never
+// engages the silent-step skip. The hash was recorded before the
+// branchless Fenwick descent.
 func TestBiasedExactTraceGolden(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(3000))
 	e := sim.NewCountsEngine[uint32](pr, rng.New(17))
@@ -171,5 +201,39 @@ func TestBiasedExactTraceGolden(t *testing.T) {
 	const want = "0f493b52c1e67cfc"
 	if got := traceHash[uint32](t, e, 1500); got != want {
 		t.Fatalf("trajectory hash %s, golden %s — the biased exact path drifted from its recorded trajectory", got, want)
+	}
+}
+
+// TestPerturbedCountsTraceGolden pins the counts engine under live churn
+// and a one-shot corruption, in both its batched and exact modes: every
+// departure and every scrambled agent is a uniform removal row drawn by
+// removeUniformMVH, so any change to how that row consumes randomness or
+// orders the occupied states fails this test.
+func TestPerturbedCountsTraceGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy sim.BatchPolicy
+		seed   uint64
+		want   string
+	}{
+		{"adaptive", sim.BatchPolicy{Mode: sim.BatchAdaptive}, 19, "b8fc57436d47aa01"},
+		{"exact", sim.BatchPolicy{Mode: sim.BatchExact}, 20, "ab87ca595bdaedb1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := gs18.MustNew(gs18.DefaultParams(3000))
+			e := sim.NewCountsEngine[uint32](pr, rng.New(tc.seed))
+			e.SetBatchPolicy(tc.policy)
+			p := sim.Combine(
+				sim.Churn{LeaveRate: 2e-4, JoinRate: 1e-4, Until: 3000 * 300},
+				sim.Corruption{K: 55, At: 3000 * 14},
+			)
+			if err := e.SetPerturbation(p); err != nil {
+				t.Fatal(err)
+			}
+			if got := traceHash[uint32](t, e, 1500); got != tc.want {
+				t.Fatalf("trajectory hash %s, golden %s — the perturbed counts path drifted from its recorded trajectory", got, tc.want)
+			}
+		})
 	}
 }

@@ -12,7 +12,10 @@ import "math"
 // every point of every run (measured; see DESIGN.md §10). The layer
 // therefore self-gates: it only ever pays for itself where silence
 // actually dominates, and it is a no-op — identical randomness
-// consumption, identical trajectory — on always-reactive protocols.
+// consumption, identical trajectory — on always-reactive protocols. There
+// is one exact walker (exactChunkSkip): stepping plainly is its disengaged
+// state, and chunks that may not skip (a bias, n > reactMaxN, or the
+// skip disabled for the differential tests) simply never engage.
 //
 // The maintained quantities, for the live census pop[·] over state ids:
 //
@@ -52,10 +55,10 @@ import "math"
 // structures with identical content, keeping resume byte-identical.
 
 const (
-	// reactEngageRun is the number of consecutive silent steps the plain
-	// exact walker must observe before the skip layer engages. At silent
-	// fraction q the chance of a length-64 run is q^64: negligible for
-	// any protocol the skip cannot help (q ≤ 0.95 → < 4%), near-certain
+	// reactEngageRun is the number of consecutive silent steps the
+	// disengaged walker must observe before the skip layer engages. At
+	// silent fraction q the chance of a length-64 run is q^64: negligible
+	// for any protocol the skip cannot help (q ≤ 0.95 → < 4%), near-certain
 	// within a few hundred steps once silence truly dominates.
 	reactEngageRun = 64
 
@@ -110,11 +113,11 @@ func (e *CountsEngine[S]) reactInvalidate() {
 	e.react.valid = false
 }
 
-// skipEligible reports whether exact chunks may use the skip walker at
-// all: a biased scheduler changes the per-pair law (the bias path keeps
-// its own per-step rejection sampling), and the int64 pair-mass gate must
-// hold. disableReactive forces the reference walker for the differential
-// tests.
+// skipEligible reports whether an exact chunk may engage silent-step
+// skipping at all: a biased scheduler changes the per-pair law (drawUnit
+// keeps its per-step rejection sampling), and the int64 pair-mass gate
+// must hold. disableReactive keeps the walker disengaged for the
+// differential tests.
 func (e *CountsEngine[S]) skipEligible() bool {
 	return !e.disableReactive && e.pert.bias == nil && e.n <= reactMaxN
 }
@@ -311,17 +314,19 @@ func geomSkip(u float64, p float64, room uint64) uint64 {
 	return uint64(g)
 }
 
-// exactChunkSkip is exactChunk's inner loop with silent-step skipping: it
-// steps plainly while the census keeps changing, engages the skip walker
-// after reactEngageRun consecutive silent steps, and skips analytically
-// until the reactive fraction climbs back over the disengage threshold.
-// Probes fire at their exact cadence (skips clamp at the next probe
-// boundary; a reactive step landing on one fires after its census
-// update, matching Step), and e.step advances exactly as the plain loop
+// exactChunkSkip is exactChunk's step loop, the one exact walker: it
+// steps plainly while the census keeps changing, engages silent-step
+// skipping after reactEngageRun consecutive silent steps, and skips
+// analytically until the reactive fraction climbs back over the disengage
+// threshold. A chunk that may not skip (see skipEligible) never engages,
+// so it steps plainly throughout. Probes fire at their exact cadence
+// (skips clamp at the next probe boundary; a reactive step fires after its
+// census update, like Step), and e.step advances exactly as plain stepping
 // would. Engagement state is chunk-local — see the package comment's
 // resume argument.
 func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 	e.reactInvalidate()
+	eligible := e.skipEligible()
 	run := 0
 	engageRun := reactEngageRun
 	for e.step < end {
@@ -335,7 +340,7 @@ func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 				continue
 			}
 			run++
-			if run >= engageRun && len(e.active) <= reactMaxOcc {
+			if run >= engageRun && eligible && len(e.active) <= reactMaxOcc {
 				e.reactBuild()
 				run = 0
 			}
@@ -374,15 +379,7 @@ func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
 			continue
 		}
 		e.step += g + 1
-		a, b := e.reactSample()
-		a2, b2 := e.deltaIDs(a, b)
-		if a2 != a || b2 != b {
-			e.moveOne(a, a2)
-			e.moveOne(b, b2)
-		}
-		if e.probes.due(e.step) {
-			e.fireProbes()
-		}
+		e.interact(e.reactSample())
 		if checkStable && e.proto.Stable(e.classCounts) {
 			return true
 		}

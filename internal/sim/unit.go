@@ -38,8 +38,10 @@ import (
 //     argument in reactive.go's header), so a probe split would change when
 //     the skip engages and make a probed run diverge from an unprobed one;
 //   - exact chunks clamp to the checkpoint cadence only while no perturbation
-//     is live: splitting a plain Step loop is trajectory-neutral, so the
-//     clamp lands checkpoints exactly on their cadence, but while a
+//     is live: splitting plain stepping is trajectory-neutral (an engaged
+//     silent-step skip re-earns engagement after the split, which keeps the
+//     law but not the bytes), so the clamp lands checkpoints exactly on their
+//     cadence, but while a
 //     perturbation is live the unit boundaries are its span grid — moving them
 //     onto the checkpoint cadence would change its Binomial(span) draws and a
 //     checkpointing run would no longer replay a plain one. Checkpoints then

@@ -211,10 +211,13 @@ func WithCensusTimeline(interval uint64) Option {
 }
 
 // WithCheckpoint snapshots the engine to path about every `every`
-// interactions (at the next scheduling-unit boundary, so checkpointing
-// never perturbs the trajectory; see sim.Checkpointable). The file is
-// written atomically, so a kill mid-write leaves the previous snapshot
-// intact. Combine with WithResume on the same path to make a run
+// interactions, at the next scheduling-unit boundary (see
+// sim.Checkpointable). Batches are never shortened to land a snapshot, so
+// on batched runs checkpointing leaves the trajectory byte-identical.
+// Exact-mode chunks do clamp to the cadence, so once the counts engine's
+// silent-step skip engages, a checkpointing run agrees with an unchunked
+// one in law, not byte for byte. The file is written atomically, so a kill
+// mid-write leaves the previous snapshot intact. Combine with WithResume on the same path to make a run
 // restartable; by the resume-equals-replay law the restarted run finishes
 // byte-identically to an uninterrupted one.
 func WithCheckpoint(path string, every uint64) Option {
