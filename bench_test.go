@@ -30,11 +30,11 @@ const benchN = 1 << 10
 
 // benchElect runs one full election per iteration and reports the mean
 // parallel time — the quantity in Table 1's time column.
-func benchElect[S comparable, P sim.Protocol[S]](b *testing.B, pr P) {
+func benchElect(b *testing.B, pr sim.Protocol) {
 	b.Helper()
 	var times []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[S, P](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr, rng.New(uint64(i)+1))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			b.Fatalf("iteration %d: %+v", i, res)
@@ -48,19 +48,19 @@ func benchElect[S comparable, P sim.Protocol[S]](b *testing.B, pr P) {
 
 func BenchmarkTable1Slow(b *testing.B) {
 	p, _ := slow.New(benchN)
-	benchElect[uint32](b, p)
+	benchElect(b, p)
 }
 
 func BenchmarkTable1Lottery(b *testing.B) {
-	benchElect[uint32](b, lottery.MustNew(lottery.DefaultParams(benchN)))
+	benchElect(b, lottery.MustNew(lottery.DefaultParams(benchN)))
 }
 
 func BenchmarkTable1GS18(b *testing.B) {
-	benchElect[uint32](b, gs18.MustNew(gs18.DefaultParams(benchN)))
+	benchElect(b, gs18.MustNew(gs18.DefaultParams(benchN)))
 }
 
 func BenchmarkTable1GSU19(b *testing.B) {
-	benchElect[core.State](b, core.MustNew(core.DefaultParams(benchN)))
+	benchElect(b, core.MustNew(core.DefaultParams(benchN)).Words())
 }
 
 // --- Figure 1: coin level populations ---
@@ -70,11 +70,11 @@ func BenchmarkFig1Coins(b *testing.B) {
 	phi := pr.Params().Phi
 	var junta []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		if res := r.Run(); !res.Converged {
 			b.Fatalf("%+v", res)
 		}
-		cum := pr.CumulativeCoinCensus(r.Population())
+		cum := pr.CumulativeCoinCensusOf(core.PopCensus(r.Population()))
 		junta = append(junta, float64(cum[phi]))
 	}
 	b.ReportMetric(stats.Mean(junta), "junta-size")
@@ -86,9 +86,10 @@ func BenchmarkFig2FastElim(b *testing.B) {
 	pr := core.MustNew(core.DefaultParams(benchN))
 	var atFinal []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		entry := -1.0
-		r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI core.State) {
+		r.AddHook(func(step uint64, ri, ii int, oldW, oldI, newW, newI uint32) {
+			oldR, newR := core.State(oldW), core.State(newW)
 			if entry < 0 && oldR.Role() == core.RoleL && newR.Role() == core.RoleL &&
 				newR.Cnt() == 0 && oldR.Cnt() == 1 {
 				entry = float64(r.Counts()[core.ClassActive])
@@ -113,9 +114,10 @@ func BenchmarkFig3Drag(b *testing.B) {
 	nln := float64(benchN) * math.Log(float64(benchN))
 	var t1 []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		first := map[int]uint64{}
-		r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI core.State) {
+		r.AddHook(func(step uint64, ri, ii int, oldW, oldI, newW, newI uint32) {
+			oldR, newR := core.State(oldW), core.State(newW)
 			if oldR.Role() == core.RoleL && newR.Role() == core.RoleL &&
 				newR.LeaderDrag() > oldR.LeaderDrag() {
 				d := int(newR.LeaderDrag())
@@ -149,9 +151,9 @@ func BenchmarkLemma41Init(b *testing.B) {
 	nln := float64(benchN) * math.Log(float64(benchN))
 	var uninit []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		r.RunSteps(uint64(8 * nln))
-		uninit = append(uninit, float64(pr.UninitiatedCount(r.Population())))
+		uninit = append(uninit, float64(pr.UninitiatedCountOf(core.PopCensus(r.Population()))))
 	}
 	b.ReportMetric(stats.Mean(uninit), "uninitiated")
 }
@@ -164,11 +166,11 @@ func BenchmarkLemma71Drags(b *testing.B) {
 	pr := core.MustNew(core.DefaultParams(benchN))
 	var ratio []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		if res := r.Run(); !res.Converged {
 			b.Fatalf("%+v", res)
 		}
-		drags := pr.InhibDragCensus(r.Population())
+		drags := pr.InhibDragCensusOf(core.PopCensus(r.Population()))
 		if len(drags) > 1 && drags[1] > 0 {
 			ratio = append(ratio, float64(drags[0])/float64(drags[1]))
 		}
@@ -183,9 +185,10 @@ func BenchmarkLemma73FinalRounds(b *testing.B) {
 	nln := float64(benchN) * math.Log(float64(benchN))
 	var rounds []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+1))
 		var entry uint64
-		r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI core.State) {
+		r.AddHook(func(step uint64, ri, ii int, oldW, oldI, newW, newI uint32) {
+			oldR, newR := core.State(oldW), core.State(newW)
 			if entry == 0 && oldR.Role() == core.RoleL && newR.Role() == core.RoleL &&
 				newR.Cnt() == 0 && oldR.Cnt() == 1 {
 				entry = step
@@ -217,7 +220,7 @@ func BenchmarkThm32Clock(b *testing.B) {
 	nln := float64(benchN) * math.Log(float64(benchN))
 	var perRound []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[uint32, *phaseclock.Standalone](c, rng.New(uint64(i)+1))
+		r := sim.NewRunner(c, rng.New(uint64(i)+1))
 		total := uint64(30 * nln)
 		r.RunSteps(total)
 		minRounds := math.MaxInt32
@@ -242,7 +245,7 @@ func BenchmarkThm82Scaling(b *testing.B) {
 	ln := math.Log(float64(benchN))
 	var norm []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(uint64(i)+100))
+		r := sim.NewRunner(pr.Words(), rng.New(uint64(i)+100))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			b.Fatalf("%+v", res)
@@ -262,7 +265,7 @@ func BenchmarkEpidemic(b *testing.B) {
 	nln := float64(benchN) * math.Log(float64(benchN))
 	var norm []float64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[uint32, *epidemic.Protocol](p, rng.New(uint64(i)+1))
+		r := sim.NewRunner(p, rng.New(uint64(i)+1))
 		res := r.Run()
 		if !res.Converged {
 			b.Fatalf("%+v", res)
@@ -277,20 +280,20 @@ func BenchmarkEpidemic(b *testing.B) {
 func BenchmarkAblationNoFastElim(b *testing.B) {
 	params := core.DefaultParams(benchN)
 	params.NoFastElim = true
-	benchElect[core.State](b, core.MustNew(params))
+	benchElect(b, core.MustNew(params).Words())
 }
 
 func BenchmarkAblationNoDrag(b *testing.B) {
 	params := core.DefaultParams(benchN)
 	params.NoDrag = true
-	benchElect[core.State](b, core.MustNew(params))
+	benchElect(b, core.MustNew(params).Words())
 }
 
 // --- Engine throughput (interactions/sec baseline for everything above) ---
 
 func BenchmarkEngineThroughput(b *testing.B) {
 	pr := core.MustNew(core.DefaultParams(1 << 16))
-	r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(1))
+	r := sim.NewRunner(pr.Words(), rng.New(1))
 	b.ResetTimer()
 	r.RunSteps(uint64(b.N))
 }
@@ -320,11 +323,11 @@ func benchBackend(b *testing.B, n int, backend sim.Backend, batch uint64) {
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	var interactions uint64
 	for i := 0; i < b.N; i++ {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(uint64(i)+1), backend)
+		eng, err := sim.NewEngine(pr, rng.New(uint64(i)+1), backend)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c, ok := eng.(*sim.CountsEngine[uint32]); ok && batch != 0 {
+		if c, ok := eng.(*sim.CountsEngine); ok && batch != 0 {
 			c.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: batch})
 		}
 		res := eng.Run()
@@ -404,13 +407,13 @@ func BenchmarkClockSpanGS18Adaptive(b *testing.B) {
 	gamma := phaseclock.DefaultGamma(n)
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(uint64(i)+1), sim.BackendCounts)
+		eng, err := sim.NewEngine(pr, rng.New(uint64(i)+1), sim.BackendCounts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.(*sim.CountsEngine[uint32]).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
+		eng.(*sim.CountsEngine).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 		meter := phaseclock.NewSpanMeter(gamma)
-		if err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
+		if err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 			meter.Begin()
 			v.VisitStates(func(s uint32, count int64) { meter.Add(uint8(s&0xff), count) })
 			meter.End()
@@ -446,7 +449,7 @@ func benchCountsParallel(b *testing.B, workers int) {
 	const n = 100_000_000
 	const slab = 100_000_000
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	eng := sim.NewCountsEngine[uint32](pr, rng.New(1))
+	eng := sim.NewCountsEngine(pr, rng.New(1))
 	eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 	eng.SetWorkers(workers)
 	// Advance past the initial ramp so iterations measure the bulk phase.
@@ -476,7 +479,7 @@ func BenchmarkComposedDenseGS18(b *testing.B) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 15))
 	var interactions uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(uint64(i)+1))
+		r := sim.NewRunner(pr, rng.New(uint64(i)+1))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			b.Fatalf("iteration %d: %+v", i, res)
@@ -515,7 +518,7 @@ func BenchmarkExactEndgame(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewCountsEngine[uint32](p, rng.New(uint64(i)+1))
+		eng := sim.NewCountsEngine(p, rng.New(uint64(i)+1))
 		// Auto policy at n < ExactMaxN resolves to BatchExact: whole-budget
 		// per-interaction chunks, the regime the skip layer targets. (A
 		// fixed Len=1 policy would instead dispatch single-step chunks,
@@ -548,13 +551,13 @@ func benchCountsProbe(b *testing.B, n int, every uint64) {
 	var interactions uint64
 	var sink int
 	for i := 0; i < b.N; i++ {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(uint64(i)+1), sim.BackendCounts)
+		eng, err := sim.NewEngine(pr, rng.New(uint64(i)+1), sim.BackendCounts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.(*sim.CountsEngine[uint32]).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
+		eng.(*sim.CountsEngine).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
 		if every > 0 {
-			if err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
+			if err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 				sink += v.Leaders() + v.Occupied()
 			}, every); err != nil {
 				b.Fatal(err)

@@ -199,10 +199,12 @@ func printRegistry(out io.Writer, n int) {
 			size = e.MaxN
 		}
 		backends, states := "dense", "—"
-		switch inst, err := e.New(size, protocols.Overrides{}); {
+		inst, err := e.New(size, protocols.Overrides{})
+		_, enumerable := inst.Protocol.(sim.Enumerable)
+		switch {
 		case err != nil:
 			backends = "error: " + err.Error()
-		case inst.Enumerable():
+		case enumerable:
 			backends = "dense+counts"
 			states = fmt.Sprintf("%d", inst.StateCount())
 		}
@@ -257,24 +259,24 @@ func runVerbose(out io.Writer, n int, seed uint64, gamma, phi, psi int) error {
 		return err
 	}
 	fmt.Fprintf(out, "protocol %s on n=%d agents (seed %d)\n\n", pr.Name(), n, seed)
-	r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(seed))
+	r := sim.NewRunner(pr.Words(), rng.New(seed))
 
 	var stats core.RuleStats
-	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI core.State) {
-		stats.Record(oldR, oldI, newR, newI)
+	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
+		stats.Record(core.State(oldR), core.State(oldI), core.State(newR), core.State(newI))
 	})
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "par.time\tuninit\tcoins\tinhib\tdead\tactive\tpassive\twithdrawn\tjunta\tstage")
 	sample := uint64(n) * 8
-	r.AddObserver(func(step uint64, pop []core.State) {
+	r.AddObserver(func(step uint64, pop []uint32) {
 		c := r.Counts()
-		stage := pr.MinLeaderCnt(pop)
+		stage := pr.MinLeaderCntOf(core.PopCensus(pop))
 		fmt.Fprintf(w, "%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			float64(step)/float64(n),
 			c[core.ClassZero]+c[core.ClassX], c[core.ClassC], c[core.ClassI], c[core.ClassD],
 			c[core.ClassActive], c[core.ClassPassive], c[core.ClassWithdrawn],
-			pr.JuntaSize(pop), stage)
+			pr.JuntaSizeOf(core.PopCensus(pop)), stage)
 	}, sample)
 	res := r.Run()
 	w.Flush()

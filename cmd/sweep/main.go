@@ -119,16 +119,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// When trajectories are requested, record a per-trial leader-count
 		// series through the probe pipeline and aggregate across trials.
-		var probes []sim.TrialProbe[core.State]
+		var probes []sim.TrialProbe
 		perTrial := make([]*stats.Series, tc.Trials)
 		if *sdir != "" {
 			for i := range perTrial {
 				perTrial[i] = stats.NewSeries("leaders", 0)
 			}
-			probes = append(probes, sim.TrialProbe[core.State]{
+			probes = append(probes, sim.TrialProbe{
 				Every: every,
-				Make: func(trial int) sim.Probe[core.State] {
-					return func(step uint64, cv sim.CensusView[core.State]) {
+				Make: func(trial int) sim.Probe {
+					return func(step uint64, cv sim.CensusView) {
 						perTrial[trial].Add(step, float64(cv.Leaders()))
 					}
 				},
@@ -176,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if !cached {
-			rs, err = sim.RunTrialsProbed[core.State, *core.Protocol](func(int) *core.Protocol { return pr },
+			rs, err = sim.RunTrialsProbed(func(int) sim.Protocol { return pr.Words() },
 				cell, probes...)
 			if err != nil {
 				return fail(1, err)

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := sim.NewRunner[core.State, *core.Protocol](pr, rng.New(1862)) // Cayley, 1862
+	r := sim.NewRunner(pr.Words(), rng.New(1862)) // Cayley, 1862
 
 	fmt.Printf("well-mixed solution of %d molecules, species = protocol roles\n", n)
 	fmt.Println("reactions: 2·S₀ → X + L   |   2·X → C + I   |   L + L → L + W   | ...")
@@ -31,7 +31,7 @@ func main() {
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "time\tS₀+X\tC (coins)\tI (inhibitors)\tL active\tL passive\tL withdrawn\tD")
-	r.AddObserver(func(step uint64, pop []core.State) {
+	r.AddObserver(func(step uint64, pop []uint32) {
 		c := r.Counts()
 		fmt.Fprintf(w, "%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			float64(step)/n,

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := sim.NewRunner[uint32, *phaseclock.Standalone](clock, rng.New(2019))
+	r := sim.NewRunner(clock, rng.New(2019))
 
 	fmt.Printf("phase clock: n=%d, Γ=%d, junta=%d clock leaders\n\n", n, gamma, junta)
 	nln := uint64(float64(n) * math.Log(n))

@@ -23,8 +23,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := sim.RunTrials[core.State, *core.Protocol](
-		func(int) *core.Protocol { return pr },
+	rs, err := sim.RunTrials(
+		func(int) sim.Protocol { return pr.Words() },
 		sim.TrialConfig{Trials: trials, Seed: 1234},
 	)
 	if err != nil {

@@ -11,7 +11,7 @@
 //     transition rules to the responder word, communicating with the other
 //     modules of an interaction through Env (the clock's pass/half signal,
 //     the synthetic-coin read).
-//   - Build assembles modules into a sim.Protocol[uint32]; Enumerable
+//   - Build assembles modules into a sim.Protocol; Enumerable
 //     derives the finite state-space enumeration the counts backend needs
 //     from the declared field ranges (see Space), replacing hand-written
 //     nested enumeration loops.

@@ -75,7 +75,7 @@ type Config struct {
 	Space *Space
 }
 
-// Protocol is a module composition implementing sim.Protocol[uint32].
+// Protocol is a module composition implementing sim.Protocol.
 // Obtain one from Build; the zero value is unusable.
 type Protocol struct {
 	cfg     Config
@@ -185,7 +185,7 @@ func (p *Protocol) Space() *Space { return p.space }
 const EnumMaxStates = 1 << 24
 
 // Enumerable wraps the protocol with the generated States() enumeration,
-// satisfying sim.Enumerable[uint32] for the counts backend. It fails if
+// satisfying sim.Enumerable for the counts backend. It fails if
 // the space exceeds EnumMaxStates — such compositions are dense-only.
 func (p *Protocol) Enumerable() (*Enumerated, error) {
 	if size := p.space.Size(); size > EnumMaxStates {
@@ -205,7 +205,7 @@ func (p *Protocol) MustEnumerable() *Enumerated {
 }
 
 // Enumerated is a composed protocol with a generated finite state-space
-// enumeration (sim.Enumerable[uint32]).
+// enumeration (sim.Enumerable).
 type Enumerated struct {
 	*Protocol
 }

@@ -5,22 +5,21 @@ package core
 // Every quantity is defined over a state census — a (state, count)
 // enumeration — because that is the observation currency shared by both
 // simulation backends (sim.CensusView.VisitStates satisfies StateCensus
-// directly, for the dense and the counts engine alike). Population-slice
-// variants are kept as thin wrappers for dense-only callers and tests.
-// These functions scan the whole census; call them at sampling intervals,
-// not per interaction.
+// directly, for the dense and the counts engine alike; PopCensus adapts a
+// dense population slice). These functions scan the whole census; call them
+// at sampling intervals, not per interaction.
 
-// StateCensus enumerates a configuration as (state, count) pairs: it calls
-// its argument once per entry. Entries may repeat a state (consumers
-// accumulate), and the order is unspecified — all quantities computed here
-// are order-insensitive aggregates. sim.CensusView.VisitStates and
+// StateCensus enumerates a configuration as (packed state word, count)
+// pairs: it calls its argument once per entry. Entries may repeat a state
+// (consumers accumulate), and the order is unspecified — all quantities
+// computed here are order-insensitive aggregates. sim.CensusView.VisitStates and
 // PopCensus both satisfy this type.
-type StateCensus func(yield func(s State, count int64))
+type StateCensus func(yield func(w uint32, count int64))
 
 // PopCensus adapts a population slice to a StateCensus (each agent yields
 // its state with count 1).
-func PopCensus(pop []State) StateCensus {
-	return func(yield func(State, int64)) {
+func PopCensus(pop []uint32) StateCensus {
+	return func(yield func(uint32, int64)) {
 		for _, s := range pop {
 			yield(s, 1)
 		}
@@ -30,31 +29,22 @@ func PopCensus(pop []State) StateCensus {
 // RoleCensusOf counts agents per role.
 func (pr *Protocol) RoleCensusOf(census StateCensus) map[Role]int {
 	out := make(map[Role]int, int(numRoles))
-	census(func(s State, c int64) {
-		out[s.Role()] += int(c)
+	census(func(w uint32, c int64) {
+		out[State(w).Role()] += int(c)
 	})
 	return out
-}
-
-// RoleCensus counts agents per role.
-func (pr *Protocol) RoleCensus(pop []State) map[Role]int {
-	return pr.RoleCensusOf(PopCensus(pop))
 }
 
 // CoinLevelCensusOf counts coins per level (exact level, not cumulative).
 func (pr *Protocol) CoinLevelCensusOf(census StateCensus) []int {
 	counts := make([]int, pr.params.Phi+1)
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if s.Role() == RoleC {
 			counts[s.CoinLevel()] += int(c)
 		}
 	})
 	return counts
-}
-
-// CoinLevelCensus counts coins per level (exact level, not cumulative).
-func (pr *Protocol) CoinLevelCensus(pop []State) []int {
-	return pr.CoinLevelCensusOf(PopCensus(pop))
 }
 
 // CumulativeCoinCensusOf returns C_ℓ, the number of coins at level ℓ or
@@ -68,33 +58,23 @@ func (pr *Protocol) CumulativeCoinCensusOf(census StateCensus) []int {
 	return counts
 }
 
-// CumulativeCoinCensus returns C_ℓ, the number of coins at level ℓ or
-// higher, for ℓ = 0..Φ.
-func (pr *Protocol) CumulativeCoinCensus(pop []State) []int {
-	return pr.CumulativeCoinCensusOf(PopCensus(pop))
-}
-
 // JuntaSizeOf returns C_Φ, the number of clock leaders.
 func (pr *Protocol) JuntaSizeOf(census StateCensus) int {
 	c := 0
-	census(func(s State, k int64) {
-		if pr.isJunta(s) {
+	census(func(w uint32, k int64) {
+		if pr.isJunta(State(w)) {
 			c += int(k)
 		}
 	})
 	return c
 }
 
-// JuntaSize returns C_Φ, the number of clock leaders.
-func (pr *Protocol) JuntaSize(pop []State) int {
-	return pr.JuntaSizeOf(PopCensus(pop))
-}
-
 // InhibDragCensusOf counts inhibitors per drag value (exact), the
 // quantities D_ℓ of Lemma 7.1.
 func (pr *Protocol) InhibDragCensusOf(census StateCensus) []int {
 	counts := make([]int, pr.params.Psi+1)
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if s.Role() == RoleI {
 			counts[s.InhibDrag()] += int(c)
 		}
@@ -102,14 +82,10 @@ func (pr *Protocol) InhibDragCensusOf(census StateCensus) []int {
 	return counts
 }
 
-// InhibDragCensus counts inhibitors per drag value (exact).
-func (pr *Protocol) InhibDragCensus(pop []State) []int {
-	return pr.InhibDragCensusOf(PopCensus(pop))
-}
-
 // LeaderModeCensusOf counts leader candidates by mode.
 func (pr *Protocol) LeaderModeCensusOf(census StateCensus) (active, passive, withdrawn int) {
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if s.Role() != RoleL {
 			return
 		}
@@ -125,17 +101,13 @@ func (pr *Protocol) LeaderModeCensusOf(census StateCensus) (active, passive, wit
 	return active, passive, withdrawn
 }
 
-// LeaderModeCensus counts leader candidates by mode.
-func (pr *Protocol) LeaderModeCensus(pop []State) (active, passive, withdrawn int) {
-	return pr.LeaderModeCensusOf(PopCensus(pop))
-}
-
 // MinLeaderCntOf returns the smallest round counter held by any active
 // candidate, or -1 if none exist. Because rounds are synchronized whp,
 // this identifies the current stage of the elimination schedule.
 func (pr *Protocol) MinLeaderCntOf(census StateCensus) int {
 	min := -1
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if c > 0 && s.Role() == RoleL && s.Mode() == ModeActive {
 			if v := int(s.Cnt()); min == -1 || v < min {
 				min = v
@@ -145,17 +117,12 @@ func (pr *Protocol) MinLeaderCntOf(census StateCensus) int {
 	return min
 }
 
-// MinLeaderCnt returns the smallest round counter held by any active
-// candidate, or -1 if none exist.
-func (pr *Protocol) MinLeaderCnt(pop []State) int {
-	return pr.MinLeaderCntOf(PopCensus(pop))
-}
-
 // MaxLeaderDragOf returns the largest drag value held by any leader
 // candidate (any mode), or -1 if no leader exists.
 func (pr *Protocol) MaxLeaderDragOf(census StateCensus) int {
 	max := -1
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if c > 0 && s.Role() == RoleL {
 			if d := int(s.LeaderDrag()); d > max {
 				max = d
@@ -165,18 +132,13 @@ func (pr *Protocol) MaxLeaderDragOf(census StateCensus) int {
 	return max
 }
 
-// MaxLeaderDrag returns the largest drag value held by any leader candidate
-// (any mode), or -1 if no leader exists.
-func (pr *Protocol) MaxLeaderDrag(pop []State) int {
-	return pr.MaxLeaderDragOf(PopCensus(pop))
-}
-
 // MaxAliveDragOf returns the largest drag value held by any alive
 // candidate, or -1 if none exist. Lemma 8.1's induction is the invariant
-// MaxAliveDrag == MaxLeaderDrag whenever a leader exists.
+// MaxAliveDragOf == MaxLeaderDragOf whenever a leader exists.
 func (pr *Protocol) MaxAliveDragOf(census StateCensus) int {
 	max := -1
-	census(func(s State, c int64) {
+	census(func(w uint32, c int64) {
+		s := State(w)
 		if c > 0 && s.Alive() {
 			if d := int(s.LeaderDrag()); d > max {
 				max = d
@@ -186,25 +148,14 @@ func (pr *Protocol) MaxAliveDragOf(census StateCensus) int {
 	return max
 }
 
-// MaxAliveDrag returns the largest drag value held by any alive candidate,
-// or -1 if none exist.
-func (pr *Protocol) MaxAliveDrag(pop []State) int {
-	return pr.MaxAliveDragOf(PopCensus(pop))
-}
-
 // UninitiatedCountOf returns the number of agents still in role 0 or X —
 // the quantity bounded by Lemma 4.1.
 func (pr *Protocol) UninitiatedCountOf(census StateCensus) int {
 	c := 0
-	census(func(s State, k int64) {
-		if r := s.Role(); r == RoleZero || r == RoleX {
+	census(func(w uint32, k int64) {
+		if r := State(w).Role(); r == RoleZero || r == RoleX {
 			c += int(k)
 		}
 	})
 	return c
-}
-
-// UninitiatedCount returns the number of agents still in role 0 or X.
-func (pr *Protocol) UninitiatedCount(pop []State) int {
-	return pr.UninitiatedCountOf(PopCensus(pop))
 }

@@ -17,7 +17,7 @@ func TestAlwaysElectsOneLeader(t *testing.T) {
 	sizes := []int{2, 3, 4, 5, 8, 16, 33, 64, 100}
 	for _, n := range sizes {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[State, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr.Words() },
 			sim.TrialConfig{Trials: 20, Seed: uint64(n) * 17}))
 		for i, res := range rs {
 			if !res.Converged {
@@ -37,7 +37,7 @@ func TestAblationsStillElectOneLeader(t *testing.T) {
 		{N: 128, Gamma: 36, Phi: 1, Psi: 4, NoFastElim: true, NoDrag: true},
 	} {
 		pr := MustNew(p)
-		rs := simtest.MustTrials(t)(sim.RunTrials[State, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr.Words() },
 			sim.TrialConfig{Trials: 10, Seed: 99}))
 		for i, res := range rs {
 			if !res.Converged || res.Leaders != 1 {
@@ -52,12 +52,12 @@ func TestAblationsStillElectOneLeader(t *testing.T) {
 func TestJuntaWithinLemma53Bounds(t *testing.T) {
 	n := 1 << 14
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(31))
+	r := sim.NewRunner(pr.Words(), rng.New(31))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
 	}
-	j := float64(pr.JuntaSize(r.Population()))
+	j := float64(pr.JuntaSizeOf(PopCensus(r.Population())))
 	lo, hi := junta.JuntaSizeBounds(n)
 	if j < lo/2 || j > 2*hi {
 		t.Fatalf("junta size %v outside [%v, %v]", j, lo/2, 2*hi)
@@ -69,12 +69,12 @@ func TestJuntaWithinLemma53Bounds(t *testing.T) {
 func TestUninitiatedDepleted(t *testing.T) {
 	n := 1 << 13
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(41))
+	r := sim.NewRunner(pr.Words(), rng.New(41))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
 	}
-	roles := pr.RoleCensus(r.Population())
+	roles := pr.RoleCensusOf(PopCensus(r.Population()))
 	if roles[RoleZero] > 1 {
 		t.Fatalf("%d zeros after convergence", roles[RoleZero])
 	}
@@ -90,12 +90,12 @@ func TestUninitiatedDepleted(t *testing.T) {
 func TestInhibitorDragGeometric(t *testing.T) {
 	n := 1 << 14
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(51))
+	r := sim.NewRunner(pr.Words(), rng.New(51))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
 	}
-	drags := pr.InhibDragCensus(r.Population())
+	drags := pr.InhibDragCensusOf(PopCensus(r.Population()))
 	// Ratios of consecutive non-tiny levels should be around 4.
 	for l := 0; l+1 < len(drags) && drags[l+1] > 50; l++ {
 		ratio := float64(drags[l]) / float64(drags[l+1])
@@ -114,14 +114,14 @@ func TestInhibitorDragGeometric(t *testing.T) {
 func TestFastEliminationShrinksActives(t *testing.T) {
 	n := 1 << 14
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(61))
+	r := sim.NewRunner(pr.Words(), rng.New(61))
 	activeAtFinal := -1
-	r.AddObserver(func(step uint64, pop []State) {
+	r.AddObserver(func(step uint64, pop []uint32) {
 		if activeAtFinal >= 0 {
 			return
 		}
-		if pr.MinLeaderCnt(pop) == 0 {
-			a, _, _ := pr.LeaderModeCensus(pop)
+		if pr.MinLeaderCntOf(PopCensus(pop)) == 0 {
+			a, _, _ := pr.LeaderModeCensusOf(PopCensus(pop))
 			activeAtFinal = a
 		}
 	}, uint64(n/4))
@@ -153,7 +153,7 @@ func TestConvergenceScalesSubquadratically(t *testing.T) {
 	}
 	mean := func(n int) float64 {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[State, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr.Words() },
 			sim.TrialConfig{Trials: 5, Seed: uint64(n)}))
 		if !sim.AllConverged(rs) {
 			t.Fatalf("n=%d: not all converged", n)

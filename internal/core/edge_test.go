@@ -138,7 +138,7 @@ func TestInitiatorPhaseNeverChanges(t *testing.T) {
 // interaction must already elect the leader.
 func TestTwoAgentPopulation(t *testing.T) {
 	pr := MustNew(DefaultParams(2))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(1))
+	r := sim.NewRunner(pr.Words(), rng.New(1))
 	res := r.Run()
 	if !res.Converged || res.Leaders != 1 {
 		t.Fatalf("%+v", res)
@@ -153,7 +153,7 @@ func TestTwoAgentPopulation(t *testing.T) {
 func TestOddPopulationLeftoverZero(t *testing.T) {
 	pr := MustNew(DefaultParams(3))
 	for seed := uint64(0); seed < 10; seed++ {
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(seed))
+		r := sim.NewRunner(pr.Words(), rng.New(seed))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			t.Fatalf("seed %d: %+v", seed, res)
@@ -162,11 +162,11 @@ func TestOddPopulationLeftoverZero(t *testing.T) {
 }
 
 func TestPopulationsAreReproducible(t *testing.T) {
-	run := func() []State {
+	run := func() []uint32 {
 		pr := MustNew(Params{N: 128, Gamma: 36, Phi: 2, Psi: 4})
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(77))
+		r := sim.NewRunner(pr.Words(), rng.New(77))
 		r.Run()
-		return append([]State(nil), r.Population()...)
+		return append([]uint32(nil), r.Population()...)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -181,7 +181,7 @@ func TestPopulationsAreReproducible(t *testing.T) {
 func TestNoDragStillLasVegas(t *testing.T) {
 	pr := MustNew(Params{N: 64, Gamma: 36, Phi: 1, Psi: 4, NoDrag: true})
 	for seed := uint64(0); seed < 10; seed++ {
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(seed))
+		r := sim.NewRunner(pr.Words(), rng.New(seed))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			t.Fatalf("seed %d: %+v", seed, res)
@@ -194,7 +194,7 @@ func TestNoDragStillLasVegas(t *testing.T) {
 func TestGammaVariants(t *testing.T) {
 	for _, gamma := range []int{12, 36, 72} {
 		pr := MustNew(Params{N: 128, Gamma: gamma, Phi: 1, Psi: 4})
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(5))
+		r := sim.NewRunner(pr.Words(), rng.New(5))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			t.Fatalf("Γ=%d: %+v", gamma, res)

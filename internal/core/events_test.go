@@ -80,10 +80,10 @@ func TestEventNames(t *testing.T) {
 // sanity-checks the rule mix.
 func TestRuleStatsFullRun(t *testing.T) {
 	pr := MustNew(DefaultParams(2048))
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(3))
+	r := sim.NewRunner(pr.Words(), rng.New(3))
 	var stats RuleStats
-	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI State) {
-		stats.Record(oldR, oldI, newR, newI)
+	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
+		stats.Record(State(oldR), State(oldI), State(newR), State(newI))
 	})
 	res := r.Run()
 	if !res.Converged {

@@ -24,7 +24,7 @@ var legalRoleTransitions = map[Role]map[Role]bool{
 func TestRunInvariants(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		pr := MustNew(Params{N: 256, Gamma: 36, Phi: 2, Psi: 4})
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(seed))
+		r := sim.NewRunner(pr.Words(), rng.New(seed))
 		sawLeader := false
 		check := func(step uint64, old, new State) {
 			or, nr := old.Role(), new.Role()
@@ -71,7 +71,8 @@ func TestRunInvariants(t *testing.T) {
 				}
 			}
 		}
-		r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI State) {
+		r.AddHook(func(step uint64, ri, ii int, oR, oI, nR, nI uint32) {
+			oldR, oldI, newR, newI := State(oR), State(oI), State(nR), State(nI)
 			check(step, oldR, newR)
 			check(step, oldI, newI)
 			counts := r.Counts()
@@ -95,11 +96,11 @@ func TestRunInvariants(t *testing.T) {
 // candidate, so rules (9)/(11) can never eliminate the last alive candidate.
 func TestMaxAliveDragInvariant(t *testing.T) {
 	pr := MustNew(Params{N: 512, Gamma: 36, Phi: 2, Psi: 4})
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(11))
+	r := sim.NewRunner(pr.Words(), rng.New(11))
 	violations := 0
-	r.AddObserver(func(step uint64, pop []State) {
-		maxAll := pr.MaxLeaderDrag(pop)
-		maxAlive := pr.MaxAliveDrag(pop)
+	r.AddObserver(func(step uint64, pop []uint32) {
+		maxAll := pr.MaxLeaderDragOf(PopCensus(pop))
+		maxAlive := pr.MaxAliveDragOf(PopCensus(pop))
 		if maxAll >= 0 && maxAlive != maxAll {
 			violations++
 			t.Errorf("step %d: max leader drag %d not attained by alive candidate (max alive %d)",
@@ -120,7 +121,7 @@ func TestMaxAliveDragInvariant(t *testing.T) {
 func TestStabilityIsAbsorbing(t *testing.T) {
 	for _, seed := range []uint64{5, 6} {
 		pr := MustNew(Params{N: 128, Gamma: 36, Phi: 2, Psi: 4})
-		r := sim.NewRunner[State, *Protocol](pr, rng.New(seed))
+		r := sim.NewRunner(pr.Words(), rng.New(seed))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			t.Fatalf("seed %d: %+v", seed, res)
@@ -132,7 +133,7 @@ func TestStabilityIsAbsorbing(t *testing.T) {
 			if got := r.Leaders(); got != 1 {
 				t.Fatalf("seed %d: leader count drifted to %d after convergence", seed, got)
 			}
-			if !r.Population()[leaderID].Alive() {
+			if !State(r.Population()[leaderID]).Alive() {
 				t.Fatalf("seed %d: the elected leader lost leadership", seed)
 			}
 		}
@@ -144,12 +145,12 @@ func TestStabilityIsAbsorbing(t *testing.T) {
 // per-role counts stay fixed (roles are never reassigned).
 func TestRoleConservation(t *testing.T) {
 	pr := MustNew(Params{N: 1024, Gamma: 36, Phi: 2, Psi: 4})
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(21))
+	r := sim.NewRunner(pr.Words(), rng.New(21))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
 	}
-	roles := pr.RoleCensus(r.Population())
+	roles := pr.RoleCensusOf(PopCensus(r.Population()))
 	total := 0
 	for _, c := range roles {
 		total += c
@@ -168,10 +169,11 @@ func TestRoleConservation(t *testing.T) {
 	before := r.Population()
 	snapshot := make([]Role, len(before))
 	for i, s := range before {
-		snapshot[i] = s.Role()
+		snapshot[i] = State(s).Role()
 	}
 	r.RunSteps(50000)
-	for i, s := range r.Population() {
+	for i, w := range r.Population() {
+		s := State(w)
 		// Only 0/X may still transition (to D or via rule 1).
 		if snapshot[i] == RoleC || snapshot[i] == RoleI || snapshot[i] == RoleL || snapshot[i] == RoleD {
 			if s.Role() != snapshot[i] {

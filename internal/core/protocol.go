@@ -341,3 +341,32 @@ func (pr *Protocol) States() []State {
 	}
 	return out
 }
+
+// Words is the protocol as the engines run it: sim.Enumerable over packed
+// uint32 words. The typed methods stay on Protocol for callers that read
+// states through the State accessors; Words converts at the boundary and
+// adds no state of its own. Name, N, NumClasses and Stable come from the
+// embedded Protocol.
+type Words struct{ *Protocol }
+
+// Words returns the engines' view of pr.
+func (pr *Protocol) Words() Words { return Words{pr} }
+
+// Init implements sim.Protocol.
+func (w Words) Init(i int) uint32 { return uint32(w.Protocol.Init(i)) }
+
+// Delta implements sim.Protocol.
+func (w Words) Delta(r, i uint32) (uint32, uint32) {
+	nr, ni := w.Protocol.Delta(State(r), State(i))
+	return uint32(nr), uint32(ni)
+}
+
+// Class implements sim.Protocol.
+func (w Words) Class(s uint32) uint8 { return w.Protocol.Class(State(s)) }
+
+// Leader implements sim.Protocol.
+func (w Words) Leader(s uint32) bool { return w.Protocol.Leader(State(s)) }
+
+// States implements sim.Enumerable: Space's enumeration, in the order
+// Protocol.States lists it (checkpoints store states as indices into it).
+func (w Words) States() []uint32 { return w.Space().States() }

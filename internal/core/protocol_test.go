@@ -633,7 +633,7 @@ func TestNewRejectsBadParams(t *testing.T) {
 }
 
 // Enumerable contract for the counts backend.
-var _ sim.Enumerable[State] = (*Protocol)(nil)
+var _ sim.Enumerable = Words{}
 
 // TestStatesEnumerationCoversRun checks that every state reached in a full
 // GSU19 run is contained in the States() enumeration, and that the whole
@@ -653,8 +653,9 @@ func TestStatesEnumerationCoversRun(t *testing.T) {
 	if _, ok := enumerated[pr.Init(0)]; !ok {
 		t.Fatal("initial state missing from enumeration")
 	}
-	r := sim.NewRunner[State, *Protocol](pr, rng.New(8))
-	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI State) {
+	r := sim.NewRunner(pr.Words(), rng.New(8))
+	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, nR, nI uint32) {
+		newR, newI := State(nR), State(nI)
 		if _, ok := enumerated[newR]; !ok {
 			t.Fatalf("state %v reached but not enumerated", newR)
 		}
@@ -671,7 +672,7 @@ func TestStatesEnumerationCoversRun(t *testing.T) {
 // counts backend.
 func TestCountsBackendElects(t *testing.T) {
 	pr := MustNew(DefaultParams(3000))
-	eng, err := sim.NewEngine[State, *Protocol](pr, rng.New(4), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr.Words(), rng.New(4), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 
 func runFrom(t *testing.T, pr *Protocol, initial func(i int) State, seeds ...uint64) {
 	t.Helper()
-	o := sim.NewOverride[State, *Protocol](pr, initial)
+	o := sim.NewOverride(pr.Words(), func(i int) uint32 { return uint32(initial(i)) })
 	for _, seed := range seeds {
-		r := sim.NewRunner[State, *sim.Override[State, *Protocol]](o, rng.New(seed))
+		r := sim.NewRunner(o, rng.New(seed))
 		res := r.Run()
 		if !res.Converged {
 			t.Fatalf("seed %d: no convergence: %+v", seed, res)
@@ -99,13 +99,13 @@ func TestRecoveryMixedDrags(t *testing.T) {
 // already a stable configuration — the runner must return immediately.
 func TestRecoveryAlreadyStable(t *testing.T) {
 	pr := MustNew(Params{N: 32, Gamma: 36, Phi: 1, Psi: 4})
-	o := sim.NewOverride[State, *Protocol](pr, func(i int) State {
+	o := sim.NewOverride(pr.Words(), func(i int) uint32 {
 		if i == 5 {
-			return State(0).withLeader(ModeActive, FlipNone, false, 0, 1)
+			return uint32(State(0).withLeader(ModeActive, FlipNone, false, 0, 1))
 		}
-		return State(0).withLeader(ModeWithdrawn, FlipNone, false, 0, 1)
+		return uint32(State(0).withLeader(ModeWithdrawn, FlipNone, false, 0, 1))
 	})
-	r := sim.NewRunner[State, *sim.Override[State, *Protocol]](o, rng.New(13))
+	r := sim.NewRunner(o, rng.New(13))
 	res := r.Run()
 	if !res.Converged || res.Interactions != 0 || res.LeaderID != 5 {
 		t.Fatalf("%+v", res)

@@ -37,7 +37,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestEpidemicCompletes(t *testing.T) {
 	p, _ := New(500, 1)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(5))
+	r := sim.NewRunner(p, rng.New(5))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("epidemic did not finish: %v", res)
@@ -49,7 +49,7 @@ func TestEpidemicCompletes(t *testing.T) {
 
 func TestInfectionMonotone(t *testing.T) {
 	p, _ := New(100, 1)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(9))
+	r := sim.NewRunner(p, rng.New(9))
 	prev := int64(1)
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		cur := r.Counts()[1]
@@ -73,7 +73,7 @@ func TestCompletionScaling(t *testing.T) {
 	var ratios []float64
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
 		cfg := sim.TrialConfig{Trials: 10, Seed: uint64(n), Workers: 0}
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol {
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol {
 			p, _ := New(n, 1)
 			return p
 		}, cfg))
@@ -97,7 +97,7 @@ func TestCompletionScaling(t *testing.T) {
 func TestMoreSourcesFaster(t *testing.T) {
 	n := 1 << 12
 	mean := func(k int) float64 {
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol {
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol {
 			p, _ := New(n, k)
 			return p
 		}, sim.TrialConfig{Trials: 8, Seed: 77}))

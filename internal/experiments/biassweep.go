@@ -49,7 +49,7 @@ func biasPolicies(n int) []struct {
 func BiasSweep(cfg Config) []*Table {
 	n := maxSize(cfg)
 	pr := gs18.MustNew(gs18Params(cfg, n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 
 	bias := &Table{
 		ID:    "biassweep",
@@ -64,7 +64,7 @@ func BiasSweep(cfg Config) []*Table {
 		tc.Backend, tc.Batch, tc.Perturb = b, p, nil
 		return tc
 	}
-	denseRes := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory,
+	denseRes := mustRun(cachedTrials(cfg, "biassweep", "gs18", n, factory,
 		pinned(cfg.Seed+41, sim.BackendDense, sim.BatchPolicy{})))
 	denseTimes := sim.ParallelTimes(denseRes)
 	denseMean, denseHW := stats.MeanCI(denseTimes, 1.96)
@@ -79,7 +79,7 @@ func BiasSweep(cfg Config) []*Table {
 	csvRows = append(csvRows, []string{"dense", "", d(len(denseRes)),
 		f2(denseMean), f2(denseHW), "", ""})
 	for _, p := range biasPolicies(n) {
-		rs := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory,
+		rs := mustRun(cachedTrials(cfg, "biassweep", "gs18", n, factory,
 			pinned(cfg.Seed+43, sim.BackendCounts, p.policy)))
 		times := sim.ParallelTimes(rs)
 		mean := stats.Mean(times)
@@ -133,11 +133,11 @@ func biasSweepThroughput(cfg Config) *Table {
 	pr := gs18.MustNew(gs18Params(cfg, n))
 	var csvRows [][]string
 	for _, p := range biasPolicies(n) {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.NewStream(cfg.Seed+47, 0), sim.BackendCounts)
+		eng, err := sim.NewEngine(pr, rng.NewStream(cfg.Seed+47, 0), sim.BackendCounts)
 		if err != nil {
 			panic(err)
 		}
-		eng.(*sim.CountsEngine[uint32]).SetBatchPolicy(p.policy)
+		eng.(*sim.CountsEngine).SetBatchPolicy(p.policy)
 		eng.RunSteps(10 * uint64(n)) // warm-up past initialization, untimed
 		start := time.Now()
 		eng.RunSteps(slab)

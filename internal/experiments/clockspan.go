@@ -72,7 +72,7 @@ func ClockSpan(cfg Config) []*Table {
 				var sumPar float64
 				for trial := 0; trial < trials; trial++ {
 					inst := protocols.MustNew(alg, n, protocols.Overrides{Gamma: gm.gamma})
-					res, bulk, full := clockSpanRun(cfg, inst, gm.gamma, trial)
+					res, bulk, full := clockSpanRun(cfg, inst.Protocol, gm.gamma, trial)
 					if res.Converged {
 						conv++
 						sumPar += res.ParallelTime()
@@ -121,22 +121,22 @@ func ClockSpan(cfg Config) []*Table {
 // budget) on the counts backend with a phase-span probe attached,
 // returning the run result, the maximum bulk (99%-mass) span and the
 // maximum full occupied-phase span observed across probes. Phases are read
-// through the registry's packed-word view — every clocked protocol packs
-// its phase in the low byte (Entry.Clocked).
-func clockSpanRun(cfg Config, inst protocols.Instance, gamma, trial int) (sim.Result, int, int) {
-	n := inst.N()
-	eng, meter := spanEngine(inst, rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), sim.TrialConfig{
+// from the packed state words — every clocked protocol packs its phase in
+// the low byte (Entry.Clocked).
+func clockSpanRun(cfg Config, pr sim.Protocol, gamma, trial int) (sim.Result, int, int) {
+	n := pr.N()
+	eng, meter := spanEngine(pr, rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), sim.TrialConfig{
 		Backend: sim.BackendCounts, Batch: cfg.Batch, MaxInteractions: clockSpanBudget * uint64(n)}, gamma)
 	res := eng.Run()
 	return res, meter.MaxBulk(), meter.MaxFull()
 }
 
-// spanEngine builds inst's engine from tc with a phase-span probe attached
-// that fires once per parallel-time unit, reading phases through the
-// registry's packed-word view (the low byte). gamma ≤ 0 marks a clockless
-// protocol: no probe, nil meter.
-func spanEngine(inst protocols.Instance, src *rng.Source, tc sim.TrialConfig, gamma int) (sim.Engine, *phaseclock.SpanMeter) {
-	eng, err := inst.TrialEngine(src, tc)
+// spanEngine builds pr's engine from tc with a phase-span probe attached
+// that fires once per parallel-time unit, reading phases from the packed
+// state words (the low byte). gamma ≤ 0 marks a clockless protocol: no
+// probe, nil meter.
+func spanEngine(pr sim.Protocol, src *rng.Source, tc sim.TrialConfig, gamma int) (sim.Engine, *phaseclock.SpanMeter) {
+	eng, err := sim.NewTrialEngine(pr, src, tc)
 	if err != nil {
 		panic(err)
 	}
@@ -144,16 +144,14 @@ func spanEngine(inst protocols.Instance, src *rng.Source, tc sim.TrialConfig, ga
 		return eng, nil
 	}
 	meter := phaseclock.NewSpanMeter(gamma)
-	probe := func(step uint64, v protocols.Census) {
+	probe := func(step uint64, v sim.CensusView) {
 		meter.Begin()
-		if err := inst.VisitWords(v, func(word uint32, count int64) {
+		v.VisitStates(func(word uint32, count int64) {
 			meter.Add(uint8(word&0xff), count)
-		}); err != nil {
-			panic(err)
-		}
+		})
 		meter.End()
 	}
-	if err := inst.AddProbe(eng, probe, uint64(inst.N())); err != nil {
+	if err := sim.AddProbe(eng, probe, uint64(pr.N())); err != nil {
 		panic(err)
 	}
 	return eng, meter

@@ -254,9 +254,9 @@ func cachedCell(cfg Config, key store.Key, run func() ([]sim.Result, error)) ([]
 
 // cachedTrials is cachedCell over sim.RunTrials for experiments that build
 // their protocol values directly.
-func cachedTrials[S comparable, P sim.Protocol[S]](cfg Config, kind, protocol string, n int, factory func(int) P, tc sim.TrialConfig) ([]sim.Result, error) {
+func cachedTrials(cfg Config, kind, protocol string, n int, factory func(int) sim.Protocol, tc sim.TrialConfig) ([]sim.Result, error) {
 	return cachedCell(cfg, trialKey(cfg, kind, protocol, n, tc), func() ([]sim.Result, error) {
-		return sim.RunTrials[S, P](factory, tc)
+		return sim.RunTrials(factory, tc)
 	})
 }
 
@@ -291,10 +291,10 @@ func (cfg Config) engineConfig() sim.TrialConfig {
 	return sim.TrialConfig{Backend: cfg.Backend, Batch: cfg.Batch}
 }
 
-// censusOf returns an engine's current census view; both backends expose
-// one over their protocol's state type.
-func censusOf[S comparable](eng sim.Engine) sim.CensusView[S] {
-	v, err := sim.Census[S](eng)
+// censusOf returns an engine's current census view (both backends expose
+// one).
+func censusOf(eng sim.Engine) sim.CensusView {
+	v, err := sim.Census(eng)
 	if err != nil {
 		panic(err)
 	}

@@ -23,11 +23,11 @@ func Figure1(cfg Config) []*Table {
 	phi := pr.Params().Phi
 
 	cums := make([][]int, cfg.Trials)
-	rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
-		func(int) *core.Protocol { return pr },
+	rs := mustRun(sim.RunTrialsProbed(
+		func(int) sim.Protocol { return pr.Words() },
 		cfg.trialBatch(cfg.Seed),
-		sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
-			return func(step uint64, v sim.CensusView[core.State]) {
+		sim.TrialProbe{Make: func(trial int) sim.Probe {
+			return func(step uint64, v sim.CensusView) {
 				cums[trial] = pr.CumulativeCoinCensusOf(v.VisitStates)
 			}
 		}},
@@ -93,7 +93,7 @@ func trackStages(pr *core.Protocol, eng sim.Engine, every uint64) *stageTrack {
 		dragFirst: make(map[int]uint64),
 		prevStage: pr.Params().InitialCnt(),
 	}
-	probe := func(step uint64, v sim.CensusView[core.State]) {
+	probe := func(step uint64, v sim.CensusView) {
 		if min := pr.MinLeaderCntOf(v.VisitStates); min >= 0 && min < st.prevStage {
 			actives := v.Classes()[core.ClassActive]
 			// Stages crossed since the last probe share the detection step.
@@ -109,7 +109,7 @@ func trackStages(pr *core.Protocol, eng sim.Engine, every uint64) *stageTrack {
 			st.maxDrag = d
 		}
 	}
-	if err := sim.AddProbe[core.State](eng, probe, every); err != nil {
+	if err := sim.AddProbe(eng, probe, every); err != nil {
 		panic(err)
 	}
 	return st
@@ -118,7 +118,7 @@ func trackStages(pr *core.Protocol, eng sim.Engine, every uint64) *stageTrack {
 // runWithStageTracking executes one run recording stage entries and drag
 // first-attainment times through the probe pipeline.
 func runWithStageTracking(pr *core.Protocol, seed uint64, cfg Config) (map[int]stageRecord, map[int]uint64, sim.Result) {
-	eng := mustEngine(sim.NewTrialEngine[core.State, *core.Protocol](pr, rng.New(seed), cfg.engineConfig()))
+	eng := mustEngine(sim.NewTrialEngine(pr.Words(), rng.New(seed), cfg.engineConfig()))
 	st := trackStages(pr, eng, probeEvery(cfg, pr.N()))
 	res := eng.Run()
 	return st.stages, st.dragFirst, res
@@ -189,8 +189,8 @@ func Figure3(cfg Config) []*Table {
 		// Run to convergence, then keep going: the surviving active
 		// candidate continues flipping level-0 coins and ticking the
 		// drag counter, so T_ℓ is measurable well past drag 1.
-		eng := mustEngine(sim.NewTrialEngine[core.State, *core.Protocol](
-			pr, rng.New(cfg.Seed+uint64(trial)*104729), cfg.engineConfig()))
+		eng := mustEngine(sim.NewTrialEngine(
+			pr.Words(), rng.New(cfg.Seed+uint64(trial)*104729), cfg.engineConfig()))
 		st := trackStages(pr, eng, probeEvery(cfg, n))
 		res := eng.Run()
 		if !res.Converged {

@@ -30,20 +30,20 @@ func Lemma41(cfg Config) []*Table {
 		final := 0.0
 		trials := 0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			eng := mustEngine(sim.NewTrialEngine[core.State, *core.Protocol](
-				pr, rng.NewStream(cfg.Seed+1, uint64(trial)), cfg.engineConfig()))
+			eng := mustEngine(sim.NewTrialEngine(
+				pr.Words(), rng.NewStream(cfg.Seed+1, uint64(trial)), cfg.engineConfig()))
 			prev := uint64(0)
 			for ci, c := range checkpoints {
 				target := uint64(c * nln)
 				eng.RunSteps(target - prev)
 				prev = target
-				sums[ci] += float64(pr.UninitiatedCountOf(censusOf[core.State](eng).VisitStates))
+				sums[ci] += float64(pr.UninitiatedCountOf(censusOf(eng).VisitStates))
 			}
 			res := eng.Run()
 			if !res.Converged {
 				continue
 			}
-			final += float64(pr.UninitiatedCountOf(censusOf[core.State](eng).VisitStates))
+			final += float64(pr.UninitiatedCountOf(censusOf(eng).VisitStates))
 			trials++
 		}
 		if trials == 0 {
@@ -72,11 +72,11 @@ func Lemma53(cfg Config) []*Table {
 	for _, n := range cfg.Sizes {
 		pr := core.MustNew(coreParams(cfg, n))
 		juntaAt := make([]float64, cfg.Trials)
-		rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
-			func(int) *core.Protocol { return pr },
+		rs := mustRun(sim.RunTrialsProbed(
+			func(int) sim.Protocol { return pr.Words() },
 			cfg.trialBatch(cfg.Seed+2),
-			sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
-				return func(step uint64, v sim.CensusView[core.State]) {
+			sim.TrialProbe{Make: func(trial int) sim.Probe {
+				return func(step uint64, v sim.CensusView) {
 					juntaAt[trial] = float64(pr.JuntaSizeOf(v.VisitStates))
 				}
 			}},
@@ -112,11 +112,11 @@ func Lemma71(cfg Config) []*Table {
 	psi := pr.Params().Psi
 
 	censusAt := make([][]int, cfg.Trials)
-	rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
-		func(int) *core.Protocol { return pr },
+	rs := mustRun(sim.RunTrialsProbed(
+		func(int) sim.Protocol { return pr.Words() },
 		cfg.trialBatch(cfg.Seed+3),
-		sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
-			return func(step uint64, v sim.CensusView[core.State]) {
+		sim.TrialProbe{Make: func(trial int) sim.Probe {
+			return func(step uint64, v sim.CensusView) {
 				censusAt[trial] = pr.InhibDragCensusOf(v.VisitStates)
 			}
 		}},

@@ -54,7 +54,7 @@ func ParScale(cfg Config) []*Table {
 		}
 		base := 0.0
 		for _, w := range parScaleWorkers {
-			eng, err := sim.NewTrialEngine[uint32, *gs18.Protocol](
+			eng, err := sim.NewTrialEngine(
 				gs18.MustNew(gs18Params(cfg, n)), trialSource(cfg, w),
 				sim.TrialConfig{Backend: sim.BackendCounts, Batch: cfg.Batch, EngineWorkers: w})
 			if err != nil {

@@ -92,7 +92,7 @@ func Resilience(cfg Config) []*Table {
 			gamma := entry.DefaultGamma(n, protocols.Overrides{Gamma: cfg.Gamma})
 			for si, sc := range resilienceScenarios {
 				inst := protocols.MustNew(alg, n, protocols.Overrides{Gamma: cfg.Gamma})
-				res, bulk, secs := resilienceRun(cfg, inst, batch, gamma, sc.make(n), uint64(si))
+				res, bulk, secs := resilienceRun(cfg, inst.Protocol, batch, gamma, sc.make(n), uint64(si))
 				partime := float64(res.Interactions) / float64(n)
 				span, g0, gLive := "—", "—", "—"
 				if entry.Clocked {
@@ -130,10 +130,10 @@ func Resilience(cfg Config) []*Table {
 // resilienceRun executes one matrix cell to stabilization or the budget,
 // returning the run result, the maximum bulk phase span (0 for clockless
 // protocols), and the wall-clock seconds.
-func resilienceRun(cfg Config, inst protocols.Instance, batch sim.BatchPolicy, gamma int, p sim.Perturbation, scenario uint64) (sim.Result, int, float64) {
-	n := inst.N()
+func resilienceRun(cfg Config, pr sim.Protocol, batch sim.BatchPolicy, gamma int, p sim.Perturbation, scenario uint64) (sim.Result, int, float64) {
+	n := pr.N()
 	src := rng.NewStream(cfg.Seed+61, uint64(n)*8+scenario)
-	eng, meter := spanEngine(inst, src, sim.TrialConfig{Backend: sim.BackendCounts, Batch: batch,
+	eng, meter := spanEngine(pr, src, sim.TrialConfig{Backend: sim.BackendCounts, Batch: batch,
 		EngineWorkers: cfg.EngineWorkers, Perturb: p, MaxInteractions: resilienceBudget * uint64(n)}, gamma)
 	start := time.Now()
 	res := eng.Run()

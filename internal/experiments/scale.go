@@ -39,10 +39,10 @@ func Scale(cfg Config) []*Table {
 				t.AddRow(d(n), e.Name, "config error: "+err.Error(), "—", "—", "—", "—")
 				continue
 			}
-			if !inst.Enumerable() {
+			if _, ok := inst.Protocol.(sim.Enumerable); !ok {
 				continue // dense-only protocols have no large-n story
 			}
-			runScaleRow(t, e.Name, n, trials, cfg, inst)
+			runScaleRow(t, e.Name, n, trials, cfg, inst.Protocol)
 		}
 	}
 	t.AddNote("counts backend, batch policy %s (exact per-interaction mode below n=%d)", cfg.Batch, sim.ExactMaxN)
@@ -55,14 +55,14 @@ func trialSource(cfg Config, trial int) *rng.Source {
 	return rng.NewStream(cfg.Seed+31, uint64(trial))
 }
 
-func runScaleRow(t *Table, name string, n, trials int, cfg Config, inst protocols.Instance) {
+func runScaleRow(t *Table, name string, n, trials int, cfg Config, pr sim.Protocol) {
 	conv := 0
 	var sumPar float64
 	var interactions uint64
 	var distinct int
 	start := time.Now()
 	for tr := 0; tr < trials; tr++ {
-		eng, err := inst.TrialEngine(trialSource(cfg, tr), sim.TrialConfig{Backend: sim.BackendCounts,
+		eng, err := sim.NewTrialEngine(pr, trialSource(cfg, tr), sim.TrialConfig{Backend: sim.BackendCounts,
 			Batch: cfg.Batch, EngineWorkers: cfg.EngineWorkers})
 		if err != nil {
 			t.AddRow(d(n), name, "engine error: "+err.Error(), "—", "—", "—", "—")

@@ -32,8 +32,8 @@ func ScaleFigures(cfg Config) []*Table {
 		Columns: []string{"n", "alg", "converged", "par.time", "points",
 			"final leaders", "peak occupied states", "series"},
 	}
-	scaleFigRow[uint32](t, cfg, "gs18", gs18.MustNew(gs18Params(cfg, n)), every)
-	scaleFigRow[core.State](t, cfg, "gsu19", core.MustNew(coreParams(cfg, n)), every)
+	scaleFigRow(t, cfg, "gs18", gs18.MustNew(gs18Params(cfg, n)), every)
+	scaleFigRow(t, cfg, "gsu19", core.MustNew(coreParams(cfg, n)).Words(), every)
 	t.AddNote("probe cadence: every %d interactions (one census sample per %.2f parallel-time units)",
 		every, float64(every)/float64(n))
 	if cfg.SeriesDir == "" {
@@ -44,9 +44,9 @@ func ScaleFigures(cfg Config) []*Table {
 
 // scaleFigRow runs one protocol to stabilization on the counts backend
 // with a trajectory probe attached and appends its summary row.
-func scaleFigRow[S comparable, P sim.Protocol[S]](t *Table, cfg Config, alg string, pr P, every uint64) {
+func scaleFigRow(t *Table, cfg Config, alg string, pr sim.Protocol, every uint64) {
 	n := pr.N()
-	eng, err := sim.NewTrialEngine[S, P](pr, trialSource(cfg, 0),
+	eng, err := sim.NewTrialEngine(pr, trialSource(cfg, 0),
 		sim.TrialConfig{Backend: sim.BackendCounts, Batch: cfg.Batch, EngineWorkers: cfg.EngineWorkers})
 	if err != nil {
 		t.AddRow(d(n), alg, "config error: "+err.Error(), "—", "—", "—", "—", "—")
@@ -54,7 +54,7 @@ func scaleFigRow[S comparable, P sim.Protocol[S]](t *Table, cfg Config, alg stri
 	}
 	col := stats.NewCollector(0, "leaders", "occupied_states")
 	peakOccupied := 0
-	record := func(step uint64, v sim.CensusView[S]) {
+	record := func(step uint64, v sim.CensusView) {
 		occ := v.Occupied()
 		if occ > peakOccupied {
 			peakOccupied = occ
@@ -63,8 +63,8 @@ func scaleFigRow[S comparable, P sim.Protocol[S]](t *Table, cfg Config, alg stri
 	}
 	// Initial configuration as the trajectory origin, then one sample per
 	// probe interval, then the stabilization point via the final fire.
-	record(0, censusOf[S](eng))
-	if err := sim.AddProbe[S](eng, record, every); err != nil {
+	record(0, censusOf(eng))
+	if err := sim.AddProbe(eng, record, every); err != nil {
 		panic(err)
 	}
 	res := eng.Run()

@@ -92,10 +92,10 @@ func runTable1Cell(cfg Config, e protocols.Entry, n int) ([]sim.Result, error) {
 	tc.TrackStates = true
 	// A counts request degrades to auto for protocols without a
 	// state-space enumeration (auto falls back to dense for them).
-	if tc.Backend == sim.BackendCounts && !inst.Enumerable() {
+	if _, ok := inst.Protocol.(sim.Enumerable); tc.Backend == sim.BackendCounts && !ok {
 		tc.Backend = sim.BackendAuto
 	}
 	return cachedCell(cfg, trialKey(cfg, "table1", e.Name, n, tc), func() ([]sim.Result, error) {
-		return inst.Trials(tc)
+		return sim.RunTrials(func(int) sim.Protocol { return inst.Protocol }, tc)
 	})
 }

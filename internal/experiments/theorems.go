@@ -32,7 +32,7 @@ func Theorem32(cfg Config) []*Table {
 		if err != nil {
 			continue
 		}
-		eng := mustEngine(sim.NewTrialEngine[uint32, *phaseclock.Standalone](
+		eng := mustEngine(sim.NewTrialEngine(
 			c, rng.New(cfg.Seed+5), sim.TrialConfig{Backend: sim.BackendAuto, Batch: cfg.Batch}))
 		nln := float64(n) * math.Log(float64(n))
 		total := uint64(30 * nln)
@@ -42,7 +42,7 @@ func Theorem32(cfg Config) []*Table {
 		for done := uint64(0); done < total; done += sample {
 			eng.RunSteps(sample)
 			minR, maxR := math.MaxInt32, 0
-			censusOf[uint32](eng).VisitStates(func(s uint32, count int64) {
+			censusOf(eng).VisitStates(func(s uint32, count int64) {
 				rr := c.Rounds(s)
 				if rr < minR {
 					minR = rr
@@ -80,7 +80,7 @@ func Theorem82(cfg Config) []*Table {
 	var ns, means []float64
 	for _, n := range cfg.Sizes {
 		pr := core.MustNew(coreParams(cfg, n))
-		rs := mustRun(cachedTrials[core.State, *core.Protocol](cfg, "thm82", "gsu19", n, func(int) *core.Protocol { return pr },
+		rs := mustRun(cachedTrials(cfg, "thm82", "gsu19", n, func(int) sim.Protocol { return pr.Words() },
 			cfg.trialBatch(cfg.Seed+6+uint64(n))))
 		ok := 0
 		for _, res := range rs {
@@ -127,7 +127,7 @@ func Epidemic(cfg Config) []*Table {
 		if err != nil {
 			continue
 		}
-		rs := mustRun(cachedTrials[uint32, *epidemic.Protocol](cfg, "epidemic", "epidemic", n, func(int) *epidemic.Protocol { return p },
+		rs := mustRun(cachedTrials(cfg, "epidemic", "epidemic", n, func(int) sim.Protocol { return p },
 			cfg.trialBatch(cfg.Seed+7)))
 		if !sim.AllConverged(rs) {
 			continue
@@ -172,7 +172,7 @@ func Ablation(cfg Config) []*Table {
 			params := coreParams(cfg, n)
 			v.mutate(&params)
 			pr := core.MustNew(params)
-			rs := mustRun(cachedTrials[core.State, *core.Protocol](cfg, "ablation", "gsu19/"+v.name, n, func(int) *core.Protocol { return pr },
+			rs := mustRun(cachedTrials(cfg, "ablation", "gsu19/"+v.name, n, func(int) sim.Protocol { return pr.Words() },
 				cfg.trialBatch(cfg.Seed+8+uint64(n))))
 			if !sim.AllConverged(rs) {
 				t.AddRow(v.name, d(n), "timeout in "+d(len(rs)-sim.ConvergedCount(rs))+" trials", "—", "—", "—")

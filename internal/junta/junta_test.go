@@ -154,7 +154,7 @@ func TestLevelDistribution(t *testing.T) {
 	n := 1 << 14
 	phi := 3
 	j, _ := NewStandalone(n, phi)
-	r := sim.NewRunner[uint32, *Standalone](j, rng.New(7))
+	r := sim.NewRunner(j, rng.New(7))
 	// O(n log n) interactions is plenty for all coins to settle.
 	logn := math.Log(float64(n))
 	r.RunSteps(uint64(8 * float64(n) * logn))
@@ -186,7 +186,7 @@ func TestLevelDistribution(t *testing.T) {
 
 func TestLevelCensusSums(t *testing.T) {
 	j, _ := NewStandalone(256, 2)
-	r := sim.NewRunner[uint32, *Standalone](j, rng.New(3))
+	r := sim.NewRunner(j, rng.New(3))
 	r.RunSteps(10000)
 	lv := j.LevelCensus(r.Population())
 	total := 0
@@ -216,7 +216,7 @@ func TestLevelCensusSums(t *testing.T) {
 func TestAdvancingCoinsVanish(t *testing.T) {
 	n := 4096
 	j, _ := NewStandalone(n, 3)
-	r := sim.NewRunner[uint32, *Standalone](j, rng.New(11))
+	r := sim.NewRunner(j, rng.New(11))
 	r.RunSteps(uint64(12 * float64(n) * math.Log(float64(n))))
 	stillAdvancing := 0
 	for _, s := range r.Population() {

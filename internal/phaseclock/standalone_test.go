@@ -77,7 +77,7 @@ func TestStandaloneSynchrony(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := sim.NewRunner[uint32, *Standalone](c, rng.New(2024))
+	r := sim.NewRunner(c, rng.New(2024))
 
 	// Let the clock run for 30 expected rounds and sample synchrony.
 	nlogn := float64(n) * math.Log(float64(n))
@@ -145,17 +145,17 @@ func TestStandaloneClockSpanRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.NewEngine[uint32, *Standalone](c, rng.New(2026), sim.BackendDense)
+	eng, err := sim.NewEngine(c, rng.New(2026), sim.BackendDense)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meter := NewSpanMeter(gamma)
-	probe := func(step uint64, v sim.CensusView[uint32]) {
+	probe := func(step uint64, v sim.CensusView) {
 		meter.Begin()
 		v.VisitStates(func(s uint32, count int64) { meter.Add(uint8(s&phaseMask), count) })
 		meter.End()
 	}
-	if err := sim.AddProbe[uint32](eng, probe, uint64(n)); err != nil {
+	if err := sim.AddProbe(eng, probe, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
 	// ~4 epidemic times (2·n·ln n each): the front laps the cycle more

@@ -50,7 +50,7 @@ func TestClearMajorityWins(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		// 70/30 split: X must win.
 		p, _ := New(n, 7*n/10)
-		r := sim.NewRunner[uint32, *Protocol](p, rng.New(seed))
+		r := sim.NewRunner(p, rng.New(seed))
 		res := r.Run()
 		if !res.Converged {
 			t.Fatalf("seed %d: %+v", seed, res)
@@ -65,7 +65,7 @@ func TestClearMajorityWins(t *testing.T) {
 func TestMinorityDirectionToo(t *testing.T) {
 	n := 1000
 	p, _ := New(n, 3*n/10)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(1))
+	r := sim.NewRunner(p, rng.New(1))
 	res := r.Run()
 	w, ok := p.Winner(res.Counts)
 	if !ok || w != Y {
@@ -77,7 +77,7 @@ func TestConsensusFromTie(t *testing.T) {
 	// Even from a tie the protocol converges (to either opinion).
 	n := 500
 	p, _ := New(n, n/2)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(9))
+	r := sim.NewRunner(p, rng.New(9))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
@@ -94,7 +94,7 @@ func TestLogTimeScaling(t *testing.T) {
 	}
 	var ratios []float64
 	for _, n := range []int{1 << 10, 1 << 13} {
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol {
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol {
 			p, _ := New(n, 7*n/10)
 			return p
 		}, sim.TrialConfig{Trials: 8, Seed: uint64(n)}))
@@ -114,7 +114,7 @@ func TestOpinionSumInvariant(t *testing.T) {
 	// |X - Y| changes by at most 1 per interaction, and X+Y+B = n.
 	n := 200
 	p, _ := New(n, 120)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(13))
+	r := sim.NewRunner(p, rng.New(13))
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		c := r.Counts()
 		if c[Blank]+c[X]+c[Y] != int64(n) {

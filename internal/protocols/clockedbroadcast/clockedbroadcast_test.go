@@ -33,8 +33,8 @@ func TestNewValidation(t *testing.T) {
 func TestBroadcastCompletes(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](
-			func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(
+			func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 10, Seed: uint64(n) + 3}))
 		for i, res := range rs {
 			if !res.Converged {
@@ -54,7 +54,7 @@ func TestBroadcastCompletes(t *testing.T) {
 func TestDoneWaitsKRounds(t *testing.T) {
 	n := 1024
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(13))
+	r := sim.NewRunner(pr, rng.New(13))
 	r.RunSteps(uint64(n))
 	if done := r.Counts()[ClassDone]; done != 0 {
 		t.Fatalf("%d agents done after only n interactions (K rounds cannot have passed)", done)
@@ -70,7 +70,7 @@ func TestDoneWaitsKRounds(t *testing.T) {
 func TestSpreadsFromOneSource(t *testing.T) {
 	n := 512
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(21))
+	r := sim.NewRunner(pr, rng.New(21))
 	prev := int64(-1)
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		c := r.Counts()
@@ -88,7 +88,7 @@ func TestSpreadsFromOneSource(t *testing.T) {
 // TestCountsBackendCompletes runs the composition on the counts backend.
 func TestCountsBackendCompletes(t *testing.T) {
 	pr := MustNew(DefaultParams(3000))
-	eng, err := sim.NewEngine[uint32, *Protocol](pr, rng.New(7), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr, rng.New(7), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

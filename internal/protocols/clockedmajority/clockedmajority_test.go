@@ -32,8 +32,8 @@ func TestNewValidation(t *testing.T) {
 func TestMajorityWinsExactly(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](
-			func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(
+			func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 10, Seed: uint64(n) + 11}))
 		for i, res := range rs {
 			if !res.Converged {
@@ -52,8 +52,8 @@ func TestMinorityMajorityWins(t *testing.T) {
 	p := DefaultParams(512)
 	p.InitialX = 512 * 2 / 5 // X is now the 40% minority
 	pr := MustNew(p)
-	rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](
-		func(int) *Protocol { return pr },
+	rs := simtest.MustTrials(t)(sim.RunTrials(
+		func(int) sim.Protocol { return pr },
 		sim.TrialConfig{Trials: 10, Seed: 77}))
 	for i, res := range rs {
 		if !res.Converged {
@@ -71,7 +71,7 @@ func TestExactTieDeadlocksAllWeak(t *testing.T) {
 	p := DefaultParams(256)
 	p.InitialX = 128
 	pr := MustNew(p)
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(5))
+	r := sim.NewRunner(pr, rng.New(5))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
@@ -90,7 +90,7 @@ func TestExactTieDeadlocksAllWeak(t *testing.T) {
 // every trial converges).
 func TestCountsBackendAgrees(t *testing.T) {
 	pr := MustNew(DefaultParams(3000))
-	eng, err := sim.NewEngine[uint32, *Protocol](pr, rng.New(9), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr, rng.New(9), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

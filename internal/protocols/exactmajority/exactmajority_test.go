@@ -44,7 +44,7 @@ func TestDeltaRules(t *testing.T) {
 // difference of strong counts never changes.
 func TestMarginInvariant(t *testing.T) {
 	p, _ := New(100, 60)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(3))
+	r := sim.NewRunner(p, rng.New(3))
 	margin := func() int64 { return r.Counts()[StrongX] - r.Counts()[StrongY] }
 	want := margin()
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
@@ -62,7 +62,7 @@ func TestExactness(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		for _, initialX := range []int{51, 49, 90, 10} {
 			p, _ := New(n, initialX)
-			r := sim.NewRunner[uint32, *Protocol](p, rng.New(seed))
+			r := sim.NewRunner(p, rng.New(seed))
 			res := r.Run()
 			if !res.Converged {
 				t.Fatalf("seed %d x=%d: %+v", seed, initialX, res)
@@ -87,7 +87,7 @@ func TestExactness(t *testing.T) {
 // an inert all-weak configuration reported as a tie.
 func TestTieDeadlocks(t *testing.T) {
 	p, _ := New(50, 25)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(5))
+	r := sim.NewRunner(p, rng.New(5))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
@@ -108,7 +108,7 @@ func TestQuickMajorityAlwaysExact(t *testing.T) {
 			return true // ties covered separately
 		}
 		p, _ := New(n, x)
-		r := sim.NewRunner[uint32, *Protocol](p, rng.New(seed))
+		r := sim.NewRunner(p, rng.New(seed))
 		res := r.Run()
 		if !res.Converged {
 			return false
@@ -151,14 +151,14 @@ func TestMetadata(t *testing.T) {
 	}
 }
 
-var _ sim.Enumerable[uint32] = (*Protocol)(nil)
+var _ sim.Enumerable = (*Protocol)(nil)
 
 // TestCountsBackendExactMajority checks the invariant the protocol is named
 // for on the counts backend: the initial strong-opinion margin decides the
 // winner exactly.
 func TestCountsBackendExactMajority(t *testing.T) {
 	p, _ := New(4000, 2040) // margin of 80 toward X
-	eng, err := sim.NewEngine[uint32, *Protocol](p, rng.New(11), sim.BackendCounts)
+	eng, err := sim.NewEngine(p, rng.New(11), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

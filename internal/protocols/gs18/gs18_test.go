@@ -45,7 +45,7 @@ func TestChoosePhi(t *testing.T) {
 func TestElectsOneLeader(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 10, Seed: uint64(n)}))
 		for i, res := range rs {
 			if !res.Converged || res.Leaders != 1 {
@@ -58,7 +58,7 @@ func TestElectsOneLeader(t *testing.T) {
 func TestJuntaSizeInWindow(t *testing.T) {
 	n := 1 << 13
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(5))
+	r := sim.NewRunner(pr, rng.New(5))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
@@ -78,7 +78,7 @@ func TestJuntaSizeInWindow(t *testing.T) {
 func TestCandidateCountMonotoneAfterClimb(t *testing.T) {
 	// Once no agent is climbing, the candidate count never increases.
 	pr := MustNew(DefaultParams(512))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(7))
+	r := sim.NewRunner(pr, rng.New(7))
 	prevCand := int64(-1)
 	climbed := false
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
@@ -103,7 +103,7 @@ func TestStatesAreLogLog(t *testing.T) {
 	// O(log n)-state lottery at the same n (checked against a loose
 	// absolute bound here; the cross-protocol comparison is in Table 1).
 	pr := MustNew(DefaultParams(1 << 12))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(11))
+	r := sim.NewRunner(pr, rng.New(11))
 	r.TrackStates = true
 	res := r.Run()
 	if !res.Converged {
@@ -124,7 +124,7 @@ func TestPolylogTime(t *testing.T) {
 	}
 	mean := func(n int) float64 {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 5, Seed: uint64(n)}))
 		if !sim.AllConverged(rs) {
 			t.Fatalf("n=%d not converged", n)
@@ -174,18 +174,18 @@ func TestClockSpanRegression(t *testing.T) {
 	n := 1 << 20
 	pr := MustNew(DefaultParams(n))
 	gamma := pr.params.Gamma
-	eng, err := sim.NewEngine[uint32, *Protocol](pr, rng.New(42), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr, rng.New(42), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.(*sim.CountsEngine[uint32]).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
+	eng.(*sim.CountsEngine).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 	meter := phaseclock.NewSpanMeter(gamma)
-	probe := func(step uint64, v sim.CensusView[uint32]) {
+	probe := func(step uint64, v sim.CensusView) {
 		meter.Begin()
 		v.VisitStates(func(s uint32, count int64) { meter.Add(uint8(s&phaseMask), count) })
 		meter.End()
 	}
-	if err := sim.AddProbe[uint32](eng, probe, uint64(n)); err != nil {
+	if err := sim.AddProbe(eng, probe, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
 	res := eng.Run()
@@ -224,7 +224,7 @@ func TestMetadata(t *testing.T) {
 // Enumerable contract: the counts backend requires the full finite state
 // space; see also sim's cross-backend tests, which check that a dense run
 // never leaves the enumeration.
-var _ sim.Enumerable[uint32] = (*Protocol)(nil)
+var _ sim.Enumerable = (*Protocol)(nil)
 
 func TestStatesEnumeration(t *testing.T) {
 	pr := MustNew(DefaultParams(10000))
@@ -250,7 +250,7 @@ func TestStatesEnumeration(t *testing.T) {
 
 func TestCountsBackendElects(t *testing.T) {
 	pr := MustNew(DefaultParams(3000))
-	eng, err := sim.NewEngine[uint32, *Protocol](pr, rng.New(5), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr, rng.New(5), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,8 +216,8 @@ func TestDeltaMatchesLegacyOnRandomPairs(t *testing.T) {
 // stabilization step.
 func TestGoldenTraceMatchesLegacy(t *testing.T) {
 	p := DefaultParams(400)
-	newRun := sim.NewRunner[uint32, *Protocol](MustNew(p), rng.New(77))
-	legacyRun := sim.NewRunner[uint32, *legacyProtocol](newLegacy(p), rng.New(77))
+	newRun := sim.NewRunner(MustNew(p), rng.New(77))
+	legacyRun := sim.NewRunner(newLegacy(p), rng.New(77))
 
 	type snapshot struct {
 		counts  []int64
@@ -275,14 +275,14 @@ func TestCountsBackendMatchesLegacyAtScale(t *testing.T) {
 	const n = 100_000
 	const trials = 2
 	p := DefaultParams(n)
-	newRes, err := sim.RunTrials[uint32, *Protocol](
-		func(int) *Protocol { return MustNew(p) },
+	newRes, err := sim.RunTrials(
+		func(int) sim.Protocol { return MustNew(p) },
 		sim.TrialConfig{Trials: trials, Seed: 99, Backend: sim.BackendCounts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyRes, err := sim.RunTrials[uint32, *legacyProtocol](
-		func(int) *legacyProtocol { return newLegacy(p) },
+	legacyRes, err := sim.RunTrials(
+		func(int) sim.Protocol { return newLegacy(p) },
 		sim.TrialConfig{Trials: trials, Seed: 99, Backend: sim.BackendCounts})
 	if err != nil {
 		t.Fatal(err)

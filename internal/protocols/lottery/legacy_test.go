@@ -198,8 +198,8 @@ func TestDeltaMatchesLegacyOnRandomPairs(t *testing.T) {
 // stabilization step.
 func TestGoldenTraceMatchesLegacy(t *testing.T) {
 	p := DefaultParams(400)
-	newRun := sim.NewRunner[uint32, *Protocol](MustNew(p), rng.New(31))
-	legacyRun := sim.NewRunner[uint32, *legacyProtocol](newLegacy(p), rng.New(31))
+	newRun := sim.NewRunner(MustNew(p), rng.New(31))
+	legacyRun := sim.NewRunner(newLegacy(p), rng.New(31))
 
 	type snapshot struct {
 		counts  []int64
@@ -254,13 +254,13 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	const n = 100_000
 	const trials = 10
 	p := DefaultParams(n)
-	factory := func(int) *Protocol { return MustNew(p) }
-	denseRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
+	factory := func(int) sim.Protocol { return MustNew(p) }
+	denseRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 404, Backend: sim.BackendDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
+	countsRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 1405, Backend: sim.BackendCounts})
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestDefaultParamsScale(t *testing.T) {
 func TestElectsOneLeader(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 10, Seed: uint64(n) + 5}))
 		for i, res := range rs {
 			if !res.Converged || res.Leaders != 1 {
@@ -55,7 +55,7 @@ func TestElectsOneLeader(t *testing.T) {
 
 func TestWinnerHasMaxRank(t *testing.T) {
 	pr := MustNew(DefaultParams(512))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(3))
+	r := sim.NewRunner(pr, rng.New(3))
 	res := r.Run()
 	if !res.Converged || res.Leaders != 1 {
 		t.Fatalf("%+v", res)
@@ -79,7 +79,7 @@ func TestRanksGeometric(t *testing.T) {
 	// After ranking completes, P(rank ≥ k+1 | rank ≥ k) ≈ 1/2.
 	n := 1 << 13
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(17))
+	r := sim.NewRunner(pr, rng.New(17))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("%+v", res)
@@ -105,7 +105,7 @@ func TestRankingFinishesQuickly(t *testing.T) {
 	// within O(n log n) interactions.
 	n := 4096
 	pr := MustNew(DefaultParams(n))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(23))
+	r := sim.NewRunner(pr, rng.New(23))
 	r.RunSteps(uint64(20 * n))
 	ranking := r.Counts()[ClassRanking]
 	if ranking > int64(n/100) {
@@ -117,7 +117,7 @@ func TestUsesMoreStatesThanLogLogProtocols(t *testing.T) {
 	// The lottery's state count is Θ(log n · Γ): with rank ∈ 0..2log₂n it
 	// must use hundreds of distinct states even at modest n.
 	pr := MustNew(DefaultParams(1 << 12))
-	r := sim.NewRunner[uint32, *Protocol](pr, rng.New(29))
+	r := sim.NewRunner(pr, rng.New(29))
 	r.TrackStates = true
 	res := r.Run()
 	if !res.Converged {
@@ -134,7 +134,7 @@ func TestPolylogTime(t *testing.T) {
 	}
 	mean := func(n int) float64 {
 		pr := MustNew(DefaultParams(n))
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol { return pr },
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol { return pr },
 			sim.TrialConfig{Trials: 5, Seed: uint64(n)}))
 		if !sim.AllConverged(rs) {
 			t.Fatalf("n=%d not converged", n)

@@ -106,9 +106,9 @@ var registry = []Entry{
 			}
 			pr, err := core.New(p)
 			if err != nil {
-				return nil, err
+				return Instance{}, err
 			}
-			return wrap[core.State](pr, func(s core.State) uint32 { return uint32(s) }), nil
+			return Instance{Protocol: pr.Words()}, nil
 		},
 	},
 	{
@@ -125,11 +125,7 @@ var registry = []Entry{
 			if o.Phi != 0 {
 				p.Phi = o.Phi
 			}
-			pr, err := gs18.New(p)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(gs18.New(p))
 		},
 	},
 	{
@@ -143,11 +139,7 @@ var registry = []Entry{
 		New: func(n int, o Overrides) (Instance, error) {
 			p := lottery.DefaultParams(n)
 			applyGamma(&p.Gamma, o)
-			pr, err := lottery.New(p)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(lottery.New(p))
 		},
 	},
 	{
@@ -158,11 +150,7 @@ var registry = []Entry{
 		PaperTime:   "O(log n) exp.",
 		Elects:      true,
 		New: func(n int, _ Overrides) (Instance, error) {
-			pr, err := sudo19.New(sudo19.DefaultParams(n))
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(sudo19.New(sudo19.DefaultParams(n)))
 		},
 	},
 	{
@@ -174,11 +162,7 @@ var registry = []Entry{
 		Elects:      true,
 		MaxN:        1 << 13, // Θ(n²) interactions: cap experiment sweeps
 		New: func(n int, _ Overrides) (Instance, error) {
-			pr, err := slow.New(n)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(slow.New(n))
 		},
 	},
 	{
@@ -194,11 +178,7 @@ var registry = []Entry{
 			if o.Phi != 0 {
 				p.Phi = o.Phi
 			}
-			pr, err := clockedmajority.New(p)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(clockedmajority.New(p))
 		},
 	},
 	{
@@ -214,11 +194,7 @@ var registry = []Entry{
 			if o.Phi != 0 {
 				p.Phi = o.Phi
 			}
-			pr, err := clockedbroadcast.New(p)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(clockedbroadcast.New(p))
 		},
 	},
 	{
@@ -228,11 +204,7 @@ var registry = []Entry{
 		PaperStates: "O(1)",
 		PaperTime:   "Θ(n log n/margin)",
 		New: func(n int, _ Overrides) (Instance, error) {
-			pr, err := exactmajority.New(n, majoritySplit(n))
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(exactmajority.New(n, majoritySplit(n)))
 		},
 	},
 	{
@@ -242,11 +214,7 @@ var registry = []Entry{
 		PaperStates: "O(1)",
 		PaperTime:   "O(n log n)",
 		New: func(n int, _ Overrides) (Instance, error) {
-			pr, err := approxmajority.New(n, majoritySplit(n))
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(approxmajority.New(n, majoritySplit(n)))
 		},
 	},
 	{
@@ -256,16 +224,10 @@ var registry = []Entry{
 		PaperStates: "O(1)",
 		PaperTime:   "Θ(log n) whp",
 		New: func(n int, _ Overrides) (Instance, error) {
-			pr, err := epidemic.New(n, 1)
-			if err != nil {
-				return nil, err
-			}
-			return wrap[uint32](pr, wordID), nil
+			return instance(epidemic.New(n, 1))
 		},
 	},
 }
-
-func wordID(s uint32) uint32 { return s }
 
 func applyGamma(gamma *int, o Overrides) {
 	if o.Gamma != 0 {

@@ -63,7 +63,7 @@ func TestSmokeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			backends := []sim.Backend{sim.BackendDense}
-			if inst.Enumerable() {
+			if _, ok := inst.Protocol.(sim.Enumerable); ok {
 				backends = append(backends, sim.BackendCounts)
 			} else if e.Name != "" {
 				t.Logf("%s: dense-only (no state-space enumeration)", e.Name)
@@ -110,11 +110,47 @@ func TestStateSpaceClosure(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !inst.Enumerable() {
+				if _, ok := inst.Protocol.(sim.Enumerable); !ok {
 					t.Skipf("%s is dense-only", e.Name)
 				}
 				if err := inst.CheckClosure(uint64(7919 + n)); err != nil {
 					t.Fatalf("n=%d: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// TestStateCountMatchesEnumeration pins StateCount, which README's Γ(n)
+// table and the space audit quote, to the enumeration it summarizes: for
+// compose-built protocols the count is computed from Space.Size, not
+// counted. For every enumerable entry at each size within its cap,
+// StateCount equals len(States()) and the enumeration has no duplicates.
+func TestStateCountMatchesEnumeration(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.Name, func(t *testing.T) {
+			for _, n := range []int{1000, 1 << 16, 1 << 20} {
+				if e.MaxN != 0 && n > e.MaxN {
+					continue
+				}
+				inst, err := e.New(n, Overrides{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				en, ok := inst.Protocol.(sim.Enumerable)
+				if !ok {
+					t.Skipf("%s is dense-only", e.Name)
+				}
+				states := en.States()
+				if got := inst.StateCount(); got != len(states) {
+					t.Fatalf("n=%d: StateCount %d, enumeration has %d states", n, got, len(states))
+				}
+				seen := make(map[uint32]struct{}, len(states))
+				for _, s := range states {
+					if _, dup := seen[s]; dup {
+						t.Fatalf("n=%d: state %#x enumerated twice", n, s)
+					}
+					seen[s] = struct{}{}
 				}
 			}
 		})
@@ -133,8 +169,8 @@ func TestOverridesApply(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if strings.Contains(inst.Name(), "Γ=") && !strings.Contains(inst.Name(), "44") {
-			t.Fatalf("%s: Γ=44 override not reflected in %q", e.Name, inst.Name())
+		if name := inst.Protocol.Name(); strings.Contains(name, "Γ=") && !strings.Contains(name, "44") {
+			t.Fatalf("%s: Γ=44 override not reflected in %q", e.Name, name)
 		}
 		// An invalid Γ must reach the protocol's validation (proving the
 		// override is plumbed through) rather than being silently dropped.
@@ -170,19 +206,20 @@ func TestComposedProtocolsStabilizeAtMillion(t *testing.T) {
 			t.Fatalf("%s at n=10⁶ on counts/auto: %+v", name, res)
 		}
 		t.Logf("%s: stabilized after %.3g interactions (parallel time %.1f)",
-			inst.Name(), float64(res.Interactions), res.ParallelTime())
+			inst.Protocol.Name(), float64(res.Interactions), res.ParallelTime())
 	}
 }
 
-// TestTrialsAndProbesErased exercises the erased trial/probe path: probes
-// fire per trial, and counts-backend trial batches work through the
-// erasure.
+// TestTrialsAndProbesErased runs trial batches of a registry instance
+// through sim directly: probes fire per trial, and counts-backend trial
+// batches work on the instance's protocol.
 func TestTrialsAndProbesErased(t *testing.T) {
 	inst := MustNew("gs18", 512, Overrides{})
+	factory := func(int) sim.Protocol { return inst.Protocol }
 	samples := make([]int, 4)
-	rs, err := inst.Trials(sim.TrialConfig{Trials: 4, Seed: 5},
-		TrialProbe{Every: 512, Make: func(trial int) Probe {
-			return func(step uint64, v Census) { samples[trial]++ }
+	rs, err := sim.RunTrialsProbed(factory, sim.TrialConfig{Trials: 4, Seed: 5},
+		sim.TrialProbe{Every: 512, Make: func(trial int) sim.Probe {
+			return func(step uint64, v sim.CensusView) { samples[trial]++ }
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +232,7 @@ func TestTrialsAndProbesErased(t *testing.T) {
 			t.Fatalf("trial %d: probe never fired", i)
 		}
 	}
-	crs, err := inst.Trials(sim.TrialConfig{Trials: 2, Seed: 6, Backend: sim.BackendCounts})
+	crs, err := sim.RunTrials(factory, sim.TrialConfig{Trials: 2, Seed: 6, Backend: sim.BackendCounts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +243,8 @@ func TestTrialsAndProbesErased(t *testing.T) {
 	}
 }
 
-// TestVisitWords reads a census through the erased word view — the path
-// the clock-health instrumentation uses for every clocked protocol.
+// TestVisitWords reads a census through the Instance's word view — the
+// path the clock-health instrumentation uses for every clocked protocol.
 func TestVisitWords(t *testing.T) {
 	for _, name := range []string{"gsu19", "gs18", "lottery", "clockedmajority", "clockedbroadcast"} {
 		inst := MustNew(name, 256, Overrides{})

@@ -21,7 +21,7 @@ func TestNewValidation(t *testing.T) {
 func TestElectsExactlyOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 100, 1000} {
 		p, _ := New(n)
-		r := sim.NewRunner[uint32, *Protocol](p, rng.New(uint64(n)))
+		r := sim.NewRunner(p, rng.New(uint64(n)))
 		res := r.Run()
 		if !res.Converged || res.Leaders != 1 {
 			t.Fatalf("n=%d: %+v", n, res)
@@ -31,7 +31,7 @@ func TestElectsExactlyOneLeader(t *testing.T) {
 
 func TestLeaderCountMonotone(t *testing.T) {
 	p, _ := New(100)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(7))
+	r := sim.NewRunner(p, rng.New(7))
 	prev := r.Leaders()
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		if cur := r.Leaders(); cur > prev {
@@ -45,7 +45,7 @@ func TestLeaderCountMonotone(t *testing.T) {
 
 func TestUsesTwoStates(t *testing.T) {
 	p, _ := New(64)
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(3))
+	r := sim.NewRunner(p, rng.New(3))
 	r.TrackStates = true
 	res := r.Run()
 	if res.DistinctStates != 2 {
@@ -62,7 +62,7 @@ func TestLinearTime(t *testing.T) {
 	}
 	var perN []float64
 	for _, n := range []int{1 << 8, 1 << 10} {
-		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol {
+		rs := simtest.MustTrials(t)(sim.RunTrials(func(int) sim.Protocol {
 			p, _ := New(n)
 			return p
 		}, sim.TrialConfig{Trials: 10, Seed: uint64(n)}))
@@ -95,11 +95,11 @@ func TestStability(t *testing.T) {
 	}
 }
 
-var _ sim.Enumerable[uint32] = (*Protocol)(nil)
+var _ sim.Enumerable = (*Protocol)(nil)
 
 func TestCountsBackendElects(t *testing.T) {
 	p, _ := New(2000)
-	eng, err := sim.NewEngine[uint32, *Protocol](p, rng.New(6), sim.BackendCounts)
+	eng, err := sim.NewEngine(p, rng.New(6), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

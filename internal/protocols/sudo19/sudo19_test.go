@@ -49,7 +49,7 @@ func TestElectsUniqueLeader(t *testing.T) {
 		t.Fatalf("state count %d is not polylog-sized at n=2000", c)
 	}
 	for _, b := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
-		eng, err := sim.NewEngine[uint32, *Protocol](pr, rng.New(99), b)
+		eng, err := sim.NewEngine(pr, rng.New(99), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	const n = 10_000
 	const trials = 40
 	p := DefaultParams(n)
-	factory := func(int) *Protocol { return MustNew(p) }
-	denseRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
+	factory := func(int) sim.Protocol { return MustNew(p) }
+	denseRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 1812, Backend: sim.BackendDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
+	countsRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 11309, Backend: sim.BackendCounts})
 	if err != nil {
 		t.Fatal(err)

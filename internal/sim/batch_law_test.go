@@ -105,7 +105,7 @@ func TestBatchPairClassLaw(t *testing.T) {
 		{"biased-equal-weights", 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewCountsEngine[uint32](pairMarker{}, rng.New(uint64(31+tc.l)))
+			e := NewCountsEngine(pairMarker{}, rng.New(uint64(31+tc.l)))
 			if tc.biased {
 				if err := e.SetPerturbation(Bias{Weights: []float64{1}}); err != nil {
 					t.Fatal(err)

@@ -129,7 +129,7 @@ func (p BatchPolicy) String() string {
 
 // BatchConfigurable is implemented by engines whose batch scheduling is
 // configurable (the counts backend; the dense runner has no batches). It
-// plays the same role as StateTracker: configuring a type-erased Engine.
+// plays the same role as StateTracker: configuring an Engine.
 type BatchConfigurable interface {
 	SetBatchPolicy(BatchPolicy)
 }

@@ -393,9 +393,9 @@ func (r *ckptDec) bytes() []byte { return r.take(int(r.u64())) }
 // enumeration position).
 
 // enumIndex builds the state → enumeration-index map for proto.
-func enumIndex[S comparable](proto Enumerable[S]) map[S]int32 {
+func enumIndex(proto Enumerable) map[uint32]int32 {
 	all := proto.States()
-	m := make(map[S]int32, len(all))
+	m := make(map[uint32]int32, len(all))
 	for i, s := range all {
 		if _, dup := m[s]; !dup {
 			m[s] = int32(i)
@@ -409,12 +409,12 @@ func enumIndex[S comparable](proto Enumerable[S]) map[S]int32 {
 // loop (see unit.go).
 
 // Snapshot implements Checkpointable.
-func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
+func (e *CountsEngine) Snapshot() ([]byte, error) {
 	if len(e.touched) != 0 {
 		return nil, fmt.Errorf("sim: snapshot mid-batch (staged diffs pending)")
 	}
 	if e.enumIdx == nil {
-		e.enumIdx = enumIndex[S](e.proto)
+		e.enumIdx = enumIndex(e.proto)
 	}
 	return e.snapshot(func(w *ckptEnc) error {
 		w.u64(e.adaptLen)
@@ -451,7 +451,7 @@ func (e *CountsEngine[S]) Snapshot() ([]byte, error) {
 }
 
 // Restore implements Checkpointable.
-func (e *CountsEngine[S]) Restore(snapshot []byte) error {
+func (e *CountsEngine) Restore(snapshot []byte) error {
 	r, h, err := e.openPayload(snapshot)
 	if err != nil {
 		return err
@@ -481,8 +481,8 @@ func (e *CountsEngine[S]) Restore(snapshot []byte) error {
 	if r.err != nil {
 		return fmt.Errorf("sim: checkpoint corrupted: %w", r.err)
 	}
-	states := make([]S, m)
-	index := make(map[S]int32, m)
+	states := make([]uint32, m)
+	index := make(map[uint32]int32, m)
 	for id := 0; id < m; id++ {
 		ei := int(r.u32())
 		if r.err != nil {
@@ -591,13 +591,13 @@ func (e *CountsEngine[S]) Restore(snapshot []byte) error {
 
 // Snapshot implements Checkpointable. Dense checkpoints need an Enumerable
 // protocol: agent states serialize through the enumeration.
-func (r *Runner[S, P]) Snapshot() ([]byte, error) {
+func (r *Runner) Snapshot() ([]byte, error) {
 	en, err := r.enumerable()
 	if err != nil {
 		return nil, err
 	}
 	if r.enumIdx == nil {
-		r.enumIdx = enumIndex[S](en)
+		r.enumIdx = enumIndex(en)
 	}
 	return r.snapshot(func(w *ckptEnc) error {
 		w.boolean(r.TrackStates)
@@ -630,8 +630,8 @@ func (r *Runner[S, P]) Snapshot() ([]byte, error) {
 	})
 }
 
-func (r *Runner[S, P]) enumerable() (Enumerable[S], error) {
-	en, ok := any(r.proto).(Enumerable[S])
+func (r *Runner) enumerable() (Enumerable, error) {
+	en, ok := r.proto.(Enumerable)
 	if !ok {
 		return nil, fmt.Errorf("sim: dense checkpoint requires protocol %s to implement Enumerable (finite state-space enumeration)", r.proto.Name())
 	}
@@ -639,7 +639,7 @@ func (r *Runner[S, P]) enumerable() (Enumerable[S], error) {
 }
 
 // Restore implements Checkpointable.
-func (r *Runner[S, P]) Restore(snapshot []byte) error {
+func (r *Runner) Restore(snapshot []byte) error {
 	en, err := r.enumerable()
 	if err != nil {
 		return err
@@ -656,7 +656,7 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 	if d.err == nil && track != r.TrackStates {
 		return fmt.Errorf("sim: checkpoint TrackStates=%v, engine has %v", track, r.TrackStates)
 	}
-	pop := make([]S, h.liveN)
+	pop := make([]uint32, h.liveN)
 	for i := range pop {
 		ei := int(d.u32())
 		if d.err != nil {
@@ -667,13 +667,13 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 		}
 		pop[i] = all[ei]
 	}
-	var seen map[S]struct{}
+	var seen map[uint32]struct{}
 	if track {
 		k := int(d.u32())
 		if d.err != nil || k < 0 || k > len(all) {
 			return fmt.Errorf("sim: checkpoint seen-set of %d states over enumeration of %d", k, len(all))
 		}
-		seen = make(map[S]struct{}, k)
+		seen = make(map[uint32]struct{}, k)
 		for i := 0; i < k; i++ {
 			ei := int(d.u32())
 			if d.err != nil {

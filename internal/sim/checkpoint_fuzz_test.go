@@ -26,11 +26,11 @@ func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 	var eng sim.Engine
 	switch kind % fuzzCkptEngines {
 	case 0:
-		eng = sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(3))
+		eng = sim.NewRunner(pr, rng.New(3))
 	case 1:
-		eng = sim.NewCountsEngine[uint32](pr, rng.New(3))
+		eng = sim.NewCountsEngine(pr, rng.New(3))
 	default:
-		e := sim.NewCountsEngine[uint32](pr, rng.New(3))
+		e := sim.NewCountsEngine(pr, rng.New(3))
 		e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: fuzzCkptN / 8})
 		eng = e
 	}

@@ -29,9 +29,9 @@ func buildCkptEngine(t *testing.T, kind string, n int, seed uint64) sim.Engine {
 	src := rng.New(seed)
 	switch kind {
 	case "dense":
-		return sim.NewRunner[uint32, *gs18.Protocol](pr, src)
+		return sim.NewRunner(pr, src)
 	case "counts":
-		return sim.NewCountsEngine[uint32](pr, src)
+		return sim.NewCountsEngine(pr, src)
 	}
 	t.Fatalf("unknown engine kind %q", kind)
 	return nil
@@ -45,8 +45,8 @@ type probeRec struct {
 	classes []int64
 }
 
-func recordingProbe(dst *[]probeRec) sim.Probe[uint32] {
-	return func(step uint64, v sim.CensusView[uint32]) {
+func recordingProbe(dst *[]probeRec) sim.Probe {
+	return func(step uint64, v sim.CensusView) {
 		*dst = append(*dst, probeRec{step, v.Leaders(), append([]int64(nil), v.Classes()...)})
 	}
 }
@@ -74,7 +74,7 @@ func TestCheckpointResumeBudget(t *testing.T) {
 			ref := buildCkptEngine(t, kind, n, seed)
 			ref.SetBudget(budget)
 			var refSeries []probeRec
-			if err := sim.AddProbe[uint32](ref, recordingProbe(&refSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(ref, recordingProbe(&refSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			refRes := ref.Run()
@@ -84,7 +84,7 @@ func TestCheckpointResumeBudget(t *testing.T) {
 			ck := buildCkptEngine(t, kind, n, seed)
 			ck.SetBudget(budget)
 			var ckSeries []probeRec
-			if err := sim.AddProbe[uint32](ck, recordingProbe(&ckSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(ck, recordingProbe(&ckSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			var snaps [][]byte
@@ -107,7 +107,7 @@ func TestCheckpointResumeBudget(t *testing.T) {
 			re := buildCkptEngine(t, kind, n, seed+999)
 			re.SetBudget(budget)
 			var reSeries []probeRec
-			if err := sim.AddProbe[uint32](re, recordingProbe(&reSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(re, recordingProbe(&reSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			rc := re.(sim.Checkpointable)
@@ -196,16 +196,16 @@ func TestCheckpointResumeSkipCell(t *testing.T) {
 	budget := uint64(24 * n) // comfortably past the ≈ 2n·ln n ≈ 18n completion time
 	probeEvery := uint64(n / 2)
 	ckptEvery := uint64(4 * n)
-	build := func(seed uint64) *sim.CountsEngine[uint32] {
+	build := func(seed uint64) *sim.CountsEngine {
 		p, err := epidemic.New(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := sim.NewCountsEngine[uint32](p, rng.New(seed))
+		e := sim.NewCountsEngine(p, rng.New(seed))
 		e.SetBudget(budget)
 		return e
 	}
-	finalSnap := func(e *sim.CountsEngine[uint32]) []byte {
+	finalSnap := func(e *sim.CountsEngine) []byte {
 		b, err := e.Snapshot()
 		if err != nil {
 			t.Fatalf("final snapshot: %v", err)
@@ -216,7 +216,7 @@ func TestCheckpointResumeSkipCell(t *testing.T) {
 	// Reference: the uninterrupted checkpointing run.
 	ck := build(seed)
 	var ckSeries []probeRec
-	if err := sim.AddProbe[uint32](ck, recordingProbe(&ckSeries), probeEvery); err != nil {
+	if err := sim.AddProbe(ck, recordingProbe(&ckSeries), probeEvery); err != nil {
 		t.Fatal(err)
 	}
 	var snaps [][]byte
@@ -252,7 +252,7 @@ func TestCheckpointResumeSkipCell(t *testing.T) {
 	// replays), restore, and the whole tail must be byte-identical.
 	re := build(seed + 999)
 	var reSeries []probeRec
-	if err := sim.AddProbe[uint32](re, recordingProbe(&reSeries), probeEvery); err != nil {
+	if err := sim.AddProbe(re, recordingProbe(&reSeries), probeEvery); err != nil {
 		t.Fatal(err)
 	}
 	mid := len(snaps) / 2
@@ -297,14 +297,14 @@ func TestCheckpointResumeSkipCell(t *testing.T) {
 func TestCheckpointResumeDenseTracked(t *testing.T) {
 	const n = 2048
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	ref := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(3))
+	ref := sim.NewRunner(pr, rng.New(3))
 	ref.TrackStates = true
 	refRes := ref.Run()
 	if refRes.DistinctStates == 0 {
 		t.Fatalf("reference run tracked no states")
 	}
 
-	ck := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(3))
+	ck := sim.NewRunner(pr, rng.New(3))
 	ck.TrackStates = true
 	var snaps [][]byte
 	ck.SetCheckpoint(uint64(n), func(b []byte) error {
@@ -313,7 +313,7 @@ func TestCheckpointResumeDenseTracked(t *testing.T) {
 	})
 	sameResult(t, "checkpointing run", ck.Run(), refRes)
 
-	re := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(4))
+	re := sim.NewRunner(pr, rng.New(4))
 	re.TrackStates = true
 	if err := re.Restore(snaps[0]); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -473,7 +473,7 @@ func TestCheckpointFormatRejection(t *testing.T) {
 
 	// A registered-probe mismatch: the snapshot has no probe schedules.
 	withProbe := fresh()
-	if err := sim.AddProbe[uint32](withProbe, func(uint64, sim.CensusView[uint32]) {}, 50); err != nil {
+	if err := sim.AddProbe(withProbe, func(uint64, sim.CensusView) {}, 50); err != nil {
 		t.Fatal(err)
 	}
 	wantRestoreError(t, withProbe, snap, "probe")
@@ -495,12 +495,12 @@ func TestCheckpointFormatRejection(t *testing.T) {
 func TestRunTrialsCheckpointResume(t *testing.T) {
 	const n = 2048
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 	for _, backend := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
 		t.Run(string(backend), func(t *testing.T) {
 			base := sim.TrialConfig{Trials: 3, Seed: 21, Backend: backend}
 
-			want, err := sim.RunTrials[uint32, *gs18.Protocol](factory, base)
+			want, err := sim.RunTrials(factory, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -513,7 +513,7 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 			interrupted.MaxInteractions = 2 * n // "crash" well before stabilization
 			interrupted.CheckpointEvery = n / 2
 			interrupted.CheckpointDir = dir
-			if _, err := sim.RunTrials[uint32, *gs18.Protocol](factory, interrupted); err != nil {
+			if _, err := sim.RunTrials(factory, interrupted); err != nil {
 				t.Fatal(err)
 			}
 
@@ -521,7 +521,7 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 			resumed.CheckpointEvery = n / 2
 			resumed.CheckpointDir = dir
 			resumed.Resume = true
-			got, err := sim.RunTrials[uint32, *gs18.Protocol](factory, resumed)
+			got, err := sim.RunTrials(factory, resumed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -534,8 +534,8 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 
 func TestRunTrialsCheckpointConfigErrors(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(64))
-	factory := func(int) *gs18.Protocol { return pr }
-	_, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	factory := func(int) sim.Protocol { return pr }
+	_, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: 1, CheckpointEvery: 10,
 	})
 	if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {

@@ -47,13 +47,13 @@ import (
 // methods must not be called concurrently. With Workers > 1 runBatch fans
 // the sampling work of large batches out over short-lived shard goroutines
 // internally (see counts_parallel.go), joining them before returning.
-type CountsEngine[S comparable] struct {
+type CountsEngine struct {
 	// unitLoop drives Run/RunSteps and owns the step counter, population
 	// size, budget, probes, checkpoints and perturbation (see unit.go); the
 	// counts engine's scheduling units are batches and exact chunks.
-	unitLoop[S]
+	unitLoop
 
-	proto Enumerable[S]
+	proto Enumerable
 
 	// Workers caps the number of sampling shards a batch may fan out to.
 	// 0 or 1 keeps the historical serial path. The determinism contract:
@@ -74,8 +74,8 @@ type CountsEngine[S comparable] struct {
 
 	// State indexing is lazy: states are assigned dense int32 ids in
 	// order of first appearance (initial census, then Delta outputs).
-	states   []S
-	index    map[S]int32
+	states   []uint32
+	index    map[uint32]int32
 	classOf  []uint8
 	leaderOf []bool
 
@@ -136,8 +136,8 @@ type CountsEngine[S comparable] struct {
 	// enumIdx is the lazily built state → States()-index map of the
 	// snapshot codec, and enumStates the lazily built state enumeration for
 	// perturbation scrambles.
-	enumIdx    map[S]int32
-	enumStates []S
+	enumIdx    map[uint32]int32
+	enumStates []uint32
 
 	// disableReactive keeps the exact walker disengaged: it steps every
 	// interaction plainly, with no silent-step skipping (see reactive.go).
@@ -170,13 +170,13 @@ const smallRowMax = 64
 
 // NewCountsEngine creates a counts engine for proto. The protocol must have
 // a finite state space (see Enumerable); population size must be at least 2.
-func NewCountsEngine[S comparable](proto Enumerable[S], src *rng.Source) *CountsEngine[S] {
+func NewCountsEngine(proto Enumerable, src *rng.Source) *CountsEngine {
 	n := proto.N()
 	if n < 2 {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
-	e := &CountsEngine[S]{proto: proto}
-	e.unitLoop = newUnitLoop[S](e, ckptKindCounts, proto.Name(), src, n)
+	e := &CountsEngine{proto: proto}
+	e.unitLoop = newUnitLoop(e, ckptKindCounts, proto.Name(), src, n)
 	e.stateBound = len(proto.States())
 	e.Reset()
 	return e
@@ -184,10 +184,10 @@ func NewCountsEngine[S comparable](proto Enumerable[S], src *rng.Source) *Counts
 
 // Reset reinitializes the census to the protocol's initial configuration,
 // clearing all counters. The PRNG is not reseeded.
-func (e *CountsEngine[S]) Reset() {
+func (e *CountsEngine) Reset() {
 	e.resetLoop()
 	e.states = e.states[:0]
-	e.index = make(map[S]int32)
+	e.index = make(map[uint32]int32)
 	e.classOf = e.classOf[:0]
 	e.leaderOf = e.leaderOf[:0]
 	e.pop = e.pop[:0]
@@ -230,7 +230,7 @@ func (e *CountsEngine[S]) Reset() {
 }
 
 // addInitRun adds c agents in state s to the initial census.
-func (e *CountsEngine[S]) addInitRun(s S, c int64) {
+func (e *CountsEngine) addInitRun(s uint32, c int64) {
 	id := e.indexOf(s)
 	e.pop[id] += c
 	e.classCounts[e.classOf[id]] += c
@@ -241,7 +241,7 @@ func (e *CountsEngine[S]) addInitRun(s S, c int64) {
 
 // indexOf returns the dense id for state s, assigning the next free id on
 // first sight.
-func (e *CountsEngine[S]) indexOf(s S) int32 {
+func (e *CountsEngine) indexOf(s uint32) int32 {
 	if id, ok := e.index[s]; ok {
 		return id
 	}
@@ -260,7 +260,7 @@ func (e *CountsEngine[S]) indexOf(s S) int32 {
 	return id
 }
 
-func (e *CountsEngine[S]) rebuildFenwick() {
+func (e *CountsEngine) rebuildFenwick() {
 	e.fen.init(len(e.states) + 16)
 	for id, c := range e.pop {
 		if c != 0 {
@@ -271,7 +271,7 @@ func (e *CountsEngine[S]) rebuildFenwick() {
 
 // deltaIDs applies the transition function to an ordered id pair, indexing
 // any newly discovered successor states.
-func (e *CountsEngine[S]) deltaIDs(a, b int32) (int32, int32) {
+func (e *CountsEngine) deltaIDs(a, b int32) (int32, int32) {
 	if v, ok := e.delta.Get(a, b); ok {
 		return int32(v >> 32), int32(v)
 	}
@@ -285,25 +285,25 @@ func (e *CountsEngine[S]) deltaIDs(a, b int32) (int32, int32) {
 // the read-only form the batch shards use concurrently. It reports false
 // for pairs not yet memoized; only the main goroutine may resolve those
 // (deltaIDs discovers and indexes successor states).
-func (e *CountsEngine[S]) deltaLookup(a, b int32) (int32, int32, bool) {
+func (e *CountsEngine) deltaLookup(a, b int32) (int32, int32, bool) {
 	v, ok := e.delta.Get(a, b)
 	return int32(v >> 32), int32(v), ok
 }
 
 // Counts implements Engine: the live per-class census. Callers must treat
 // it as read-only.
-func (e *CountsEngine[S]) Counts() []int64 { return e.classCounts }
+func (e *CountsEngine) Counts() []int64 { return e.classCounts }
 
 // Leaders implements Engine.
-func (e *CountsEngine[S]) Leaders() int { return int(e.leaders) }
+func (e *CountsEngine) Leaders() int { return int(e.leaders) }
 
 // DistinctStates returns the number of distinct agent states observed since
 // the last Reset. The counts backend tracks this inherently.
-func (e *CountsEngine[S]) DistinctStates() int { return len(e.states) }
+func (e *CountsEngine) DistinctStates() int { return len(e.states) }
 
 // VisitStates calls f for every state with a nonzero live count, in no
 // particular order (the active list's).
-func (e *CountsEngine[S]) VisitStates(f func(s S, count int64)) {
+func (e *CountsEngine) VisitStates(f func(s uint32, count int64)) {
 	for _, id := range e.active {
 		f(e.states[id], e.pop[id])
 	}
@@ -312,24 +312,24 @@ func (e *CountsEngine[S]) VisitStates(f func(s S, count int64)) {
 // view is the engine's census view for the unit loop (Census, probes),
 // which reads the live census directly (free of charge — the census is the
 // engine's native representation).
-func (e *CountsEngine[S]) view() CensusView[S] { return countsView[S]{e: e, step: e.step} }
+func (e *CountsEngine) view() CensusView { return countsView{e: e, step: e.step} }
 
-func (e *CountsEngine[S]) stable() bool { return e.proto.Stable(e.classCounts) }
+func (e *CountsEngine) stable() bool { return e.proto.Stable(e.classCounts) }
 
 // countsView adapts the counts engine to CensusView.
-type countsView[S comparable] struct {
-	e    *CountsEngine[S]
+type countsView struct {
+	e    *CountsEngine
 	step uint64
 }
 
-func (v countsView[S]) Step() uint64                         { return v.step }
-func (v countsView[S]) N() int                               { return v.e.n }
-func (v countsView[S]) Classes() []int64                     { return v.e.classCounts }
-func (v countsView[S]) Leaders() int                         { return int(v.e.leaders) }
-func (v countsView[S]) Occupied() int                        { return len(v.e.active) }
-func (v countsView[S]) VisitStates(f func(s S, count int64)) { v.e.VisitStates(f) }
+func (v countsView) Step() uint64                              { return v.step }
+func (v countsView) N() int                                    { return v.e.n }
+func (v countsView) Classes() []int64                          { return v.e.classCounts }
+func (v countsView) Leaders() int                              { return int(v.e.leaders) }
+func (v countsView) Occupied() int                             { return len(v.e.active) }
+func (v countsView) VisitStates(f func(s uint32, count int64)) { v.e.VisitStates(f) }
 
-func (e *CountsEngine[S]) bump(id int32, d int64) {
+func (e *CountsEngine) bump(id int32, d int64) {
 	c := e.pop[id] + d
 	if c < 0 {
 		panic(fmt.Sprintf("sim: counts backend drove state %d census negative", id))
@@ -366,7 +366,7 @@ func (e *CountsEngine[S]) bump(id int32, d int64) {
 // uniform over the rest). The census units form an implicit agent indexing,
 // so "a distinct initiator" is a redraw of the responder's unit index —
 // cheaper than temporarily removing the responder from the prefix tree.
-func (e *CountsEngine[S]) Step() bool {
+func (e *CountsEngine) Step() bool {
 	u, a := e.drawUnit(math.MaxUint64) // no unit equals MaxUint64
 	_, b := e.drawUnit(u)
 	e.step++
@@ -379,7 +379,7 @@ func (e *CountsEngine[S]) Step() bool {
 // counts-backend mirror of the dense runner's biasedPair; with all-equal
 // weights the acceptance test short-circuits and both law and randomness
 // consumption degenerate to the uniform draw exactly.
-func (e *CountsEngine[S]) drawUnit(exclude uint64) (uint64, int32) {
+func (e *CountsEngine) drawUnit(exclude uint64) (uint64, int32) {
 	for {
 		u := e.src.Uintn(uint64(e.n))
 		if u == exclude {
@@ -399,7 +399,7 @@ func (e *CountsEngine[S]) drawUnit(exclude uint64) (uint64, int32) {
 // interact commits one exact interaction of a responder in state a with an
 // initiator in state b, whose step the caller has already counted, and
 // fires the probes due at e.step. It reports whether the census changed.
-func (e *CountsEngine[S]) interact(a, b int32) bool {
+func (e *CountsEngine) interact(a, b int32) bool {
 	a2, b2 := e.deltaIDs(a, b)
 	changed := a2 != a || b2 != b
 	if changed {
@@ -413,7 +413,7 @@ func (e *CountsEngine[S]) interact(a, b int32) bool {
 }
 
 // moveOne transfers one agent between states, skipping identity moves.
-func (e *CountsEngine[S]) moveOne(from, to int32) {
+func (e *CountsEngine) moveOne(from, to int32) {
 	if from != to {
 		e.bump(from, -1)
 		e.bump(to, 1)
@@ -426,7 +426,7 @@ func (e *CountsEngine[S]) moveOne(from, to int32) {
 // engine the state pairs recorded from a dense run must reproduce the dense
 // census trajectory exactly. It panics if the census holds no agent pair in
 // the given states.
-func (e *CountsEngine[S]) ApplyPair(responder, initiator S) bool {
+func (e *CountsEngine) ApplyPair(responder, initiator uint32) bool {
 	a := e.indexOf(responder)
 	b := e.indexOf(initiator)
 	if e.pop[a] == 0 || e.pop[b] == 0 || (a == b && e.pop[a] < 2) {
@@ -464,7 +464,7 @@ const (
 // resolvedPolicy returns the effective batch policy: an explicit Policy
 // wins, and the BatchAuto default resolves to exact stepping below
 // ExactMaxN agents and the adaptive controller above.
-func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
+func (e *CountsEngine) resolvedPolicy() BatchPolicy {
 	p := e.Policy
 	if p.Mode == BatchAuto {
 		switch {
@@ -492,7 +492,7 @@ func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 // steps instead of one aggregated batch. Batches never cross the next
 // probe boundary and never exceed n/2 (a batch cannot involve more than n
 // distinct agents).
-func (e *CountsEngine[S]) nextAdvance(remaining uint64) (uint64, bool) {
+func (e *CountsEngine) nextAdvance(remaining uint64) (uint64, bool) {
 	p := e.resolvedPolicy()
 	var l uint64
 	switch p.Mode {
@@ -533,24 +533,23 @@ func (e *CountsEngine[S]) nextAdvance(remaining uint64) (uint64, bool) {
 
 // adaptiveOn reports whether the drift-bounded controller governs batch
 // lengths (and therefore whether drift must be measured).
-func (e *CountsEngine[S]) adaptiveOn() bool {
+func (e *CountsEngine) adaptiveOn() bool {
 	return e.resolvedPolicy().Mode == BatchAdaptive
 }
 
 // AdaptiveBatchLen exposes the adaptive controller's current batch-length
 // choice, for diagnostics and tuning (0 until the first batch under an
 // adaptive policy).
-func (e *CountsEngine[S]) AdaptiveBatchLen() uint64 { return e.adaptLen }
+func (e *CountsEngine) AdaptiveBatchLen() uint64 { return e.adaptLen }
 
 // SetBatchPolicy implements BatchConfigurable: it sets Policy, letting
-// callers that hold the type-erased Engine configure batch scheduling
-// without knowing the state type.
-func (e *CountsEngine[S]) SetBatchPolicy(p BatchPolicy) { e.Policy = p }
+// callers that hold an Engine configure batch scheduling.
+func (e *CountsEngine) SetBatchPolicy(p BatchPolicy) { e.Policy = p }
 
 // SetWorkers implements WorkerConfigurable: it sets Workers, the batch
 // sampling shard count (0 or 1 = serial; see the Workers field for the
 // determinism contract).
-func (e *CountsEngine[S]) SetWorkers(w int) { e.Workers = w }
+func (e *CountsEngine) SetWorkers(w int) { e.Workers = w }
 
 // EffectiveWorkers implements WorkerReporter: the widest batch fan-out any
 // batch actually used since the last Reset. batchShards clamps the
@@ -558,7 +557,7 @@ func (e *CountsEngine[S]) SetWorkers(w int) { e.Workers = w }
 // censuses to serial entirely), so the effective count can be well below
 // the configured one — capacity tables should report this value, not the
 // request. Returns 1 until a batch has run.
-func (e *CountsEngine[S]) EffectiveWorkers() int {
+func (e *CountsEngine) EffectiveWorkers() int {
 	if e.effWorkers < 1 {
 		return 1
 	}
@@ -570,14 +569,14 @@ func (e *CountsEngine[S]) EffectiveWorkers() int {
 // checkpoint hook discipline — the batch sampling law inside a unit is
 // untouched). Must be called before Run, and before Restore when resuming
 // a perturbed checkpoint; nil detaches.
-func (e *CountsEngine[S]) SetPerturbation(p Perturbation) error {
+func (e *CountsEngine) SetPerturbation(p Perturbation) error {
 	e.reactInvalidate()
-	return e.attachPert(p, e.proto.NumClasses(), countsTarget[S]{e})
+	return e.attachPert(p, e.proto.NumClasses(), countsTarget{e})
 }
 
 // scrambleStates returns the protocol's state enumeration, built lazily —
 // the scramble target draws uniform replacement states from it.
-func (e *CountsEngine[S]) scrambleStates() []S {
+func (e *CountsEngine) scrambleStates() []uint32 {
 	if e.enumStates == nil {
 		e.enumStates = e.proto.States()
 	}
@@ -590,9 +589,9 @@ func (e *CountsEngine[S]) scrambleStates() []S {
 // dense target realizes agent by agent. It must only be used at unit
 // boundaries (never mid-batch: bump commits immediately, staged diffs are
 // relative to the batch-start census).
-type countsTarget[S comparable] struct{ e *CountsEngine[S] }
+type countsTarget struct{ e *CountsEngine }
 
-func (t countsTarget[S]) LiveN() int { return t.e.n }
+func (t countsTarget) LiveN() int { return t.e.n }
 
 // removeUniformMVH removes k agents chosen uniformly without replacement
 // from the census: one multivariate hypergeometric row over the occupied
@@ -601,7 +600,7 @@ func (t countsTarget[S]) LiveN() int { return t.e.n }
 // identically across resume). Clamps k to the live population; reports how
 // many agents were actually removed. Shared by the churn and scramble
 // perturbation targets.
-func (e *CountsEngine[S]) removeUniformMVH(src *rng.Source, k int64) int64 {
+func (e *CountsEngine) removeUniformMVH(src *rng.Source, k int64) int64 {
 	if k > int64(e.n) {
 		k = int64(e.n)
 	}
@@ -622,12 +621,12 @@ func (e *CountsEngine[S]) removeUniformMVH(src *rng.Source, k int64) int64 {
 	return k
 }
 
-func (t countsTarget[S]) RemoveUniform(src *rng.Source, k int64) {
+func (t countsTarget) RemoveUniform(src *rng.Source, k int64) {
 	e := t.e
 	e.n -= int(e.removeUniformMVH(src, k))
 }
 
-func (t countsTarget[S]) AddAgents(src *rng.Source, k int64) {
+func (t countsTarget) AddAgents(src *rng.Source, k int64) {
 	e := t.e
 	for j := int64(0); j < k; j++ {
 		e.censusAdd(e.proto.Init(int(src.Uintn(uint64(e.n0)))), 1)
@@ -635,7 +634,7 @@ func (t countsTarget[S]) AddAgents(src *rng.Source, k int64) {
 	e.n += int(k)
 }
 
-func (t countsTarget[S]) ScrambleUniform(src *rng.Source, k int64) {
+func (t countsTarget) ScrambleUniform(src *rng.Source, k int64) {
 	e := t.e
 	k = e.removeUniformMVH(src, k)
 	sts := e.scrambleStates()
@@ -649,7 +648,7 @@ func (t countsTarget[S]) ScrambleUniform(src *rng.Source, k int64) {
 // leader count) and assigning s an id on first sight. It is the
 // perturbation target's census hook; it must not be called during a batch
 // (staged diffs are relative to the batch-start census).
-func (e *CountsEngine[S]) censusAdd(s S, k int64) {
+func (e *CountsEngine) censusAdd(s uint32, k int64) {
 	if k == 0 {
 		return
 	}
@@ -667,7 +666,7 @@ func (e *CountsEngine[S]) censusAdd(s S, k int64) {
 // state's count, floored at adaptiveSmallAbs agents for small states —
 // clamped to geometric growth (×adaptiveGrow) on the way up and unclamped
 // on the way down.
-func (e *CountsEngine[S]) updateAdaptive(l uint64, eps float64) {
+func (e *CountsEngine) updateAdaptive(l uint64, eps float64) {
 	if l == 0 {
 		return
 	}
@@ -718,7 +717,7 @@ func (e *CountsEngine[S]) updateAdaptive(l uint64, eps float64) {
 // stops at the exact interaction where the protocol stabilizes, returning
 // true. Under the adaptive policy the chunk's census drift is measured
 // against a snapshot so the controller can re-enter the batched regime.
-func (e *CountsEngine[S]) exactChunk(l uint64, checkStable bool) bool {
+func (e *CountsEngine) exactChunk(l uint64, checkStable bool) bool {
 	adaptive := e.adaptiveOn()
 	if adaptive {
 		e.snapPop = append(e.snapPop[:0], e.pop...)
@@ -776,7 +775,7 @@ func clampHyper(k, good, bad, sample int64) int64 {
 // runBatch advances l interactions (2·l ≤ n) in one aggregated draw,
 // fanning the sampling over shard goroutines when Workers permits (see
 // counts_parallel.go).
-func (e *CountsEngine[S]) runBatch(l uint64) {
+func (e *CountsEngine) runBatch(l uint64) {
 	// The skip layer's structures are exact-mode state; any batch commit
 	// would invalidate them anyway, so drop them up front and let the next
 	// exact chunk rebuild lazily.
@@ -834,7 +833,7 @@ func (e *CountsEngine[S]) runBatch(l uint64) {
 // sampleBatchSerial draws one batch of l interactions on the caller's
 // goroutine and stages its census deltas (the historical single-stream
 // path; Workers ≤ 1 and small batches come through here).
-func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
+func (e *CountsEngine) sampleBatchSerial(l uint64) {
 	occ := e.occ
 
 	// Responder split: a multivariate hypergeometric draw of l agents
@@ -937,7 +936,7 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 // batches at n/3 interactions so the acceptance rate stays above 1/3;
 // the path is serial — per-interaction role draws cannot reuse the shard
 // fan-out's aggregated chains.
-func (e *CountsEngine[S]) sampleBatchBiased(l uint64) {
+func (e *CountsEngine) sampleBatchBiased(l uint64) {
 	occ := e.occ
 	start := ensureLen(&e.poolInit, len(occ))
 	pool := ensureLen(&e.pool, len(occ))
@@ -964,7 +963,7 @@ func (e *CountsEngine[S]) sampleBatchBiased(l uint64) {
 // start[j] times a per-position weight: a proposal j is accepted with
 // probability pool[j]/start[j], which corrects for depletion exactly, and
 // the weight cancels.
-func (e *CountsEngine[S]) takeOne(start, pool []int64) int {
+func (e *CountsEngine) takeOne(start, pool []int64) int {
 	for {
 		j := e.aliasTab.Sample(e.src)
 		if pool[j] > 0 && float64(start[j])*e.src.Float64() < float64(pool[j]) {
@@ -977,14 +976,14 @@ func (e *CountsEngine[S]) takeOne(start, pool []int64) int {
 // stage records the census effect of k interactions of one pair class
 // without committing it: within a batch all pairs touch distinct agents, so
 // effects are computed against the batch-start census and applied at once.
-func (e *CountsEngine[S]) stage(a, b, a2, b2 int32, k int64) {
+func (e *CountsEngine) stage(a, b, a2, b2 int32, k int64) {
 	e.stageOne(a, -k)
 	e.stageOne(b, -k)
 	e.stageOne(a2, k)
 	e.stageOne(b2, k)
 }
 
-func (e *CountsEngine[S]) stageOne(id int32, d int64) {
+func (e *CountsEngine) stageOne(id int32, d int64) {
 	if e.diff[id] == 0 {
 		e.touched = append(e.touched, id)
 	}
@@ -994,7 +993,7 @@ func (e *CountsEngine[S]) stageOne(id int32, d int64) {
 // advance implements unitEngine: one batch or exact chunk of at most limit
 // interactions (see nextAdvance). Exact chunks test stability after every
 // census-changing step; batches at their end.
-func (e *CountsEngine[S]) advance(limit uint64, checkStable bool) bool {
+func (e *CountsEngine) advance(limit uint64, checkStable bool) bool {
 	l, exact := e.nextAdvance(limit)
 	if exact || e.n < 4 {
 		return e.exactChunk(l, checkStable)
@@ -1006,7 +1005,7 @@ func (e *CountsEngine[S]) advance(limit uint64, checkStable bool) bool {
 	return checkStable && e.proto.Stable(e.classCounts)
 }
 
-func (e *CountsEngine[S]) result(converged bool) Result {
+func (e *CountsEngine) result(converged bool) Result {
 	return Result{
 		Converged:      converged,
 		Interactions:   e.step,

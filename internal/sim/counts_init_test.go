@@ -12,16 +12,16 @@ import (
 
 // refCensus is an initial census built agent by agent, independently of
 // the engine: one map lookup per agent, ids in order of first appearance.
-type refCensus[S comparable] struct {
-	states  []S
+type refCensus struct {
+	states  []uint32
 	pop     []int64
 	counts  []int64
 	leaders int
 }
 
-func perAgentCensus[S comparable](p Enumerable[S]) refCensus[S] {
-	r := refCensus[S]{counts: make([]int64, p.NumClasses())}
-	index := make(map[S]int)
+func perAgentCensus(p Enumerable) refCensus {
+	r := refCensus{counts: make([]int64, p.NumClasses())}
+	index := make(map[uint32]int)
 	for i := 0; i < p.N(); i++ {
 		s := p.Init(i)
 		id, ok := index[s]
@@ -42,9 +42,9 @@ func perAgentCensus[S comparable](p Enumerable[S]) refCensus[S] {
 
 // loadCensus overwrites e's census with ref, every initial state active in
 // id order, as if Reset had built it agent by agent.
-func loadCensus[S comparable](e *CountsEngine[S], ref refCensus[S]) {
+func loadCensus(e *CountsEngine, ref refCensus) {
 	e.states = slices.Clone(ref.states)
-	e.index = make(map[S]int32)
+	e.index = make(map[uint32]int32)
 	e.classOf, e.leaderOf, e.active, e.activePos = nil, nil, nil, nil
 	for id, s := range ref.states {
 		e.index[s] = int32(id)
@@ -64,9 +64,9 @@ func loadCensus[S comparable](e *CountsEngine[S], ref refCensus[S]) {
 
 // checkInitCensus compares e's initial census with the agent-by-agent
 // reference for its protocol.
-func checkInitCensus[S comparable](t *testing.T, label string, e *CountsEngine[S]) {
+func checkInitCensus(t *testing.T, label string, e *CountsEngine) {
 	t.Helper()
-	ref := perAgentCensus[S](e.proto)
+	ref := perAgentCensus(e.proto)
 	if !slices.Equal(e.states, ref.states) {
 		t.Fatalf("%s: states order %v, want first-appearance order %v", label, e.states, ref.states)
 	}
@@ -127,28 +127,28 @@ func (p interleaved) States() []uint32                   { return []uint32{0, 1,
 // whose census was loaded from the reference.
 func TestCountsInitRunsMatchPerAgentCensus(t *testing.T) {
 	const seed = 7
-	gsu19 := core.MustNew(core.DefaultParams(1 << 12))
+	gsu19 := core.MustNew(core.DefaultParams(1 << 12)).Words()
 	majority, err := exactmajority.New(1000, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Enumerable[uint32]{majority, interleaved{n: 4*len(interleavedRuns) + 1}} {
+	for _, p := range []Enumerable{majority, interleaved{n: 4*len(interleavedRuns) + 1}} {
 		t.Run(p.Name(), func(t *testing.T) {
-			e := NewCountsEngine[uint32](p, rng.New(seed))
+			e := NewCountsEngine(p, rng.New(seed))
 			checkInitCensus(t, "counts", e)
-			ref := NewCountsEngine[uint32](p, rng.New(seed))
-			loadCensus(ref, perAgentCensus[uint32](p))
+			ref := NewCountsEngine(p, rng.New(seed))
+			loadCensus(ref, perAgentCensus(p))
 			sameSnapshots(t, e, ref)
 		})
 	}
 	t.Run("gsu19", func(t *testing.T) {
-		e := NewCountsEngine[core.State](gsu19, rng.New(seed))
+		e := NewCountsEngine(gsu19, rng.New(seed))
 		checkInitCensus(t, "counts", e)
 		if len(e.states) != 1 {
 			t.Fatalf("uniform init: %d initial states", len(e.states))
 		}
-		ref := NewCountsEngine[core.State](gsu19, rng.New(seed))
-		loadCensus(ref, perAgentCensus[core.State](gsu19))
+		ref := NewCountsEngine(gsu19, rng.New(seed))
+		loadCensus(ref, perAgentCensus(gsu19))
 		sameSnapshots(t, e, ref)
 	})
 }

@@ -71,7 +71,7 @@ type missCell struct {
 // over occ occupied states fans out to (1 = serial). The result depends
 // only on (Workers, l, occ) — all deterministic — never on the physical
 // core count.
-func (e *CountsEngine[S]) batchShards(l uint64, occ int) int {
+func (e *CountsEngine) batchShards(l uint64, occ int) int {
 	w := e.Workers
 	if w <= 1 || l < parallelMinBatch || occ < parallelMinOcc {
 		return 1
@@ -85,7 +85,7 @@ func (e *CountsEngine[S]) batchShards(l uint64, occ int) int {
 // sampleBatchSharded draws one batch of l interactions across w shards and
 // stages its census deltas, equivalently to sampleBatchSerial in law but
 // with the randomness consumed per the two-level decomposition above.
-func (e *CountsEngine[S]) sampleBatchSharded(l uint64, w int) {
+func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 	occ := e.occ
 	if cap(e.shards) < w {
 		e.shards = make([]countsShard, w)
@@ -205,7 +205,7 @@ func (e *CountsEngine[S]) sampleBatchSharded(l uint64, w int) {
 // shardRespSplit is phase B1 for shard s of w: split the shard's responder
 // allocation over its own columns with a hypergeometric chain on the
 // shard's stream, and initialize its pool columns.
-func (e *CountsEngine[S]) shardRespSplit(s, w int) {
+func (e *CountsEngine) shardRespSplit(s, w int) {
 	sh := &e.shards[s]
 	occ, resp, pool := e.occ, e.resp, e.pool
 	rem := sh.count
@@ -227,7 +227,7 @@ func (e *CountsEngine[S]) shardRespSplit(s, w int) {
 // global order), split the row's allocation to this shard over the shard's
 // own pool columns (count-descending, early exit) and stage the census
 // effects privately.
-func (e *CountsEngine[S]) shardPair(s, w int) {
+func (e *CountsEngine) shardPair(s, w int) {
 	sh := &e.shards[s]
 	occ, pool := e.occ, e.pool
 	shardPool := int64(0)
@@ -265,7 +265,7 @@ func (e *CountsEngine[S]) shardPair(s, w int) {
 // shardStage stages the census effect of k interactions of one pair class
 // into the shard's private diff, deferring unmemoized transitions to the
 // miss list.
-func (e *CountsEngine[S]) shardStage(sh *countsShard, a, b int32, k int64) {
+func (e *CountsEngine) shardStage(sh *countsShard, a, b int32, k int64) {
 	a2, b2, ok := e.deltaLookup(a, b)
 	if !ok {
 		sh.miss = append(sh.miss, missCell{a: a, b: b, k: k})

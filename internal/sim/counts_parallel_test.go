@@ -15,7 +15,7 @@ import (
 // byte-identical-trace contract compares these across runs.
 func censusTrace(eng sim.Engine, pr *gs18.Protocol, every uint64, steps uint64) string {
 	out := ""
-	err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
+	err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 		out += fmt.Sprintf("%d:%v/%d/%d;", step, v.Classes(), v.Leaders(), v.Occupied())
 	}, every)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestParallelFixedWorkerCountByteIdentical(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	traces := make([]string, 2)
 	for run := range traces {
-		eng := sim.NewCountsEngine[uint32](pr, rng.New(17))
+		eng := sim.NewCountsEngine(pr, rng.New(17))
 		eng.SetWorkers(4)
 		traces[run] = censusTrace(eng, pr, 1<<19, steps)
 	}
@@ -49,7 +49,7 @@ func TestParallelFixedWorkerCountByteIdentical(t *testing.T) {
 	// consume randomness differently and diverge from the workers=4 trace
 	// (were every batch below the parallel gate, all counts would take the
 	// identical serial path and this would spuriously match).
-	eng1 := sim.NewCountsEngine[uint32](pr, rng.New(17))
+	eng1 := sim.NewCountsEngine(pr, rng.New(17))
 	eng1.SetWorkers(1)
 	if tr := censusTrace(eng1, pr, 1<<19, steps); tr == traces[0] {
 		t.Fatal("workers=1 and workers=4 produced identical traces — the sharded path never engaged")
@@ -63,7 +63,7 @@ func TestParallelFixedWorkerCountByteIdentical(t *testing.T) {
 func TestParallelSmoke(t *testing.T) {
 	const n = 1 << 18
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	eng := sim.NewCountsEngine[uint32](pr, rng.New(5))
+	eng := sim.NewCountsEngine(pr, rng.New(5))
 	eng.SetWorkers(4)
 	eng.RunSteps(1 << 21)
 	total := int64(0)
@@ -97,7 +97,7 @@ func TestParallelWorkersStabilize(t *testing.T) {
 	const n = 1 << 21
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	for _, w := range []int{2, 8} {
-		eng := sim.NewCountsEngine[uint32](pr, rng.New(uint64(100+w)))
+		eng := sim.NewCountsEngine(pr, rng.New(uint64(100+w)))
 		eng.SetWorkers(w)
 		res := eng.Run()
 		if !res.Converged || res.Leaders != 1 {
@@ -131,9 +131,9 @@ func TestCrossWorkerCountKS(t *testing.T) {
 	const n = 1_000_000
 	const trials = 20
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 
-	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	denseRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 11, Backend: sim.BackendDense,
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestCrossWorkerCountKS(t *testing.T) {
 	crit := stats.KSCritical(trials, trials, 0.001)
 
 	for _, w := range []int{1, 2, 4, 8} {
-		countsRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+		countsRes, err := sim.RunTrials(factory, sim.TrialConfig{
 			Trials: trials, Seed: uint64(3000 + w), Backend: sim.BackendCounts,
 			Batch:         sim.BatchPolicy{Mode: sim.BatchAdaptive},
 			EngineWorkers: w,

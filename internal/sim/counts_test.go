@@ -43,7 +43,7 @@ func (p skewInit) States() []uint32      { return []uint32{0, 1} }
 
 func TestCountsDuelElectsOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 100, 5000} {
-		e := NewCountsEngine[uint32](enumDuel{duel{n}}, rng.New(uint64(n)))
+		e := NewCountsEngine(enumDuel{duel{n}}, rng.New(uint64(n)))
 		res := e.Run()
 		if !res.Converged {
 			t.Fatalf("n=%d: %v", n, res)
@@ -63,7 +63,7 @@ func TestCountsDuelElectsOneLeader(t *testing.T) {
 func TestCountsBatchModeConverges(t *testing.T) {
 	// Force batch mode on a moderate population: every batch advances
 	// n/8 interactions in aggregated draws.
-	e := NewCountsEngine[uint32](enumDuel{duel{1 << 14}}, rng.New(9))
+	e := NewCountsEngine(enumDuel{duel{1 << 14}}, rng.New(9))
 	e.Policy = BatchPolicy{Mode: BatchFixed, Len: 1 << 11}
 	res := e.Run()
 	if !res.Converged || res.Leaders != 1 {
@@ -76,7 +76,7 @@ func TestCountsBatchModeConverges(t *testing.T) {
 }
 
 func TestCountsInitialCensusRespectsInit(t *testing.T) {
-	e := NewCountsEngine[uint32](skewInit{n: 1000, x: 123}, rng.New(1))
+	e := NewCountsEngine(skewInit{n: 1000, x: 123}, rng.New(1))
 	if got := e.Counts(); got[1] != 123 || got[0] != 877 {
 		t.Fatalf("initial census = %v", got)
 	}
@@ -87,7 +87,7 @@ func TestCountsInitialCensusRespectsInit(t *testing.T) {
 }
 
 func TestCountsStepMatchesCensus(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{50}}, rng.New(7))
+	e := NewCountsEngine(enumDuel{duel{50}}, rng.New(7))
 	for i := 0; i < 200; i++ {
 		e.Step()
 		total := int64(0)
@@ -104,7 +104,7 @@ func TestCountsStepMatchesCensus(t *testing.T) {
 }
 
 func TestCountsRunStepsAndReset(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{64}}, rng.New(3))
+	e := NewCountsEngine(enumDuel{duel{64}}, rng.New(3))
 	res := e.RunSteps(40)
 	if res.Interactions != 40 || e.Steps() != 40 {
 		t.Fatalf("RunSteps advanced %d", res.Interactions)
@@ -116,7 +116,7 @@ func TestCountsRunStepsAndReset(t *testing.T) {
 }
 
 func TestCountsBudget(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{500}}, rng.New(11))
+	e := NewCountsEngine(enumDuel{duel{500}}, rng.New(11))
 	e.SetBudget(4)
 	res := e.Run()
 	if res.Converged || res.Interactions != 4 {
@@ -130,7 +130,7 @@ func TestCountsBudget(t *testing.T) {
 // and check mass conservation and leader-count monotonicity instead.
 func TestCountsBatchMassiveDuel(t *testing.T) {
 	const n = 100_000_000
-	e := NewCountsEngine[uint32](enumDuel{duel{n}}, rng.New(5))
+	e := NewCountsEngine(enumDuel{duel{n}}, rng.New(5))
 	res := e.RunSteps(20 * n)
 	if res.Converged {
 		t.Fatal("duel cannot finish in 20 parallel time units")
@@ -148,31 +148,31 @@ func TestCountsBatchMassiveDuel(t *testing.T) {
 
 func TestNewEngineBackends(t *testing.T) {
 	src := rng.New(1)
-	if _, err := NewEngine[uint32, duel](duel{10}, src, BackendCounts); err == nil {
+	if _, err := NewEngine(duel{10}, src, BackendCounts); err == nil {
 		t.Fatal("counts backend must reject a non-Enumerable protocol")
 	}
-	eng, err := NewEngine[uint32, duel](duel{10}, src, BackendAuto)
+	eng, err := NewEngine(duel{10}, src, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.(*Runner[uint32, duel]); !ok {
+	if _, ok := eng.(*Runner); !ok {
 		t.Fatalf("auto on non-enumerable must be dense, got %T", eng)
 	}
-	eng, err = NewEngine[uint32, enumDuel](enumDuel{duel{10}}, src, BackendAuto)
+	eng, err = NewEngine(enumDuel{duel{10}}, src, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.(*Runner[uint32, enumDuel]); !ok {
+	if _, ok := eng.(*Runner); !ok {
 		t.Fatalf("auto below the size threshold must be dense, got %T", eng)
 	}
-	eng, err = NewEngine[uint32, enumDuel](enumDuel{duel{AutoCountsMinN}}, src, BackendAuto)
+	eng, err = NewEngine(enumDuel{duel{AutoCountsMinN}}, src, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.(*CountsEngine[uint32]); !ok {
+	if _, ok := eng.(*CountsEngine); !ok {
 		t.Fatalf("auto at the size threshold must be counts, got %T", eng)
 	}
-	if _, err := NewEngine[uint32, duel](duel{10}, src, Backend("bogus")); err == nil {
+	if _, err := NewEngine(duel{10}, src, Backend("bogus")); err == nil {
 		t.Fatal("bogus backend must error")
 	}
 }
@@ -419,7 +419,7 @@ func (p bigEnum) States() []uint32 {
 // distinct states at n = 10⁹) stays fully table-served.
 func TestDeltaTabSizedFromEnumerationBound(t *testing.T) {
 	// Tiny bound: the table clamps to it immediately.
-	small := NewCountsEngine[uint32](bigEnum{n: 10, states: 7}, rng.New(1))
+	small := NewCountsEngine(bigEnum{n: 10, states: 7}, rng.New(1))
 	if got := small.delta.Stride(); got != 7 {
 		t.Fatalf("bound-7 protocol: stride %d, want 7", got)
 	}
@@ -427,7 +427,7 @@ func TestDeltaTabSizedFromEnumerationBound(t *testing.T) {
 	// A bound beyond the old 2048 limit but within the memory budget: the
 	// stride must be able to grow past 2048 up to the bound.
 	const states = 2500
-	e := NewCountsEngine[uint32](bigEnum{n: 10, states: states}, rng.New(1))
+	e := NewCountsEngine(bigEnum{n: 10, states: states}, rng.New(1))
 	for s := 0; s < states; s++ {
 		e.indexOf(uint32(s))
 	}
@@ -450,7 +450,7 @@ func TestDeltaTabSizedFromEnumerationBound(t *testing.T) {
 // cache — correctness is unaffected.
 func TestDeltaTabOverflowFallsBackToMap(t *testing.T) {
 	states := pairtab.MaxStride + 100
-	e := NewCountsEngine[uint32](bigEnum{n: 10, states: states}, rng.New(1))
+	e := NewCountsEngine(bigEnum{n: 10, states: states}, rng.New(1))
 	for s := 0; s < states; s++ {
 		e.indexOf(uint32(s))
 	}
@@ -471,7 +471,7 @@ func TestDeltaTabOverflowFallsBackToMap(t *testing.T) {
 		t.Fatalf("overflow pair memo: (%d, %d, %v), want (%d, 2, true)", a2, b2, ok, want)
 	}
 	// And the engine still simulates correctly across the boundary.
-	e2 := NewCountsEngine[uint32](bigEnum{n: 5000, states: states}, rng.New(9))
+	e2 := NewCountsEngine(bigEnum{n: 5000, states: states}, rng.New(9))
 	res := e2.RunSteps(20000)
 	total := int64(0)
 	for _, c := range res.Counts {
@@ -508,7 +508,7 @@ func TestParseBatchPolicy(t *testing.T) {
 // wins, and the zero value resolves by population size (exact below
 // ExactMaxN, adaptive with the default ε above).
 func TestResolvedPolicy(t *testing.T) {
-	small := NewCountsEngine[uint32](enumDuel{duel{100}}, rng.New(1))
+	small := NewCountsEngine(enumDuel{duel{100}}, rng.New(1))
 	if p := small.resolvedPolicy(); p.Mode != BatchExact {
 		t.Fatalf("auto below ExactMaxN resolved to %+v, want exact", p)
 	}
@@ -525,7 +525,7 @@ func TestResolvedPolicy(t *testing.T) {
 		t.Fatalf("fixed without any length must default to n/8: %+v", p)
 	}
 
-	big := NewCountsEngine[uint32](enumDuel{duel{ExactMaxN}}, rng.New(1))
+	big := NewCountsEngine(enumDuel{duel{ExactMaxN}}, rng.New(1))
 	if p := big.resolvedPolicy(); p.Mode != BatchAdaptive || p.Eps != DefaultBatchEps {
 		t.Fatalf("auto at ExactMaxN resolved to %+v, want adaptive", p)
 	}
@@ -541,7 +541,7 @@ func TestResolvedPolicy(t *testing.T) {
 	// Beyond the adaptive tier, auto prefers the fixed n/8 throughput
 	// regime. Constructing a real 2²⁷-agent engine costs an O(n) Reset,
 	// so resize the small one: resolvedPolicy only reads e.n.
-	huge := NewCountsEngine[uint32](enumDuel{duel{100}}, rng.New(1))
+	huge := NewCountsEngine(enumDuel{duel{100}}, rng.New(1))
 	huge.n = AutoAdaptiveMaxN + 1
 	if p := huge.resolvedPolicy(); p.Mode != BatchFixed || p.Len != uint64(AutoAdaptiveMaxN+1)/8 {
 		t.Fatalf("auto above AutoAdaptiveMaxN resolved to %+v, want fixed n/8", p)
@@ -557,7 +557,7 @@ func TestResolvedPolicy(t *testing.T) {
 // geometric growth through quiescent batches, the n/2 cap, and the
 // symmetry of a drift record in the unit's two endpoints.
 func TestUpdateAdaptive(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{1 << 20}}, rng.New(1))
+	e := NewCountsEngine(enumDuel{duel{1 << 20}}, rng.New(1))
 	e.Policy = BatchPolicy{Mode: BatchAdaptive, Eps: 0.1}
 
 	// record makes id 0's drift record: census pop at the measured
@@ -640,7 +640,7 @@ func TestUpdateAdaptive(t *testing.T) {
 // stepping).
 func TestCountsAdaptiveConverges(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
-	e := NewCountsEngine[uint32](pr, rng.New(31))
+	e := NewCountsEngine(pr, rng.New(31))
 	e.Policy = BatchPolicy{Mode: BatchAdaptive}
 	res := e.Run()
 	if !res.Converged || res.Leaders != 1 {
@@ -659,7 +659,7 @@ func TestCountsAdaptiveRecoversFromExactFallback(t *testing.T) {
 	// skewInit with x=n is immediately quiescent: every interaction is an
 	// identity transition, so measured drift is zero and the controller
 	// must grow geometrically from the forced floor.
-	e := NewCountsEngine[uint32](skewInit{n: 1 << 18, x: 1 << 18}, rng.New(3))
+	e := NewCountsEngine(skewInit{n: 1 << 18, x: 1 << 18}, rng.New(3))
 	e.Policy = BatchPolicy{Mode: BatchAdaptive}
 	e.adaptLen = 1 // force the exact fallback
 	e.RunSteps(10 * adaptiveFloor)
@@ -676,9 +676,9 @@ func TestCountsAdaptiveRecoversFromExactFallback(t *testing.T) {
 // where it happens — not at a chunk boundary — and a probe at interval 1
 // observes every step from 1 to the stabilization step exactly once.
 func TestCountsExactRunStopsAtStabilization(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{200}}, rng.New(13))
+	e := NewCountsEngine(enumDuel{duel{200}}, rng.New(13))
 	var fires []uint64
-	e.AddProbe(func(step uint64, v CensusView[uint32]) {
+	e.AddProbe(func(step uint64, v CensusView) {
 		fires = append(fires, step)
 	}, 1)
 	res := e.Run()
@@ -696,7 +696,7 @@ func TestCountsExactRunStopsAtStabilization(t *testing.T) {
 	// Replaying the run one step at a time must find the census unstable at
 	// every interaction before the recorded stabilization point: stability
 	// really was detected at the first stable step.
-	e2 := NewCountsEngine[uint32](enumDuel{duel{200}}, rng.New(13))
+	e2 := NewCountsEngine(enumDuel{duel{200}}, rng.New(13))
 	for e2.Steps() < res.Interactions-1 {
 		e2.Step()
 		if e2.proto.Stable(e2.classCounts) {
@@ -709,9 +709,9 @@ func TestCountsExactRunStopsAtStabilization(t *testing.T) {
 // configuration advances nothing and delivers exactly one probe sample (the
 // final fire at step 0).
 func TestCountsRunOnStableStartFiresFinalOnce(t *testing.T) {
-	e := NewCountsEngine[uint32](skewInit{n: 500, x: 500}, rng.New(1))
+	e := NewCountsEngine(skewInit{n: 500, x: 500}, rng.New(1))
 	var fires []uint64
-	e.AddProbe(func(step uint64, v CensusView[uint32]) {
+	e.AddProbe(func(step uint64, v CensusView) {
 		fires = append(fires, step)
 	}, 1)
 	res := e.Run()
@@ -727,9 +727,9 @@ func TestCountsRunOnStableStartFiresFinalOnce(t *testing.T) {
 // (below ExactMaxN) under RunSteps: fires at exact interval multiples, no
 // end-of-run fire (RunSteps has no final fire).
 func TestCountsExactRunStepsProbeCadence(t *testing.T) {
-	e := NewCountsEngine[uint32](enumDuel{duel{1000}}, rng.New(7))
+	e := NewCountsEngine(enumDuel{duel{1000}}, rng.New(7))
 	var fires []uint64
-	e.AddProbe(func(step uint64, v CensusView[uint32]) {
+	e.AddProbe(func(step uint64, v CensusView) {
 		fires = append(fires, step)
 	}, 100)
 	e.RunSteps(1050)

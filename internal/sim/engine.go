@@ -63,9 +63,9 @@ type StateTracker interface {
 // simply never acquire counts; the engine indexes states lazily as they
 // appear). Tests use the enumeration to validate census invariants over the
 // whole space.
-type Enumerable[S comparable] interface {
-	Protocol[S]
-	States() []S
+type Enumerable interface {
+	Protocol
+	States() []uint32
 }
 
 // WorkerConfigurable is implemented by engines whose internal work can fan
@@ -97,8 +97,8 @@ type WorkerReporter interface {
 // returned closure may carry single-goroutine cache state, so every engine
 // must obtain its own — or nil when compilation does not apply, in which
 // case callers use Delta directly. NewRunner consults this automatically.
-type DeltaCompiler[S comparable] interface {
-	CompileDelta() func(r, i S) (S, S)
+type DeltaCompiler interface {
+	CompileDelta() func(r, i uint32) (uint32, uint32)
 }
 
 // Backend selects a simulation engine implementation.
@@ -142,21 +142,21 @@ func ParseBackend(s string) (Backend, error) {
 
 // NewEngine creates the backend selected by b for proto. It returns an
 // error for BackendCounts if the protocol does not implement Enumerable.
-func NewEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, b Backend) (Engine, error) {
+func NewEngine(proto Protocol, src *rng.Source, b Backend) (Engine, error) {
 	switch b {
 	case "", BackendDense:
-		return NewRunner[S, P](proto, src), nil
+		return NewRunner(proto, src), nil
 	case BackendCounts:
-		e, ok := any(proto).(Enumerable[S])
+		e, ok := proto.(Enumerable)
 		if !ok {
 			return nil, fmt.Errorf("sim: backend counts requires protocol %s to implement Enumerable (finite state-space enumeration)", proto.Name())
 		}
-		return NewCountsEngine[S](e, src), nil
+		return NewCountsEngine(e, src), nil
 	case BackendAuto:
-		if e, ok := any(proto).(Enumerable[S]); ok && proto.N() >= AutoCountsMinN {
-			return NewCountsEngine[S](e, src), nil
+		if e, ok := proto.(Enumerable); ok && proto.N() >= AutoCountsMinN {
+			return NewCountsEngine(e, src), nil
 		}
-		return NewRunner[S, P](proto, src), nil
+		return NewRunner(proto, src), nil
 	}
 	return nil, fmt.Errorf("sim: unknown backend %q", b)
 }

@@ -18,8 +18,8 @@ import (
 // slack at all.
 func TestCountsReplaysDenseTraceExactly(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(300))
-	dense := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(42))
-	counts := sim.NewCountsEngine[uint32](pr, rng.New(99)) // PRNG unused during replay
+	dense := sim.NewRunner(pr, rng.New(42))
+	counts := sim.NewCountsEngine(pr, rng.New(99)) // PRNG unused during replay
 
 	type snapshot struct {
 		counts  []int64
@@ -87,15 +87,15 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	const n = 10_000
 	const trials = 100
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 
-	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	denseRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 2019, Backend: sim.BackendDense,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	countsRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 1871, Backend: sim.BackendCounts,
 	})
 	if err != nil {
@@ -130,15 +130,15 @@ func TestCrossBackendBatchModeAgrees(t *testing.T) {
 	const n = 10_000
 	const trials = 40
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 
-	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	denseRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 7, Backend: sim.BackendDense,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+	batchRes, err := sim.RunTrials(factory, sim.TrialConfig{
 		Trials: trials, Seed: 8, Backend: sim.BackendCounts,
 		Batch: sim.BatchPolicy{Mode: sim.BatchFixed, Len: n / 8},
 	})
@@ -171,7 +171,7 @@ func TestCountsStatesEnumerationCoversRun(t *testing.T) {
 	for _, s := range pr.States() {
 		enumerated[s] = struct{}{}
 	}
-	r := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(12))
+	r := sim.NewRunner(pr, rng.New(12))
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		if _, ok := enumerated[newR]; !ok {
 			t.Fatalf("state %#x reached but not enumerated", newR)
@@ -205,11 +205,11 @@ func TestCountsGS18HundredMillion(t *testing.T) {
 	}
 	const n = 100_000_000
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(1), sim.BackendCounts)
+	eng, err := sim.NewEngine(pr, rng.New(1), sim.BackendCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.(*sim.CountsEngine[uint32]).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
+	eng.(*sim.CountsEngine).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
 	start := time.Now()
 	res := eng.Run()
 	elapsed := time.Since(start)

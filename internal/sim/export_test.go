@@ -2,7 +2,7 @@ package sim
 
 // SetDisableReactive switches e to the reference exact walker (no
 // silent-step skipping) for the differential law tests.
-func SetDisableReactive[S comparable](e *CountsEngine[S], disable bool) { e.disableReactive = disable }
+func SetDisableReactive(e *CountsEngine, disable bool) { e.disableReactive = disable }
 
 // ResealCheckpoint replaces a snapshot's payload, keeping its envelope
 // header (format, version, engine kind, protocol, population), and

@@ -7,38 +7,38 @@ package sim
 //
 // The wrapped protocol's transition function, census and stability
 // predicate are untouched.
-type Override[S comparable, P Protocol[S]] struct {
+type Override struct {
 	// Inner is the wrapped protocol.
-	Inner P
+	Inner Protocol
 	// Initial returns the initial state of agent i.
-	Initial func(i int) S
+	Initial func(i int) uint32
 }
 
 // NewOverride wraps proto with a custom initial configuration.
-func NewOverride[S comparable, P Protocol[S]](proto P, initial func(i int) S) *Override[S, P] {
-	return &Override[S, P]{Inner: proto, Initial: initial}
+func NewOverride(proto Protocol, initial func(i int) uint32) *Override {
+	return &Override{Inner: proto, Initial: initial}
 }
 
 // Name implements Protocol.
-func (o *Override[S, P]) Name() string { return o.Inner.Name() + "+override" }
+func (o *Override) Name() string { return o.Inner.Name() + "+override" }
 
 // N implements Protocol.
-func (o *Override[S, P]) N() int { return o.Inner.N() }
+func (o *Override) N() int { return o.Inner.N() }
 
 // Init implements Protocol using the override.
-func (o *Override[S, P]) Init(i int) S { return o.Initial(i) }
+func (o *Override) Init(i int) uint32 { return o.Initial(i) }
 
 // Delta implements Protocol.
-func (o *Override[S, P]) Delta(r, i S) (S, S) { return o.Inner.Delta(r, i) }
+func (o *Override) Delta(r, i uint32) (uint32, uint32) { return o.Inner.Delta(r, i) }
 
 // NumClasses implements Protocol.
-func (o *Override[S, P]) NumClasses() int { return o.Inner.NumClasses() }
+func (o *Override) NumClasses() int { return o.Inner.NumClasses() }
 
 // Class implements Protocol.
-func (o *Override[S, P]) Class(s S) uint8 { return o.Inner.Class(s) }
+func (o *Override) Class(s uint32) uint8 { return o.Inner.Class(s) }
 
 // Leader implements Protocol.
-func (o *Override[S, P]) Leader(s S) bool { return o.Inner.Leader(s) }
+func (o *Override) Leader(s uint32) bool { return o.Inner.Leader(s) }
 
 // Stable implements Protocol.
-func (o *Override[S, P]) Stable(counts []int64) bool { return o.Inner.Stable(counts) }
+func (o *Override) Stable(counts []int64) bool { return o.Inner.Stable(counts) }

@@ -8,13 +8,13 @@ import (
 
 func TestOverrideReplacesInitialConfiguration(t *testing.T) {
 	// duel normally starts all-leader; override to a single leader.
-	o := NewOverride[uint32, duel](duel{10}, func(i int) uint32 {
+	o := NewOverride(duel{10}, func(i int) uint32 {
 		if i == 3 {
 			return 1
 		}
 		return 0
 	})
-	r := NewRunner[uint32, *Override[uint32, duel]](o, rng.New(1))
+	r := NewRunner(o, rng.New(1))
 	res := r.Run()
 	if !res.Converged || res.Interactions != 0 {
 		t.Fatalf("single-leader start must be immediately stable: %+v", res)
@@ -25,7 +25,7 @@ func TestOverrideReplacesInitialConfiguration(t *testing.T) {
 }
 
 func TestOverrideDelegates(t *testing.T) {
-	o := NewOverride[uint32, duel](duel{4}, func(int) uint32 { return 1 })
+	o := NewOverride(duel{4}, func(int) uint32 { return 1 })
 	if o.N() != 4 || o.NumClasses() != 2 {
 		t.Fatal("delegation broken")
 	}
@@ -46,13 +46,13 @@ func TestOverrideDelegates(t *testing.T) {
 
 func TestOverrideRunsToCompletion(t *testing.T) {
 	// Start the duel from an adversarial two-leader configuration.
-	o := NewOverride[uint32, duel](duel{50}, func(i int) uint32 {
+	o := NewOverride(duel{50}, func(i int) uint32 {
 		if i < 2 {
 			return 1
 		}
 		return 0
 	})
-	r := NewRunner[uint32, *Override[uint32, duel]](o, rng.New(7))
+	r := NewRunner(o, rng.New(7))
 	res := r.Run()
 	if !res.Converged || res.Leaders != 1 {
 		t.Fatalf("%+v", res)

@@ -94,7 +94,7 @@ type Perturbation interface {
 }
 
 // Perturbable is implemented by every engine that supports scenario
-// perturbations — the type-erased configuration hook, the perturbation
+// perturbations — the Engine configuration hook, the perturbation
 // counterpart of BatchConfigurable.
 type Perturbable interface {
 	// SetPerturbation attaches p (nil detaches, restoring the exact

@@ -18,10 +18,10 @@ import (
 // Result. Two runs produce the same hash iff they consumed the scheduler's
 // randomness identically and applied the same transitions — a trajectory
 // byte-identity check that does not depend on the checkpoint wire format.
-func traceHash[S comparable](t *testing.T, eng sim.Engine, every uint64) string {
+func traceHash(t *testing.T, eng sim.Engine, every uint64) string {
 	t.Helper()
 	h := fnv.New64a()
-	if err := sim.AddProbe[S](eng, func(step uint64, v sim.CensusView[S]) {
+	if err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 		fmt.Fprintf(h, "s%d l%d o%d c%v;", step, v.Leaders(), v.Occupied(), v.Classes())
 	}, every); err != nil {
 		t.Fatal(err)
@@ -56,14 +56,13 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 		name string
 		want string
 		make func(t *testing.T) (sim.Engine, uint64)
-		hash func(t *testing.T, eng sim.Engine, every uint64) string // nil: traceHash[uint32]
 	}{
 		{
 			name: "dense",
 			want: "41b51bf4fe689ffd",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(3000))
-				return sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(11)), 1500
+				return sim.NewRunner(pr, rng.New(11)), 1500
 			},
 		},
 		{
@@ -71,7 +70,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			want: "98b6ca1e35bc1a5d",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(3000))
-				return sim.NewCountsEngine[uint32](pr, rng.New(12)), 1500
+				return sim.NewCountsEngine(pr, rng.New(12)), 1500
 			},
 		},
 		{
@@ -83,7 +82,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			want: "ad2b6a62242bafe6",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(3000))
-				e := sim.NewCountsEngine[uint32](pr, rng.New(13))
+				e := sim.NewCountsEngine(pr, rng.New(13))
 				e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 				return e, 1500
 			},
@@ -95,7 +94,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			want: "d4de01295ce074f5",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := gs18.MustNew(gs18.DefaultParams(20000))
-				e := sim.NewCountsEngine[uint32](pr, rng.New(14))
+				e := sim.NewCountsEngine(pr, rng.New(14))
 				e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed})
 				e.SetWorkers(4)
 				return e, 10000
@@ -108,11 +107,10 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 			want: "da86b2c8891c802f",
 			make: func(t *testing.T) (sim.Engine, uint64) {
 				pr := core.MustNew(core.DefaultParams(3000))
-				e := sim.NewCountsEngine[core.State](pr, rng.New(15))
+				e := sim.NewCountsEngine(pr.Words(), rng.New(15))
 				e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 				return e, 1500
 			},
-			hash: traceHash[core.State],
 		},
 		{
 			// The epidemic's converged census is silent, so the exact
@@ -126,7 +124,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return sim.NewCountsEngine[uint32](p, rng.New(16)), 2048
+				return sim.NewCountsEngine(p, rng.New(16)), 2048
 			},
 		},
 		{
@@ -140,7 +138,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return sim.NewCountsEngine[uint32](p, rng.New(18)), 2048
+				return sim.NewCountsEngine(p, rng.New(18)), 2048
 			},
 		},
 		{
@@ -153,7 +151,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := sim.NewCountsEngine[uint32](p, rng.New(16))
+				e := sim.NewCountsEngine(p, rng.New(16))
 				sim.SetDisableReactive(e, true)
 				return e, 2048
 			},
@@ -167,7 +165,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := sim.NewCountsEngine[uint32](p, rng.New(18))
+				e := sim.NewCountsEngine(p, rng.New(18))
 				sim.SetDisableReactive(e, true)
 				return e, 2048
 			},
@@ -176,11 +174,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, every := tc.make(t)
-			hash := tc.hash
-			if hash == nil {
-				hash = traceHash[uint32]
-			}
-			if got := hash(t, eng, every); got != tc.want {
+			if got := traceHash(t, eng, every); got != tc.want {
 				t.Fatalf("trajectory hash %s, golden %s — the nil-perturbation path drifted from its recorded trajectory", got, tc.want)
 			}
 		})
@@ -194,12 +188,12 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 // branchless Fenwick descent.
 func TestBiasedExactTraceGolden(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(3000))
-	e := sim.NewCountsEngine[uint32](pr, rng.New(17))
+	e := sim.NewCountsEngine(pr, rng.New(17))
 	if err := e.SetPerturbation(sim.Bias{Weights: []float64{2, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	const want = "0f493b52c1e67cfc"
-	if got := traceHash[uint32](t, e, 1500); got != want {
+	if got := traceHash(t, e, 1500); got != want {
 		t.Fatalf("trajectory hash %s, golden %s — the biased exact path drifted from its recorded trajectory", got, want)
 	}
 }
@@ -222,7 +216,7 @@ func TestPerturbedCountsTraceGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := gs18.MustNew(gs18.DefaultParams(3000))
-			e := sim.NewCountsEngine[uint32](pr, rng.New(tc.seed))
+			e := sim.NewCountsEngine(pr, rng.New(tc.seed))
 			e.SetBatchPolicy(tc.policy)
 			p := sim.Combine(
 				sim.Churn{LeaveRate: 2e-4, JoinRate: 1e-4, Until: 3000 * 300},
@@ -231,7 +225,7 @@ func TestPerturbedCountsTraceGolden(t *testing.T) {
 			if err := e.SetPerturbation(p); err != nil {
 				t.Fatal(err)
 			}
-			if got := traceHash[uint32](t, e, 1500); got != tc.want {
+			if got := traceHash(t, e, 1500); got != tc.want {
 				t.Fatalf("trajectory hash %s, golden %s — the perturbed counts path drifted from its recorded trajectory", got, tc.want)
 			}
 		})

@@ -92,7 +92,7 @@ func TestChurnPopulationDynamics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := gs18.MustNew(gs18.DefaultParams(n))
-			eng := sim.NewCountsEngine[uint32](pr, rng.New(42))
+			eng := sim.NewCountsEngine(pr, rng.New(42))
 			if err := eng.SetPerturbation(tc.churn); err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestCorruptionSqrtNStillElects(t *testing.T) {
 		At: uint64(n * 14), // n·log₂ n
 	}
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	eng := sim.NewCountsEngine[uint32](pr, rng.New(1019))
+	eng := sim.NewCountsEngine(pr, rng.New(1019))
 	eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 	if err := eng.SetPerturbation(corrupt); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestUniformBiasMatchesUnbiasedLaw(t *testing.T) {
 	const n = 1024
 	const trials = 40
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	factory := func(int) *gs18.Protocol { return pr }
+	factory := func(int) sim.Protocol { return pr }
 	for _, tc := range []struct {
 		name    string
 		backend sim.Backend
@@ -176,13 +176,13 @@ func TestUniformBiasMatchesUnbiasedLaw(t *testing.T) {
 		{"counts-adaptive", sim.BackendCounts, sim.BatchPolicy{Mode: sim.BatchAdaptive}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+			plain, err := sim.RunTrials(factory, sim.TrialConfig{
 				Trials: trials, Seed: 31, Backend: tc.backend, Batch: tc.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			biased, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
+			biased, err := sim.RunTrials(factory, sim.TrialConfig{
 				Trials: trials, Seed: 67, Backend: tc.backend, Batch: tc.batch,
 				Perturb: sim.Bias{Weights: []float64{1}},
 			})
@@ -221,7 +221,7 @@ func TestPerturbedElectionAtScale(t *testing.T) {
 		sim.Bias{Weights: []float64{2, 1}},
 	)
 	pr := gs18.MustNew(gs18.DefaultParams(n))
-	eng := sim.NewCountsEngine[uint32](pr, rng.New(2027))
+	eng := sim.NewCountsEngine(pr, rng.New(2027))
 	eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 	eng.SetBudget(2000 * n)
 	if err := eng.SetPerturbation(p); err != nil {
@@ -288,14 +288,14 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 
 			ref := build(seed)
 			var refSeries []probeRec
-			if err := sim.AddProbe[uint32](ref, recordingProbe(&refSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(ref, recordingProbe(&refSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			refRes := ref.Run()
 
 			ck := build(seed)
 			var ckSeries []probeRec
-			if err := sim.AddProbe[uint32](ck, recordingProbe(&ckSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(ck, recordingProbe(&ckSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			var snaps [][]byte
@@ -313,7 +313,7 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 
 			re := build(seed + 999)
 			var reSeries []probeRec
-			if err := sim.AddProbe[uint32](re, recordingProbe(&reSeries), probeEvery); err != nil {
+			if err := sim.AddProbe(re, recordingProbe(&reSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
 			if err := re.(sim.Checkpointable).Restore(snaps[0]); err != nil {

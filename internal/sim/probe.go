@@ -16,7 +16,7 @@ import (
 // A view is only valid for the duration of the Probe call (or until the
 // engine advances, for views obtained through Census); probes that need
 // data beyond that must copy what they read.
-type CensusView[S comparable] interface {
+type CensusView interface {
 	// Step is the interaction count at which the snapshot was taken.
 	Step() uint64
 
@@ -29,7 +29,7 @@ type CensusView[S comparable] interface {
 	// VisitStates calls f once for every state with a nonzero count.
 	// The iteration order is unspecified and may differ between backends
 	// and runs: consumers must compute order-insensitive aggregates.
-	VisitStates(f func(s S, count int64))
+	VisitStates(f func(s uint32, count int64))
 
 	// Classes is the per-class census (see Protocol.Class). Callers must
 	// treat it as read-only.
@@ -50,36 +50,35 @@ type CensusView[S comparable] interface {
 // boundaries so probes fire at their exact cadence even in the batched
 // regime (at the cost of shorter batches — see the README's note on probe
 // cadence vs. batch length).
-type Probe[S comparable] func(step uint64, v CensusView[S])
+type Probe func(step uint64, v CensusView)
 
 // ProbeTarget is implemented by engines that support census probes; both
 // backends do. The interval semantics: every > 0 fires at every multiple
 // of every interactions (plus the final fire at the end of Run);
 // every == 0 fires only at the end of Run (a final-snapshot probe).
-type ProbeTarget[S comparable] interface {
-	AddProbe(p Probe[S], every uint64)
+type ProbeTarget interface {
+	AddProbe(p Probe, every uint64)
 
 	// Census returns the engine's current census view. The view reads
 	// live engine state: it is invalidated by the next interaction.
-	Census() CensusView[S]
+	Census() CensusView
 }
 
-// AddProbe attaches p to eng. It fails if the engine's state type is not
-// S (Engine erases the state type; this restores it).
-func AddProbe[S comparable](eng Engine, p Probe[S], every uint64) error {
-	t, ok := eng.(ProbeTarget[S])
+// AddProbe attaches p to eng. It fails if the engine exposes no census.
+func AddProbe(eng Engine, p Probe, every uint64) error {
+	t, ok := eng.(ProbeTarget)
 	if !ok {
-		return fmt.Errorf("sim: engine %T does not expose a census over the requested state type", eng)
+		return fmt.Errorf("sim: engine %T does not expose a census", eng)
 	}
 	t.AddProbe(p, every)
 	return nil
 }
 
-// Census returns eng's current census view over state type S.
-func Census[S comparable](eng Engine) (CensusView[S], error) {
-	t, ok := eng.(ProbeTarget[S])
+// Census returns eng's current census view.
+func Census(eng Engine) (CensusView, error) {
+	t, ok := eng.(ProbeTarget)
 	if !ok {
-		return nil, fmt.Errorf("sim: engine %T does not expose a census over the requested state type", eng)
+		return nil, fmt.Errorf("sim: engine %T does not expose a census", eng)
 	}
 	return t.Census(), nil
 }
@@ -88,8 +87,8 @@ func Census[S comparable](eng Engine) (CensusView[S], error) {
 const noProbe = math.MaxUint64
 
 // probeEntry is one registered probe with its own cadence.
-type probeEntry[S comparable] struct {
-	fn    Probe[S]
+type probeEntry struct {
+	fn    Probe
 	every uint64 // 0 = final-only
 	next  uint64 // next due step; noProbe when final-only
 
@@ -104,16 +103,16 @@ type probeEntry[S comparable] struct {
 
 // probeSet schedules a collection of probes over one engine. The zero
 // value is an empty schedule.
-type probeSet[S comparable] struct {
-	entries []probeEntry[S]
+type probeSet struct {
+	entries []probeEntry
 	next    uint64 // min over entries of next; noProbe when none are due
 }
 
-func (ps *probeSet[S]) empty() bool { return len(ps.entries) == 0 }
+func (ps *probeSet) empty() bool { return len(ps.entries) == 0 }
 
 // add registers a probe; now is the engine's current step count.
-func (ps *probeSet[S]) add(fn Probe[S], every uint64, now uint64) {
-	e := probeEntry[S]{fn: fn, every: every, next: noProbe}
+func (ps *probeSet) add(fn Probe, every uint64, now uint64) {
+	e := probeEntry{fn: fn, every: every, next: noProbe}
 	if every > 0 {
 		e.next = nextMultiple(now, every)
 	}
@@ -133,7 +132,7 @@ func nextMultiple(now, every uint64) uint64 {
 
 // rebase resets every entry's schedule as if the engine were at step now
 // (used by Reset).
-func (ps *probeSet[S]) rebase(now uint64) {
+func (ps *probeSet) rebase(now uint64) {
 	for i := range ps.entries {
 		if ps.entries[i].every > 0 {
 			ps.entries[i].next = nextMultiple(now, ps.entries[i].every)
@@ -143,7 +142,7 @@ func (ps *probeSet[S]) rebase(now uint64) {
 	ps.recompute()
 }
 
-func (ps *probeSet[S]) recompute() {
+func (ps *probeSet) recompute() {
 	ps.next = noProbe
 	for i := range ps.entries {
 		if ps.entries[i].next < ps.next {
@@ -154,7 +153,7 @@ func (ps *probeSet[S]) recompute() {
 
 // nextBoundary returns the earliest step at which a probe is due; noProbe
 // when none.
-func (ps *probeSet[S]) nextBoundary() uint64 {
+func (ps *probeSet) nextBoundary() uint64 {
 	if len(ps.entries) == 0 {
 		return noProbe
 	}
@@ -162,14 +161,14 @@ func (ps *probeSet[S]) nextBoundary() uint64 {
 }
 
 // due reports whether a probe must fire at the given step.
-func (ps *probeSet[S]) due(step uint64) bool { return step == ps.next }
+func (ps *probeSet) due(step uint64) bool { return step == ps.next }
 
 // fire invokes every entry due at step and advances its schedule. view is
 // constructed by the caller (lazily where possible). The schedule is
 // advanced before the entry's function runs, so a checkpoint taken at a
 // probe boundary records the post-fire schedule (restoring the pre-fire one
 // would leave next == the current step and stall the entry forever).
-func (ps *probeSet[S]) fire(step uint64, view CensusView[S]) {
+func (ps *probeSet) fire(step uint64, view CensusView) {
 	for i := range ps.entries {
 		if ps.entries[i].next == step {
 			ps.entries[i].next = nextMultiple(step, ps.entries[i].every)
@@ -193,7 +192,7 @@ type probeSchedule struct {
 }
 
 // schedules snapshots the cadence position of every registered entry.
-func (ps *probeSet[S]) schedules() []probeSchedule {
+func (ps *probeSet) schedules() []probeSchedule {
 	out := make([]probeSchedule, len(ps.entries))
 	for i, e := range ps.entries {
 		out[i] = probeSchedule{Every: e.every, Next: e.next, LastFired: e.lastFired, HasFired: e.hasFired}
@@ -204,7 +203,7 @@ func (ps *probeSet[S]) schedules() []probeSchedule {
 // restoreSchedules re-aligns the registered entries with schedules captured
 // by a checkpoint. The resuming process must have registered the same
 // probes in the same order; entry count or cadence mismatches are rejected.
-func (ps *probeSet[S]) restoreSchedules(scheds []probeSchedule) error {
+func (ps *probeSet) restoreSchedules(scheds []probeSchedule) error {
 	if len(scheds) != len(ps.entries) {
 		return fmt.Errorf("sim: checkpoint has %d probe schedules, engine has %d probes registered", len(scheds), len(ps.entries))
 	}
@@ -226,7 +225,7 @@ func (ps *probeSet[S]) restoreSchedules(scheds []probeSchedule) error {
 // step (a run ending on a cadence boundary), which would otherwise record
 // a duplicate sample. Schedules are not advanced: a later Run continues
 // the cadence.
-func (ps *probeSet[S]) fireFinal(step uint64, view CensusView[S]) {
+func (ps *probeSet) fireFinal(step uint64, view CensusView) {
 	for i := range ps.entries {
 		if ps.entries[i].hasFired && ps.entries[i].lastFired == step {
 			continue

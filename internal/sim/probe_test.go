@@ -15,7 +15,7 @@ import (
 // census, leader count, occupied count, and the full state census sorted
 // by state value (VisitStates order is unspecified, so the serialization
 // must not depend on it).
-func serializeView(step uint64, v sim.CensusView[uint32]) string {
+func serializeView(step uint64, v sim.CensusView) string {
 	type entry struct {
 		s uint32
 		c int64
@@ -49,13 +49,13 @@ func TestProbeCensusSeriesDenseVsCountsReplay(t *testing.T) {
 	const every = 250
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 
-	dense := sim.NewRunner[uint32, *gs18.Protocol](pr, rng.New(42))
+	dense := sim.NewRunner(pr, rng.New(42))
 	var pairs [][2]uint32
 	dense.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		pairs = append(pairs, [2]uint32{oldR, oldI})
 	})
 	var denseSeries []string
-	dense.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+	dense.AddProbe(func(step uint64, v sim.CensusView) {
 		denseSeries = append(denseSeries, serializeView(step, v))
 	}, every)
 	denseRes := dense.Run()
@@ -63,9 +63,9 @@ func TestProbeCensusSeriesDenseVsCountsReplay(t *testing.T) {
 		t.Fatalf("dense run did not converge: %+v", denseRes)
 	}
 
-	counts := sim.NewCountsEngine[uint32](pr, rng.New(42)) // PRNG unused during replay
+	counts := sim.NewCountsEngine(pr, rng.New(42)) // PRNG unused during replay
 	var countsSeries []string
-	counts.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+	counts.AddProbe(func(step uint64, v sim.CensusView) {
 		countsSeries = append(countsSeries, serializeView(step, v))
 	}, every)
 	for _, p := range pairs {
@@ -115,11 +115,11 @@ func TestCountsBatchProbeFiresAtExactCadence(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	for _, bp := range batchedPolicies {
 		t.Run(bp.name, func(t *testing.T) {
-			e := sim.NewCountsEngine[uint32](pr, rng.New(17))
+			e := sim.NewCountsEngine(pr, rng.New(17))
 			e.SetBatchPolicy(bp.policy)
 			const every = 1000
 			var fires []uint64
-			e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+			e.AddProbe(func(step uint64, v sim.CensusView) {
 				fires = append(fires, step)
 				if v.Step() != step || v.N() != n {
 					t.Fatalf("view step %d n %d at fire step %d", v.Step(), v.N(), step)
@@ -163,11 +163,11 @@ func TestCountsBatchProbeFiresAtExactCadence(t *testing.T) {
 // leader in the batched regime.
 func TestCountsBatchProbeStillConverges(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(1 << 14))
-	e := sim.NewCountsEngine[uint32](pr, rng.New(23))
+	e := sim.NewCountsEngine(pr, rng.New(23))
 	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 11})
 	fires := 0
 	lastLeaders := -1
-	e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+	e.AddProbe(func(step uint64, v sim.CensusView) {
 		fires++
 		lastLeaders = v.Leaders()
 	}, 5000)
@@ -188,12 +188,12 @@ func TestCountsBatchProbeStillConverges(t *testing.T) {
 func TestEngineCensusOnDemand(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(600))
 	for _, backend := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(3), backend)
+		eng, err := sim.NewEngine(pr, rng.New(3), backend)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.RunSteps(5000)
-		v, err := sim.Census[uint32](eng)
+		v, err := sim.Census(eng)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
@@ -219,13 +219,15 @@ func TestEngineCensusOnDemand(t *testing.T) {
 			t.Fatalf("%s: view leaders %d, engine %d", backend, v.Leaders(), eng.Leaders())
 		}
 	}
-	// The census request must reject a mismatched state type.
-	eng, _ := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(3), sim.BackendDense)
-	if _, err := sim.Census[uint64](eng); err == nil {
-		t.Fatal("Census with the wrong state type must error")
+	// The census request must reject an engine that exposes no census
+	// (the wrapper hides every method but Engine's).
+	eng, _ := sim.NewEngine(pr, rng.New(3), sim.BackendDense)
+	bare := struct{ sim.Engine }{eng}
+	if _, err := sim.Census(bare); err == nil {
+		t.Fatal("Census on an engine without a census must error")
 	}
-	if err := sim.AddProbe[uint64](eng, func(uint64, sim.CensusView[uint64]) {}, 1); err == nil {
-		t.Fatal("AddProbe with the wrong state type must error")
+	if err := sim.AddProbe(bare, func(uint64, sim.CensusView) {}, 1); err == nil {
+		t.Fatal("AddProbe on an engine without a census must error")
 	}
 }
 
@@ -240,13 +242,13 @@ func TestFinalFireNotDuplicatedAtBoundary(t *testing.T) {
 	const budget = 1000 // far below GS18 stabilization at n=500
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	for _, backend := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(5), backend)
+		eng, err := sim.NewEngine(pr, rng.New(5), backend)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.SetBudget(budget)
 		var fires []uint64
-		if err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
+		if err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 			fires = append(fires, step)
 		}, every); err != nil {
 			t.Fatal(err)
@@ -283,11 +285,11 @@ func TestFinalFireNotDuplicatedAtBoundaryBatched(t *testing.T) {
 				{6000, []uint64{1000, 2000, 3000, 4000, 5000, 6000}},
 				{6500, []uint64{1000, 2000, 3000, 4000, 5000, 6000, 6500}},
 			} {
-				e := sim.NewCountsEngine[uint32](pr, rng.New(11))
+				e := sim.NewCountsEngine(pr, rng.New(11))
 				e.SetBatchPolicy(bp.policy)
 				e.SetBudget(tc.budget)
 				var fires []uint64
-				e.AddProbe(func(step uint64, v sim.CensusView[uint32]) {
+				e.AddProbe(func(step uint64, v sim.CensusView) {
 					fires = append(fires, step)
 				}, 1000)
 				res := e.Run()
@@ -312,13 +314,13 @@ func TestFinalFireNotDuplicatedAtBoundaryBatched(t *testing.T) {
 func TestFinalFireStillDeliveredOffBoundary(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(500))
 	for _, backend := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
-		eng, err := sim.NewEngine[uint32, *gs18.Protocol](pr, rng.New(5), backend)
+		eng, err := sim.NewEngine(pr, rng.New(5), backend)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.SetBudget(1100) // not a multiple of 250
 		var fires []uint64
-		if err := sim.AddProbe[uint32](eng, func(step uint64, v sim.CensusView[uint32]) {
+		if err := sim.AddProbe(eng, func(step uint64, v sim.CensusView) {
 			fires = append(fires, step)
 		}, 250); err != nil {
 			t.Fatal(err)

@@ -25,7 +25,7 @@ func (p parityToy) Stable([]int64) bool  { return false }
 func TestQuickCountsAlwaysConsistent(t *testing.T) {
 	f := func(seed uint64, stepsRaw uint16) bool {
 		steps := uint64(stepsRaw % 2000)
-		r := NewRunner[uint32, parityToy](parityToy{32}, rng.New(seed))
+		r := NewRunner(parityToy{32}, rng.New(seed))
 		r.RunSteps(steps)
 		var manual [2]int64
 		for _, s := range r.Population() {
@@ -40,7 +40,7 @@ func TestQuickCountsAlwaysConsistent(t *testing.T) {
 }
 
 func TestQuickTwoSidedUpdatesBothApplied(t *testing.T) {
-	r := NewRunner[uint32, parityToy](parityToy{16}, rng.New(1))
+	r := NewRunner(parityToy{16}, rng.New(1))
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		if ri == ii {
 			t.Fatal("scheduler sampled an agent against itself")
@@ -58,7 +58,7 @@ func TestQuickTwoSidedUpdatesBothApplied(t *testing.T) {
 func TestQuickStepCountsExact(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {
 		a, b := uint64(aRaw%100), uint64(bRaw%100)
-		r := NewRunner[uint32, parityToy](parityToy{8}, rng.New(3))
+		r := NewRunner(parityToy{8}, rng.New(3))
 		r.RunSteps(a)
 		r.RunSteps(b)
 		return r.Steps() == a+b
@@ -71,7 +71,7 @@ func TestQuickStepCountsExact(t *testing.T) {
 func TestRunOnAlreadyStableConfiguration(t *testing.T) {
 	// duel with n=2 converges in one interaction; a second Run must
 	// return immediately without further steps.
-	r := NewRunner[uint32, duel](duel{2}, rng.New(4))
+	r := NewRunner(duel{2}, rng.New(4))
 	first := r.Run()
 	again := r.Run()
 	if again.Interactions != first.Interactions {

@@ -109,7 +109,7 @@ type reactState struct {
 // flag); every census mutation outside the skip walker's own bumps —
 // batches, perturbation targets, replay, restore, reset —
 // calls it, and the walker rebuilds lazily at its next engagement.
-func (e *CountsEngine[S]) reactInvalidate() {
+func (e *CountsEngine) reactInvalidate() {
 	e.react.valid = false
 }
 
@@ -118,7 +118,7 @@ func (e *CountsEngine[S]) reactInvalidate() {
 // keeps its per-step rejection sampling), and the int64 pair-mass gate
 // must hold. disableReactive keeps the walker disengaged for the
 // differential tests.
-func (e *CountsEngine[S]) skipEligible() bool {
+func (e *CountsEngine) skipEligible() bool {
 	return !e.disableReactive && e.pert.bias == nil && e.n <= reactMaxN
 }
 
@@ -127,7 +127,7 @@ func (e *CountsEngine[S]) skipEligible() bool {
 // states exactly as a sampled interaction would). Only the engaged
 // exact-mode walker uses it — there the skip changes randomness
 // consumption anyway, so eager successor discovery is harmless.
-func (e *CountsEngine[S]) reactivePair(a, b int32) bool {
+func (e *CountsEngine) reactivePair(a, b int32) bool {
 	a2, b2 := e.deltaIDs(a, b)
 	return a2 != a || b2 != b
 }
@@ -146,7 +146,7 @@ func growKeep[T any](s []T, n int) []T {
 // every occupied ordered pair is probed once (memoized after the first
 // build), w/r/R assembled, and the Fenwick tree initialized. O(occ²)
 // probes + O(states) tree setup; called once per engagement.
-func (e *CountsEngine[S]) reactBuild() {
+func (e *CountsEngine) reactBuild() {
 	rs := &e.react
 	m := len(e.states)
 	rs.w = growKeep(rs.w[:0], m)
@@ -195,7 +195,7 @@ func (e *CountsEngine[S]) reactBuild() {
 // scratch when c enters occupancy (its row was not maintained while it
 // was empty). Runs only while the structures are valid, i.e. inside the
 // engaged skip walker, whose steps are exactly the census-changing ones.
-func (e *CountsEngine[S]) reactUpdate(c int32, d int64) {
+func (e *CountsEngine) reactUpdate(c int32, d int64) {
 	rs := &e.react
 	if int(c) >= len(rs.w) || len(e.states) > rs.fen.cap {
 		// A successor state beyond the built capacity became live:
@@ -247,7 +247,7 @@ func (e *CountsEngine[S]) reactUpdate(c int32, d int64) {
 
 // reactSetVal re-derives r[a] = pop[a]·w[a] and folds the difference into
 // the Fenwick tree and the total R.
-func (e *CountsEngine[S]) reactSetVal(a int32) {
+func (e *CountsEngine) reactSetVal(a int32) {
 	rs := &e.react
 	v := e.pop[a] * rs.w[a]
 	if d := v - rs.rvals[a]; d != 0 {
@@ -261,7 +261,7 @@ func (e *CountsEngine[S]) reactSetVal(a int32) {
 // it when occupancy membership changed since it was last built. The scan
 // order is the active list's, which checkpoints serialize — a resumed
 // run rebuilds the identical list.
-func (e *CountsEngine[S]) reactPartners(a int32) []int32 {
+func (e *CountsEngine) reactPartners(a int32) []int32 {
 	rs := &e.react
 	if rs.partnerVer[a] == e.occVer {
 		return rs.partners[a]
@@ -281,7 +281,7 @@ func (e *CountsEngine[S]) reactPartners(a int32) []int32 {
 // under the scheduler's law conditioned on reactivity: responder a with
 // probability pop[a]·w[a]/R, then initiator b from a's partner list with
 // weight pop[b] (pop[a]−1 for b = a). Consumes exactly two uniforms.
-func (e *CountsEngine[S]) reactSample() (int32, int32) {
+func (e *CountsEngine) reactSample() (int32, int32) {
 	rs := &e.react
 	a := rs.fen.find(e.src.Uintn(uint64(rs.R)))
 	u := int64(e.src.Uintn(uint64(rs.w[a])))
@@ -324,7 +324,7 @@ func geomSkip(u float64, p float64, room uint64) uint64 {
 // census update, like Step), and e.step advances exactly as plain stepping
 // would. Engagement state is chunk-local — see the package comment's
 // resume argument.
-func (e *CountsEngine[S]) exactChunkSkip(end uint64, checkStable bool) bool {
+func (e *CountsEngine) exactChunkSkip(end uint64, checkStable bool) bool {
 	e.reactInvalidate()
 	eligible := e.skipEligible()
 	run := 0

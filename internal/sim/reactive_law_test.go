@@ -12,13 +12,13 @@ import (
 // newEpidemicCounts builds a counts engine over the one-way epidemic — the
 // reference workload for the reactive-pair layer, because its converged
 // census is fully silent.
-func newEpidemicCounts(t *testing.T, n, sources int, seed uint64) *sim.CountsEngine[uint32] {
+func newEpidemicCounts(t *testing.T, n, sources int, seed uint64) *sim.CountsEngine {
 	t.Helper()
 	p, err := epidemic.New(n, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.NewCountsEngine[uint32](p, rng.New(seed))
+	return sim.NewCountsEngine(p, rng.New(seed))
 }
 
 // TestSkipStabilizationKS is the distributional acceptance gate for the

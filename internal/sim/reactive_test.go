@@ -14,7 +14,7 @@ import (
 // and R = Σ_a pop[a]·w[a]. Evaluates the protocol's transition on the
 // states themselves, bypassing the id-assigning delta memo, so the check
 // itself cannot perturb the engine's id assignment.
-func bruteReactive[S comparable](e *CountsEngine[S]) (map[int32]int64, int64) {
+func bruteReactive(e *CountsEngine) (map[int32]int64, int64) {
 	reactive := func(a, b int32) bool {
 		na, nb := e.proto.Delta(e.states[a], e.states[b])
 		return na != e.states[a] || nb != e.states[b]
@@ -37,7 +37,7 @@ func bruteReactive[S comparable](e *CountsEngine[S]) (map[int32]int64, int64) {
 	return w, total
 }
 
-func checkReactiveState[S comparable](t *testing.T, e *CountsEngine[S], step int) {
+func checkReactiveState(t *testing.T, e *CountsEngine, step int) {
 	t.Helper()
 	wantW, wantR := bruteReactive(e)
 	rs := &e.react
@@ -66,7 +66,7 @@ func TestReactiveMassInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewCountsEngine[uint32](p, rng.New(11))
+		e := NewCountsEngine(p, rng.New(11))
 		e.reactBuild()
 		checkReactiveState(t, e, 0)
 		for i := 1; i <= 6000; i++ {
@@ -80,7 +80,7 @@ func TestReactiveMassInvariant(t *testing.T) {
 	})
 	t.Run("gs18", func(t *testing.T) {
 		pr := gs18.MustNew(gs18.DefaultParams(256))
-		e := NewCountsEngine[uint32](pr, rng.New(7))
+		e := NewCountsEngine(pr, rng.New(7))
 		e.reactBuild()
 		checkReactiveState(t, e, 0)
 		nn := int64(256) * 255
@@ -105,7 +105,7 @@ func TestExactSkipEngagement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewCountsEngine[uint32](p, rng.New(3))
+		e := NewCountsEngine(p, rng.New(3))
 		budget := uint64(40 << 12) // ≈ 4.8× the n·ln n completion time
 		e.RunSteps(budget)
 		if e.step != budget {
@@ -123,7 +123,7 @@ func TestExactSkipEngagement(t *testing.T) {
 	})
 	t.Run("gs18-never-engages", func(t *testing.T) {
 		pr := gs18.MustNew(gs18.DefaultParams(1 << 10))
-		e := NewCountsEngine[uint32](pr, rng.New(3))
+		e := NewCountsEngine(pr, rng.New(3))
 		e.RunSteps(200_000)
 		if e.react.valid {
 			t.Fatalf("skip engaged on GS18, which never has a silent pair")

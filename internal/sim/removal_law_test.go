@@ -36,7 +36,7 @@ func (blocks) States() []uint32                   { return []uint32{0, 1, 2, 3} 
 // removes exactly the requested number of agents (clamped to the live
 // population), and no state's count drops below zero.
 func TestRemoveUniformMVHTotals(t *testing.T) {
-	e := NewCountsEngine[uint32](blocks{}, rng.New(1))
+	e := NewCountsEngine(blocks{}, rng.New(1))
 	src := rng.New(2)
 	for _, k := range []int64{0, 1, 17, 300, 999, 1000, 1500} {
 		want := min(k, 1000)
@@ -64,7 +64,7 @@ func TestRemoveUniformMVHTotals(t *testing.T) {
 // hypergeometric law's marginals): the mean within a 5σ band over many
 // rows, the variance within 10%.
 func TestRemoveUniformMVHMarginals(t *testing.T) {
-	e := NewCountsEngine[uint32](blocks{}, rng.New(1))
+	e := NewCountsEngine(blocks{}, rng.New(1))
 	src := rng.New(7)
 	const total = 1000
 	const sample = 300

@@ -12,7 +12,7 @@ import (
 // index; ri and ii are the responder and initiator agent indices; oldR/oldI
 // and newR/newI their states before and after. Hooks run on the simulation
 // goroutine; they must not retain references to engine internals.
-type Hook[S comparable] func(step uint64, ri, ii int, oldR, oldI, newR, newI S)
+type Hook func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32)
 
 // Observer samples the whole population periodically. It receives the step
 // count and a read-only view of the population slice.
@@ -21,26 +21,26 @@ type Hook[S comparable] func(step uint64, ri, ii int, oldR, oldI, newR, newI S)
 // identities (the population slice), which only the dense runner has. New
 // code should use the backend-agnostic census Probe instead (see AddProbe);
 // observers are implemented as a thin adapter over the probe pipeline.
-type Observer[S comparable] func(step uint64, pop []S)
+type Observer func(step uint64, pop []uint32)
 
 // Runner executes one population protocol instance.
 //
 // A Runner is single-goroutine; to parallelize, create one Runner per trial
 // (see Trials).
-type Runner[S comparable, P Protocol[S]] struct {
+type Runner struct {
 	// unitLoop drives Run/RunSteps and owns the step counter, population
 	// size, budget, probes, checkpoints and perturbation (see unit.go). The
 	// dense runner's scheduling unit is a run of interactions up to the next
 	// checkpoint boundary — or a single interaction while a perturbation is
 	// attached, which applies after every interaction.
-	unitLoop[S]
+	unitLoop
 
-	proto P
+	proto Protocol
 	// delta is the transition function Step applies: the protocol's
 	// compiled fast path when it implements DeltaCompiler (one private
 	// memo per runner — see CompileDelta), proto.Delta otherwise.
-	delta func(r, i S) (S, S)
-	pop   []S
+	delta func(r, i uint32) (uint32, uint32)
+	pop   []uint32
 
 	counts  []int64
 	leaders int
@@ -49,35 +49,35 @@ type Runner[S comparable, P Protocol[S]] struct {
 	// insertion per state change; off by default).
 	TrackStates bool
 
-	hooks []Hook[S]
+	hooks []Hook
 
 	// stateCensus is the incremental state→count aggregation of pop,
 	// maintained only while a census-reading probe is registered (censusOn);
 	// it costs two map updates per state change. Observer adapters and
 	// probe-free runs leave it off, and on-demand Census() calls build a
 	// throwaway snapshot instead.
-	stateCensus map[S]int64
+	stateCensus map[uint32]int64
 	censusOn    bool
 
-	seen map[S]struct{}
+	seen map[uint32]struct{}
 
 	// enumIdx is the lazily built state → States()-index map of the
 	// snapshot codec; enumStates the protocol's state enumeration for
 	// perturbation scrambles.
-	enumIdx    map[S]int32
-	enumStates []S
+	enumIdx    map[uint32]int32
+	enumStates []uint32
 }
 
 // NewRunner creates a runner for proto scheduled by src, the model's
 // uniform random scheduler.
-func NewRunner[S comparable, P Protocol[S]](proto P, src *rng.Source) *Runner[S, P] {
+func NewRunner(proto Protocol, src *rng.Source) *Runner {
 	n := proto.N()
 	if n < 2 {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
-	r := &Runner[S, P]{proto: proto, delta: proto.Delta}
-	r.unitLoop = newUnitLoop[S](r, ckptKindDense, proto.Name(), src, n)
-	if dc, ok := any(proto).(DeltaCompiler[S]); ok {
+	r := &Runner{proto: proto, delta: proto.Delta}
+	r.unitLoop = newUnitLoop(r, ckptKindDense, proto.Name(), src, n)
+	if dc, ok := proto.(DeltaCompiler); ok {
 		if f := dc.CompileDelta(); f != nil {
 			r.delta = f
 		}
@@ -88,10 +88,10 @@ func NewRunner[S comparable, P Protocol[S]](proto P, src *rng.Source) *Runner[S,
 
 // Reset reinitializes the population to the protocol's initial
 // configuration, clearing all counters. The PRNG is not reseeded.
-func (r *Runner[S, P]) Reset() {
+func (r *Runner) Reset() {
 	r.resetLoop()
 	if cap(r.pop) < r.n {
-		r.pop = make([]S, r.n)
+		r.pop = make([]uint32, r.n)
 	} else {
 		r.pop = r.pop[:r.n]
 	}
@@ -105,7 +105,7 @@ func (r *Runner[S, P]) Reset() {
 	}
 	r.leaders = 0
 	if r.TrackStates {
-		r.seen = make(map[S]struct{})
+		r.seen = make(map[uint32]struct{})
 	}
 	for i := range r.pop {
 		s := r.proto.Init(i)
@@ -127,20 +127,20 @@ func (r *Runner[S, P]) Reset() {
 // interaction, the dense backend's scheduling-unit boundary. It requires
 // the protocol to be Enumerable (scrambles draw from the enumeration). Must
 // be called before Run; nil detaches.
-func (r *Runner[S, P]) SetPerturbation(p Perturbation) error {
+func (r *Runner) SetPerturbation(p Perturbation) error {
 	if p != nil {
-		en, ok := any(r.proto).(Enumerable[S])
+		en, ok := r.proto.(Enumerable)
 		if !ok {
 			return fmt.Errorf("sim: perturbations need an enumerable protocol")
 		}
 		r.enumStates = en.States()
 	}
-	return r.attachPert(p, r.proto.NumClasses(), denseTarget[S, P]{r})
+	return r.attachPert(p, r.proto.NumClasses(), denseTarget{r})
 }
 
 // buildCensus aggregates a population slice into a state→count map.
-func buildCensus[S comparable](pop []S) map[S]int64 {
-	m := make(map[S]int64)
+func buildCensus(pop []uint32) map[uint32]int64 {
+	m := make(map[uint32]int64)
 	for _, s := range pop {
 		m[s]++
 	}
@@ -148,18 +148,18 @@ func buildCensus[S comparable](pop []S) map[S]int64 {
 }
 
 // AddHook registers a per-interaction hook.
-func (r *Runner[S, P]) AddHook(h Hook[S]) { r.hooks = append(r.hooks, h) }
+func (r *Runner) AddHook(h Hook) { r.hooks = append(r.hooks, h) }
 
 // AddObserver registers a population observer invoked every interval
 // interactions (and once more at the end of Run). Each observer fires at
 // its own interval. It is a thin adapter over the probe pipeline: the
 // observer rides the probe schedule but reads the population slice
 // directly, so it adds no census upkeep.
-func (r *Runner[S, P]) AddObserver(o Observer[S], interval uint64) {
+func (r *Runner) AddObserver(o Observer, interval uint64) {
 	if interval == 0 {
 		interval = 1
 	}
-	r.probes.add(func(step uint64, _ CensusView[S]) { o(step, r.pop) }, interval, r.step)
+	r.probes.add(func(step uint64, _ CensusView) { o(step, r.pop) }, interval, r.step)
 }
 
 // AddProbe registers a census probe firing every `every` interactions plus
@@ -168,7 +168,7 @@ func (r *Runner[S, P]) AddObserver(o Observer[S], interval uint64) {
 // maintenance, which costs two map updates per state change; final-only
 // probes are instead served by a one-off O(n) snapshot at fire time and
 // add no per-interaction cost.
-func (r *Runner[S, P]) AddProbe(p Probe[S], every uint64) {
+func (r *Runner) AddProbe(p Probe, every uint64) {
 	r.probes.add(p, every, r.step)
 	if every > 0 && !r.censusOn {
 		r.censusOn = true
@@ -179,20 +179,20 @@ func (r *Runner[S, P]) AddProbe(p Probe[S], every uint64) {
 // view is the runner's census view for the unit loop (Census, probes): it
 // reads the incremental census when maintained and otherwise aggregates the
 // population on first use (O(n)).
-func (r *Runner[S, P]) view() CensusView[S] { return &denseView[S, P]{r: r, step: r.step} }
+func (r *Runner) view() CensusView { return &denseView{r: r, step: r.step} }
 
-func (r *Runner[S, P]) stable() bool { return r.proto.Stable(r.counts) }
+func (r *Runner) stable() bool { return r.proto.Stable(r.counts) }
 
 // denseView adapts the dense runner to CensusView. It reads the runner's
 // incremental census when maintained, and otherwise aggregates the
 // population lazily on first state access.
-type denseView[S comparable, P Protocol[S]] struct {
-	r    *Runner[S, P]
+type denseView struct {
+	r    *Runner
 	step uint64
-	lazy map[S]int64
+	lazy map[uint32]int64
 }
 
-func (v *denseView[S, P]) censusMap() map[S]int64 {
+func (v *denseView) censusMap() map[uint32]int64 {
 	if v.r.censusOn {
 		return v.r.stateCensus
 	}
@@ -202,30 +202,30 @@ func (v *denseView[S, P]) censusMap() map[S]int64 {
 	return v.lazy
 }
 
-func (v *denseView[S, P]) Step() uint64     { return v.step }
-func (v *denseView[S, P]) N() int           { return v.r.n }
-func (v *denseView[S, P]) Occupied() int    { return len(v.censusMap()) }
-func (v *denseView[S, P]) Classes() []int64 { return v.r.counts }
-func (v *denseView[S, P]) Leaders() int     { return v.r.leaders }
-func (v *denseView[S, P]) VisitStates(f func(s S, count int64)) {
+func (v *denseView) Step() uint64     { return v.step }
+func (v *denseView) N() int           { return v.r.n }
+func (v *denseView) Occupied() int    { return len(v.censusMap()) }
+func (v *denseView) Classes() []int64 { return v.r.counts }
+func (v *denseView) Leaders() int     { return v.r.leaders }
+func (v *denseView) VisitStates(f func(s uint32, count int64)) {
 	for s, c := range v.censusMap() {
 		f(s, c)
 	}
 }
 
 // SetTrackStates implements StateTracker: it sets TrackStates.
-func (r *Runner[S, P]) SetTrackStates(on bool) { r.TrackStates = on }
+func (r *Runner) SetTrackStates(on bool) { r.TrackStates = on }
 
 // Population returns the live population slice. Callers must treat it as
 // read-only.
-func (r *Runner[S, P]) Population() []S { return r.pop }
+func (r *Runner) Population() []uint32 { return r.pop }
 
 // Counts returns the live per-class census. Callers must treat it as
 // read-only.
-func (r *Runner[S, P]) Counts() []int64 { return r.counts }
+func (r *Runner) Counts() []int64 { return r.counts }
 
 // Leaders returns the current number of leader-output agents.
-func (r *Runner[S, P]) Leaders() int { return r.leaders }
+func (r *Runner) Leaders() int { return r.leaders }
 
 // DefaultBudget returns the default interaction budget for population size
 // n: generous compared to the paper's O(n log^2 n) whp bound, plus a term
@@ -259,7 +259,7 @@ func satMul(a, b uint64) uint64 {
 
 // Step executes exactly one interaction and returns whether the
 // configuration changed.
-func (r *Runner[S, P]) Step() bool {
+func (r *Runner) Step() bool {
 	var ri, ii int
 	if r.pert.bias != nil {
 		ri, ii = r.biasedPair()
@@ -292,12 +292,12 @@ func (r *Runner[S, P]) Step() bool {
 // weight, by rejection sampling against the maximum weight on the
 // scheduler stream. The initiator is conditioned to differ from the
 // responder, matching the uniform scheduler's distinct-pair law.
-func (r *Runner[S, P]) biasedPair() (int, int) {
+func (r *Runner) biasedPair() (int, int) {
 	ri := r.biasedIndex(-1)
 	return ri, r.biasedIndex(ri)
 }
 
-func (r *Runner[S, P]) biasedIndex(exclude int) int {
+func (r *Runner) biasedIndex(exclude int) int {
 	for {
 		i := int(r.src.Uintn(uint64(r.n)))
 		if i == exclude {
@@ -314,14 +314,14 @@ func (r *Runner[S, P]) biasedIndex(exclude int) int {
 // census, leader count, incremental state census and distinct-state
 // tracker consistent through population mutations. Perturbation events do
 // not fire interaction hooks.
-type denseTarget[S comparable, P Protocol[S]] struct{ r *Runner[S, P] }
+type denseTarget struct{ r *Runner }
 
-func (t denseTarget[S, P]) LiveN() int { return t.r.n }
+func (t denseTarget) LiveN() int { return t.r.n }
 
 // RemoveUniform removes k agents one at a time, each uniform over the
 // remainder — exactly the without-replacement law of the counts backend's
 // MVH row draw. Swap-removal is fine: agent identity carries no state.
-func (t denseTarget[S, P]) RemoveUniform(src *rng.Source, k int64) {
+func (t denseTarget) RemoveUniform(src *rng.Source, k int64) {
 	r := t.r
 	for j := int64(0); j < k && r.n > 0; j++ {
 		i := int(src.Uintn(uint64(r.n)))
@@ -343,7 +343,7 @@ func (t denseTarget[S, P]) RemoveUniform(src *rng.Source, k int64) {
 	}
 }
 
-func (t denseTarget[S, P]) AddAgents(src *rng.Source, k int64) {
+func (t denseTarget) AddAgents(src *rng.Source, k int64) {
 	r := t.r
 	for j := int64(0); j < k; j++ {
 		s := r.proto.Init(int(src.Uintn(uint64(r.n0))))
@@ -366,7 +366,7 @@ func (t denseTarget[S, P]) AddAgents(src *rng.Source, k int64) {
 // ScrambleUniform picks k distinct agents by rejection against a seen-set
 // (the without-replacement law again) and replaces each state by a uniform
 // draw from the protocol's enumeration.
-func (t denseTarget[S, P]) ScrambleUniform(src *rng.Source, k int64) {
+func (t denseTarget) ScrambleUniform(src *rng.Source, k int64) {
 	r := t.r
 	if k > int64(r.n) {
 		k = int64(r.n)
@@ -385,7 +385,7 @@ func (t denseTarget[S, P]) ScrambleUniform(src *rng.Source, k int64) {
 	}
 }
 
-func (r *Runner[S, P]) apply(idx int, old, new S) {
+func (r *Runner) apply(idx int, old, new uint32) {
 	r.pop[idx] = new
 	r.counts[r.proto.Class(old)]--
 	r.counts[r.proto.Class(new)]++
@@ -412,11 +412,11 @@ func (r *Runner[S, P]) apply(idx int, old, new S) {
 // ensureSeen initializes the distinct-state tracker on first use, seeding it
 // with all states currently present (TrackStates may be enabled after
 // NewRunner has already built the initial population).
-func (r *Runner[S, P]) ensureSeen() {
+func (r *Runner) ensureSeen() {
 	if r.seen != nil {
 		return
 	}
-	r.seen = make(map[S]struct{})
+	r.seen = make(map[uint32]struct{})
 	for _, s := range r.pop {
 		r.seen[s] = struct{}{}
 	}
@@ -428,7 +428,7 @@ func (r *Runner[S, P]) ensureSeen() {
 // tests stability after every census-changing interaction (Stable is
 // absorbing on census classes, so unchanged steps cannot flip it) and stops
 // at the exact interaction where the protocol stabilizes.
-func (r *Runner[S, P]) advance(limit uint64, checkStable bool) bool {
+func (r *Runner) advance(limit uint64, checkStable bool) bool {
 	if r.pert.active() {
 		limit = 1
 	}
@@ -440,7 +440,7 @@ func (r *Runner[S, P]) advance(limit uint64, checkStable bool) bool {
 	return false
 }
 
-func (r *Runner[S, P]) result(converged bool) Result {
+func (r *Runner) result(converged bool) Result {
 	res := Result{
 		Converged:    converged,
 		Interactions: r.step,

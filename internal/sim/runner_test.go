@@ -53,7 +53,7 @@ func (e infect) Stable(c []int64) bool { return c[1] == int64(e.n) }
 
 func TestRunnerDuelElectsOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 100} {
-		r := NewRunner[uint32, duel](duel{n}, rng.New(uint64(n)))
+		r := NewRunner(duel{n}, rng.New(uint64(n)))
 		res := r.Run()
 		if !res.Converged {
 			t.Fatalf("n=%d: %v", n, res)
@@ -71,7 +71,7 @@ func TestRunnerDuelElectsOneLeader(t *testing.T) {
 }
 
 func TestRunnerCountsMatchPopulation(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{50}, rng.New(7))
+	r := NewRunner(duel{50}, rng.New(7))
 	for i := 0; i < 500; i++ {
 		r.Step()
 	}
@@ -90,7 +90,7 @@ func TestRunnerCountsMatchPopulation(t *testing.T) {
 
 func TestRunnerDeterminism(t *testing.T) {
 	run := func() Result {
-		r := NewRunner[uint32, duel](duel{64}, rng.New(99))
+		r := NewRunner(duel{64}, rng.New(99))
 		return r.Run()
 	}
 	a, b := run(), run()
@@ -100,7 +100,7 @@ func TestRunnerDeterminism(t *testing.T) {
 }
 
 func TestRunnerBudgetExhaustion(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{1000}, rng.New(1))
+	r := NewRunner(duel{1000}, rng.New(1))
 	r.MaxInteractions = 5
 	res := r.Run()
 	if res.Converged {
@@ -115,7 +115,7 @@ func TestRunnerImmediateStability(t *testing.T) {
 	// A population of followers plus one leader is already stable under
 	// duel's predicate... duel starts all-leader, so use n=2 and force
 	// one elimination, then Reset must return to the initial state.
-	r := NewRunner[uint32, duel](duel{2}, rng.New(3))
+	r := NewRunner(duel{2}, rng.New(3))
 	res := r.Run()
 	if !res.Converged || res.Interactions != 1 {
 		t.Fatalf("n=2 duel should converge in exactly 1 interaction: %+v", res)
@@ -123,7 +123,7 @@ func TestRunnerImmediateStability(t *testing.T) {
 }
 
 func TestRunnerReset(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{20}, rng.New(5))
+	r := NewRunner(duel{20}, rng.New(5))
 	r.Run()
 	r.Reset()
 	if r.Steps() != 0 {
@@ -140,7 +140,7 @@ func TestRunnerReset(t *testing.T) {
 
 func TestRunnerEpidemicCompletes(t *testing.T) {
 	n := 200
-	r := NewRunner[uint32, infect](infect{n}, rng.New(11))
+	r := NewRunner(infect{n}, rng.New(11))
 	res := r.Run()
 	if !res.Converged {
 		t.Fatalf("epidemic did not complete: %+v", res)
@@ -157,7 +157,7 @@ func TestRunnerEpidemicCompletes(t *testing.T) {
 
 func TestRunnerHooks(t *testing.T) {
 	n := 50
-	r := NewRunner[uint32, infect](infect{n}, rng.New(13))
+	r := NewRunner(infect{n}, rng.New(13))
 	var infections int
 	var lastStep uint64
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
@@ -182,7 +182,7 @@ func TestRunnerHooks(t *testing.T) {
 }
 
 func TestRunnerObserver(t *testing.T) {
-	r := NewRunner[uint32, infect](infect{64}, rng.New(17))
+	r := NewRunner(infect{64}, rng.New(17))
 	calls := 0
 	r.AddObserver(func(step uint64, pop []uint32) {
 		calls++
@@ -199,7 +199,7 @@ func TestRunnerObserver(t *testing.T) {
 }
 
 func TestRunnerTrackStates(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{30}, rng.New(19))
+	r := NewRunner(duel{30}, rng.New(19))
 	r.TrackStates = true
 	res := r.Run()
 	if res.DistinctStates != 2 {
@@ -213,7 +213,7 @@ func TestRunnerPanicsOnTinyPopulation(t *testing.T) {
 			t.Fatal("NewRunner must panic for n < 2")
 		}
 	}()
-	NewRunner[uint32, duel](duel{1}, rng.New(1))
+	NewRunner(duel{1}, rng.New(1))
 }
 
 func TestDefaultBudget(t *testing.T) {
@@ -230,7 +230,7 @@ func TestDefaultBudget(t *testing.T) {
 }
 
 func TestRunStepsRunsExactly(t *testing.T) {
-	r := NewRunner[uint32, infect](infect{100}, rng.New(23))
+	r := NewRunner(infect{100}, rng.New(23))
 	res := r.RunSteps(37)
 	if res.Interactions != 37 {
 		t.Fatalf("RunSteps ran %d", res.Interactions)
@@ -262,7 +262,7 @@ func TestResultString(t *testing.T) {
 // AddObserver interval bug: every observer used to fire at the globally
 // smallest registered interval instead of its own.
 func TestObserversFireAtTheirOwnIntervals(t *testing.T) {
-	r := NewRunner[uint32, duel](duel{64}, rng.New(2))
+	r := NewRunner(duel{64}, rng.New(2))
 	r.MaxInteractions = 1000
 	var fast, slow []uint64
 	r.AddObserver(func(step uint64, pop []uint32) { fast = append(fast, step) }, 10)

@@ -86,9 +86,9 @@ func TrialCheckpointPath(dir string, trial int) string {
 // of the trial's Run (Every == 0: end of Run only). Probes observe only
 // their own trial, so per-trial sinks (e.g. a stats.Collector per trial,
 // allocated up front and indexed by trial) need no locking.
-type TrialProbe[S comparable] struct {
+type TrialProbe struct {
 	Every uint64
-	Make  func(trial int) Probe[S]
+	Make  func(trial int) Probe
 }
 
 // RunTrials executes cfg.Trials independent runs of the protocols produced
@@ -100,23 +100,24 @@ type TrialProbe[S comparable] struct {
 // number of workers. Configuration problems — an unknown backend, or
 // BackendCounts with a protocol that does not implement Enumerable — are
 // reported as an error before any worker spawns.
-func RunTrials[S comparable, P Protocol[S]](factory func(trial int) P, cfg TrialConfig) ([]Result, error) {
-	return RunTrialsProbed[S, P](factory, cfg)
+func RunTrials(factory func(trial int) Protocol, cfg TrialConfig) ([]Result, error) {
+	return RunTrialsProbed(factory, cfg)
 }
 
 // RunTrialsProbed is RunTrials with census probes attached to every
 // trial's engine — the bulk-observation entry point: trajectory series are
 // recorded per trial (see TrialProbe) and merged afterwards, e.g. with
 // stats.AggregateOnGrid.
-func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg TrialConfig, probes ...TrialProbe[S]) ([]Result, error) {
+func RunTrialsProbed(factory func(trial int) Protocol, cfg TrialConfig, probes ...TrialProbe) ([]Result, error) {
 	if cfg.Trials <= 0 {
 		return nil, nil
 	}
 	// Validate the configuration on the caller's goroutine, before any
 	// worker spawns, so misconfiguration surfaces as an error here rather
-	// than once per trial inside the pool.
-	var zero P
-	if err := checkTrialConfig[S](zero, cfg); err != nil {
+	// than once per trial inside the pool. Trial 0 runs the protocol
+	// validated here, so factory is still called once per trial.
+	first := factory(0)
+	if err := checkTrialConfig(first, cfg); err != nil {
 		return nil, err
 	}
 	if (cfg.CheckpointEvery > 0 || cfg.Resume) && cfg.CheckpointDir == "" {
@@ -129,7 +130,11 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 	}
 	results := make([]Result, cfg.Trials)
 	runTrial := func(t int) error {
-		eng, err := NewTrialEngine[S, P](factory(t), rng.NewStream(cfg.Seed, uint64(t)), cfg)
+		proto := first
+		if t > 0 {
+			proto = factory(t)
+		}
+		eng, err := NewTrialEngine(proto, rng.NewStream(cfg.Seed, uint64(t)), cfg)
 		if err != nil {
 			return err
 		}
@@ -137,7 +142,7 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 			if tp.Make == nil {
 				continue
 			}
-			if err := AddProbe[S](eng, tp.Make(t), tp.Every); err != nil {
+			if err := AddProbe(eng, tp.Make(t), tp.Every); err != nil {
 				return err
 			}
 		}
@@ -199,11 +204,11 @@ func RunTrialsProbed[S comparable, P Protocol[S]](factory func(trial int) P, cfg
 // infinite or negative — are returned as errors. The trial-pool fields
 // (Trials, Seed, Workers) and the checkpoint fields are RunTrials'
 // business, not the engine's; see AttachCheckpoint for the latter.
-func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg TrialConfig) (Engine, error) {
-	if err := checkTrialConfig[S](proto, cfg); err != nil {
+func NewTrialEngine(proto Protocol, src *rng.Source, cfg TrialConfig) (Engine, error) {
+	if err := checkTrialConfig(proto, cfg); err != nil {
 		return nil, err
 	}
-	eng, err := NewEngine[S, P](proto, src, cfg.Backend)
+	eng, err := NewEngine(proto, src, cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -228,13 +233,12 @@ func NewTrialEngine[S comparable, P Protocol[S]](proto P, src *rng.Source, cfg T
 }
 
 // checkTrialConfig reports the configuration errors NewTrialEngine would
-// return for proto, without building anything. RunTrialsProbed passes the
-// zero P, so the capability checks go by protocol type.
-func checkTrialConfig[S comparable, P Protocol[S]](proto P, cfg TrialConfig) error {
+// return for proto, without building anything.
+func checkTrialConfig(proto Protocol, cfg TrialConfig) error {
 	switch cfg.Backend {
 	case "", BackendDense, BackendAuto:
 	case BackendCounts:
-		if _, ok := any(proto).(Enumerable[S]); !ok {
+		if _, ok := proto.(Enumerable); !ok {
 			return fmt.Errorf("sim: backend counts requires protocol type %T to implement Enumerable (finite state-space enumeration)", proto)
 		}
 	default:

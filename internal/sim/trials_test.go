@@ -21,7 +21,7 @@ func mustTrials(t *testing.T) func([]Result, error) []Result {
 
 func TestRunTrialsBasic(t *testing.T) {
 	cfg := TrialConfig{Trials: 16, Seed: 42, Workers: 4}
-	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{50} }, cfg))
+	rs := mustTrials(t)(RunTrials(func(int) Protocol { return duel{50} }, cfg))
 	if len(rs) != 16 {
 		t.Fatalf("got %d results", len(rs))
 	}
@@ -42,9 +42,9 @@ func TestRunTrialsBasic(t *testing.T) {
 }
 
 func TestRunTrialsReproducibleAcrossWorkerCounts(t *testing.T) {
-	mk := func(int) duel { return duel{40} }
-	a := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Workers: 1}))
-	b := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Workers: 8}))
+	mk := func(int) Protocol { return duel{40} }
+	a := mustTrials(t)(RunTrials(mk, TrialConfig{Trials: 8, Seed: 7, Workers: 1}))
+	b := mustTrials(t)(RunTrials(mk, TrialConfig{Trials: 8, Seed: 7, Workers: 8}))
 	for i := range a {
 		if a[i].Interactions != b[i].Interactions || a[i].LeaderID != b[i].LeaderID {
 			t.Fatalf("trial %d differs across worker counts: %+v vs %+v", i, a[i], b[i])
@@ -53,9 +53,9 @@ func TestRunTrialsReproducibleAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunTrialsDifferentSeedsDiffer(t *testing.T) {
-	mk := func(int) duel { return duel{100} }
-	a := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 4, Seed: 1}))
-	b := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 4, Seed: 2}))
+	mk := func(int) Protocol { return duel{100} }
+	a := mustTrials(t)(RunTrials(mk, TrialConfig{Trials: 4, Seed: 1}))
+	b := mustTrials(t)(RunTrials(mk, TrialConfig{Trials: 4, Seed: 2}))
 	same := 0
 	for i := range a {
 		if a[i].Interactions == b[i].Interactions {
@@ -68,7 +68,7 @@ func TestRunTrialsDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestRunTrialsZero(t *testing.T) {
-	rs, err := RunTrials[uint32, duel](func(int) duel { return duel{10} }, TrialConfig{})
+	rs, err := RunTrials(func(int) Protocol { return duel{10} }, TrialConfig{})
 	if rs != nil || err != nil {
 		t.Fatal("zero trials must return nil, nil")
 	}
@@ -91,7 +91,7 @@ func TestExtractors(t *testing.T) {
 
 func TestRunTrialsMaxInteractions(t *testing.T) {
 	cfg := TrialConfig{Trials: 3, Seed: 5, MaxInteractions: 4}
-	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{500} }, cfg))
+	rs := mustTrials(t)(RunTrials(func(int) Protocol { return duel{500} }, cfg))
 	for _, r := range rs {
 		if r.Converged {
 			t.Fatal("trials cannot converge in 4 interactions from 500 leaders")
@@ -104,7 +104,7 @@ func TestRunTrialsMaxInteractions(t *testing.T) {
 
 func TestRunTrialsTrackStates(t *testing.T) {
 	cfg := TrialConfig{Trials: 2, Seed: 9, TrackStates: true}
-	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{20} }, cfg))
+	rs := mustTrials(t)(RunTrials(func(int) Protocol { return duel{20} }, cfg))
 	for _, r := range rs {
 		if r.DistinctStates != 2 {
 			t.Fatalf("distinct states = %d", r.DistinctStates)
@@ -117,12 +117,12 @@ func TestRunTrialsTrackStates(t *testing.T) {
 // worker, four, or GOMAXPROCS.
 func TestRunTrialsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, backend := range []Backend{BackendDense, BackendCounts} {
-		mk := func(int) enumDuel { return enumDuel{duel{300}} }
-		base := mustTrials(t)(RunTrials[uint32, enumDuel](mk, TrialConfig{
+		mk := func(int) Protocol { return enumDuel{duel{300}} }
+		base := mustTrials(t)(RunTrials(mk, TrialConfig{
 			Trials: 12, Seed: 99, Workers: 1, Backend: backend, TrackStates: true,
 		}))
 		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-			got := mustTrials(t)(RunTrials[uint32, enumDuel](mk, TrialConfig{
+			got := mustTrials(t)(RunTrials(mk, TrialConfig{
 				Trials: 12, Seed: 99, Workers: workers, Backend: backend, TrackStates: true,
 			}))
 			if !reflect.DeepEqual(base, got) {
@@ -134,7 +134,7 @@ func TestRunTrialsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunTrialsCountsBackend(t *testing.T) {
-	rs := mustTrials(t)(RunTrials[uint32, enumDuel](func(int) enumDuel { return enumDuel{duel{200}} },
+	rs := mustTrials(t)(RunTrials(func(int) Protocol { return enumDuel{duel{200}} },
 		TrialConfig{Trials: 6, Seed: 3, Backend: BackendCounts}))
 	if !AllConverged(rs) {
 		t.Fatal("counts trials did not converge")
@@ -154,7 +154,7 @@ func TestRunTrialsCountsBackend(t *testing.T) {
 // state-space enumeration must be reported as an error before any worker
 // spawns, not as a panic inside the pool.
 func TestRunTrialsCountsErrorsWithoutEnumerable(t *testing.T) {
-	rs, err := RunTrials[uint32, duel](func(int) duel { return duel{50} },
+	rs, err := RunTrials(func(int) Protocol { return duel{50} },
 		TrialConfig{Trials: 1, Seed: 1, Backend: BackendCounts})
 	if err == nil {
 		t.Fatal("BackendCounts with a non-Enumerable protocol must return an error")
@@ -169,7 +169,7 @@ func TestRunTrialsCountsErrorsWithoutEnumerable(t *testing.T) {
 // controller.
 func TestRunTrialsRejectsBadBatchEps(t *testing.T) {
 	for _, eps := range []float64{math.NaN(), math.Inf(1), -0.1} {
-		_, err := RunTrials[uint32, enumDuel](func(int) enumDuel { return enumDuel{duel{50}} }, TrialConfig{
+		_, err := RunTrials(func(int) Protocol { return enumDuel{duel{50}} }, TrialConfig{
 			Trials: 1, Backend: BackendCounts, Batch: BatchPolicy{Mode: BatchAdaptive, Eps: eps}})
 		if err == nil {
 			t.Errorf("RunTrials accepted ε=%g", eps)
@@ -178,7 +178,7 @@ func TestRunTrialsRejectsBadBatchEps(t *testing.T) {
 }
 
 func TestRunTrialsUnknownBackendErrors(t *testing.T) {
-	_, err := RunTrials[uint32, duel](func(int) duel { return duel{50} },
+	_, err := RunTrials(func(int) Protocol { return duel{50} },
 		TrialConfig{Trials: 1, Seed: 1, Backend: Backend("bogus")})
 	if err == nil {
 		t.Fatal("unknown backend must return an error")
@@ -186,7 +186,7 @@ func TestRunTrialsUnknownBackendErrors(t *testing.T) {
 }
 
 func TestRunTrialsAutoFallsBackToDense(t *testing.T) {
-	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{50} },
+	rs := mustTrials(t)(RunTrials(func(int) Protocol { return duel{50} },
 		TrialConfig{Trials: 2, Seed: 1, Backend: BackendAuto}))
 	if !AllConverged(rs) {
 		t.Fatal("auto trials did not converge")
@@ -213,11 +213,11 @@ func TestRunTrialsProbedPerTrialSeries(t *testing.T) {
 		for i := range recs {
 			recs[i] = rec{}
 		}
-		rs, err := RunTrialsProbed[uint32, enumDuel](
-			func(int) enumDuel { return enumDuel{duel{300}} },
+		rs, err := RunTrialsProbed(
+			func(int) Protocol { return enumDuel{duel{300}} },
 			TrialConfig{Trials: trials, Seed: 11, Backend: backend},
-			TrialProbe[uint32]{Every: every, Make: func(trial int) Probe[uint32] {
-				return func(step uint64, v CensusView[uint32]) {
+			TrialProbe{Every: every, Make: func(trial int) Probe {
+				return func(step uint64, v CensusView) {
 					recs[trial].steps = append(recs[trial].steps, step)
 					recs[trial].leaders = append(recs[trial].leaders, v.Leaders())
 				}

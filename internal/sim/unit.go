@@ -50,8 +50,8 @@ import (
 // The adaptive controller's below-floor chunks take the perturbation clamp
 // alone (pertLen): their length is a drift measurement window, so neither
 // probes nor checkpoints may reshape it.
-type unitLoop[S comparable] struct {
-	eng unitEngine[S]
+type unitLoop struct {
+	eng unitEngine
 
 	// src is the engine's scheduler stream: checkpointed in the payload
 	// head, and the perturbation stream is split off it at attach time.
@@ -65,7 +65,7 @@ type unitLoop[S comparable] struct {
 	MaxInteractions uint64
 
 	step   uint64
-	probes probeSet[S]
+	probes probeSet
 	ckpt   ckptState
 
 	// pert is the attached scenario perturbation (see SetPerturbation),
@@ -80,7 +80,7 @@ type unitLoop[S comparable] struct {
 }
 
 // unitEngine is what an engine supplies to its unitLoop.
-type unitEngine[S comparable] interface {
+type unitEngine interface {
 	// advance executes one scheduling unit of at most limit (≥ 1)
 	// interactions, firing due probes inside it. With checkStable it
 	// reports whether the protocol stabilized, stopping at the exact
@@ -88,19 +88,19 @@ type unitEngine[S comparable] interface {
 	// interaction; without, it may return false unconditionally.
 	advance(limit uint64, checkStable bool) bool
 	stable() bool
-	view() CensusView[S]
+	view() CensusView
 	result(converged bool) Result
 	Snapshot() ([]byte, error)
 }
 
-func newUnitLoop[S comparable](eng unitEngine[S], kind byte, name string, src *rng.Source, n int) unitLoop[S] {
-	return unitLoop[S]{eng: eng, kind: kind, name: name, src: src, n: n, n0: n}
+func newUnitLoop(eng unitEngine, kind byte, name string, src *rng.Source, n int) unitLoop {
+	return unitLoop{eng: eng, kind: kind, name: name, src: src, n: n, n0: n}
 }
 
 // resetLoop is the bookkeeping every engine's Reset shares: the initial
 // population size, step 0, and the probe, checkpoint and perturbation
 // schedules rebased onto it.
-func (u *unitLoop[S]) resetLoop() {
+func (u *unitLoop) resetLoop() {
 	u.n = u.n0
 	u.step = 0
 	u.probes.rebase(0)
@@ -110,7 +110,7 @@ func (u *unitLoop[S]) resetLoop() {
 
 // Run implements Engine: it executes scheduling units until the protocol
 // stabilizes or the budget is exhausted, and returns the Result.
-func (u *unitLoop[S]) Run() Result {
+func (u *unitLoop) Run() Result {
 	budget := u.MaxInteractions
 	if budget == 0 {
 		budget = DefaultBudget(u.n)
@@ -137,7 +137,7 @@ func (u *unitLoop[S]) Run() Result {
 // without stopping at stability (units are clamped to the remaining count),
 // returning the current Result snapshot. Probes fire at their boundaries
 // along the way, without the end-of-Run final fire.
-func (u *unitLoop[S]) RunSteps(k uint64) Result {
+func (u *unitLoop) RunSteps(k uint64) Result {
 	end := u.step + k
 	for u.step < end {
 		u.eng.advance(end-u.step, false)
@@ -149,13 +149,13 @@ func (u *unitLoop[S]) RunSteps(k uint64) Result {
 
 // maybePerturb applies the attached perturbation for the unit that just
 // ended.
-func (u *unitLoop[S]) maybePerturb() {
+func (u *unitLoop) maybePerturb() {
 	if u.pert.active() {
 		u.pert.apply(u.pertTgt, u.step)
 	}
 }
 
-func (u *unitLoop[S]) maybeCheckpoint() {
+func (u *unitLoop) maybeCheckpoint() {
 	if u.ckpt.due(u.step) {
 		u.ckpt.fire(u.step, u.eng.Snapshot)
 	}
@@ -164,7 +164,7 @@ func (u *unitLoop[S]) maybeCheckpoint() {
 // unitLen clamps a batch length l at the next probe boundary
 // (so the probe observes the census at its exact step) and at the
 // perturbation's forced boundary and cadence.
-func (u *unitLoop[S]) unitLen(l uint64) uint64 {
+func (u *unitLoop) unitLen(l uint64) uint64 {
 	if nb := u.probes.nextBoundary(); nb != noProbe && nb > u.step {
 		l = min(l, nb-u.step)
 	}
@@ -174,7 +174,7 @@ func (u *unitLoop[S]) unitLen(l uint64) uint64 {
 // exactLen clamps an exact chunk of l interactions by the two exact-chunk
 // rules (see the type comment): no probe split, and a checkpoint-cadence
 // clamp only while no perturbation is live.
-func (u *unitLoop[S]) exactLen(l uint64) uint64 {
+func (u *unitLoop) exactLen(l uint64) uint64 {
 	if cb := u.ckpt.boundary(); cb != noProbe && cb > u.step && !u.pert.live(u.step) {
 		l = min(l, cb-u.step)
 	}
@@ -183,33 +183,33 @@ func (u *unitLoop[S]) exactLen(l uint64) uint64 {
 
 // pertLen clamps a unit of l interactions at the perturbation's forced
 // boundary and, while it is live, at pertCadence; the result is at least 1.
-func (u *unitLoop[S]) pertLen(l uint64) uint64 {
+func (u *unitLoop) pertLen(l uint64) uint64 {
 	return max(u.pert.clampUnit(u.step, l, pertCadence(u.n)), 1)
 }
 
 // Steps implements Engine.
-func (u *unitLoop[S]) Steps() uint64 { return u.step }
+func (u *unitLoop) Steps() uint64 { return u.step }
 
 // SetBudget implements Engine: it sets MaxInteractions.
-func (u *unitLoop[S]) SetBudget(max uint64) { u.MaxInteractions = max }
+func (u *unitLoop) SetBudget(max uint64) { u.MaxInteractions = max }
 
 // AddProbe implements ProbeTarget: p fires every `every` interactions plus
 // once at the end of Run (every == 0: end of Run only). Batches split at
 // probe boundaries so probes observe the census at their exact cadence; a
 // cadence much shorter than the batch length therefore shortens batches
 // and costs throughput.
-func (u *unitLoop[S]) AddProbe(p Probe[S], every uint64) {
+func (u *unitLoop) AddProbe(p Probe, every uint64) {
 	u.probes.add(p, every, u.step)
 }
 
 // Census implements ProbeTarget: the engine's current census view.
-func (u *unitLoop[S]) Census() CensusView[S] { return u.eng.view() }
+func (u *unitLoop) Census() CensusView { return u.eng.view() }
 
 // fireProbes delivers the probes due at the current step.
-func (u *unitLoop[S]) fireProbes() { u.probes.fire(u.step, u.eng.view()) }
+func (u *unitLoop) fireProbes() { u.probes.fire(u.step, u.eng.view()) }
 
 // attachPert installs p (nil detaches) with the engine's mutation adapter.
-func (u *unitLoop[S]) attachPert(p Perturbation, numClasses int, tgt PerturbTarget) error {
+func (u *unitLoop) attachPert(p Perturbation, numClasses int, tgt PerturbTarget) error {
 	if err := u.pert.attach(p, u.src, numClasses); err != nil {
 		return err
 	}
@@ -218,12 +218,12 @@ func (u *unitLoop[S]) attachPert(p Perturbation, numClasses int, tgt PerturbTarg
 }
 
 // SetCheckpoint implements Checkpointable.
-func (u *unitLoop[S]) SetCheckpoint(every uint64, sink CheckpointSink) {
+func (u *unitLoop) SetCheckpoint(every uint64, sink CheckpointSink) {
 	u.ckpt.configure(every, sink, u.step)
 }
 
 // CheckpointErr implements Checkpointable.
-func (u *unitLoop[S]) CheckpointErr() error { return u.ckpt.err }
+func (u *unitLoop) CheckpointErr() error { return u.ckpt.err }
 
 // ---------------------------------------------------------------------------
 // Checkpoint framing. Every payload is
@@ -236,7 +236,7 @@ func (u *unitLoop[S]) CheckpointErr() error { return u.ckpt.err }
 
 // snapshot encodes the head, the engine's middle section (written by body)
 // and the tail, and seals the envelope.
-func (u *unitLoop[S]) snapshot(body func(w *ckptEnc) error) ([]byte, error) {
+func (u *unitLoop) snapshot(body func(w *ckptEnc) error) ([]byte, error) {
 	var w ckptEnc
 	w.u64(uint64(u.n))
 	u.pert.encode(&w)
@@ -259,7 +259,7 @@ type ckptHead struct {
 
 // openPayload verifies the envelope and decodes the payload head, leaving
 // the decoder at the engine's middle section.
-func (u *unitLoop[S]) openPayload(snapshot []byte) (*ckptDec, ckptHead, error) {
+func (u *unitLoop) openPayload(snapshot []byte) (*ckptDec, ckptHead, error) {
 	var h ckptHead
 	payload, err := openCheckpoint(snapshot, u.kind, u.name, uint64(u.n0))
 	if err != nil {
@@ -287,7 +287,7 @@ func (u *unitLoop[S]) openPayload(snapshot []byte) (*ckptDec, ckptHead, error) {
 // restore: the perturbation handshake, the scheduler stream, the probe
 // schedules, the population size and the step. The engine commits its own
 // state after it succeeds.
-func (u *unitLoop[S]) commitPayload(d *ckptDec, h ckptHead) error {
+func (u *unitLoop) commitPayload(d *ckptDec, h ckptHead) error {
 	scheds := decodeSchedules(d)
 	if d.err != nil {
 		return fmt.Errorf("sim: checkpoint corrupted: %w", d.err)

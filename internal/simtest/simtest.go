@@ -12,7 +12,7 @@ import (
 // MustTrials returns an unwrapper for sim.RunTrials results in tests that
 // use a known-good configuration:
 //
-//	rs := simtest.MustTrials(t)(sim.RunTrials[S, P](factory, cfg))
+//	rs := simtest.MustTrials(t)(sim.RunTrials(factory, cfg))
 func MustTrials(t testing.TB) func([]sim.Result, error) []sim.Result {
 	return func(rs []sim.Result, err error) []sim.Result {
 		t.Helper()

@@ -36,7 +36,7 @@ func TestParityConservedPerInteraction(t *testing.T) {
 	// count changes by -2, 0, or +2 and the population parity (mod 2)
 	// is invariant.
 	p := &Protocol{Size: 100}
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(3))
+	r := sim.NewRunner(p, rng.New(3))
 	prev := r.Counts()[1]
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, newR, newI uint32) {
 		cur := r.Counts()[1]
@@ -55,7 +55,7 @@ func TestParityConservedPerInteraction(t *testing.T) {
 func TestBiasDecays(t *testing.T) {
 	n := 1 << 12
 	p := &Protocol{Size: n}
-	r := sim.NewRunner[uint32, *Protocol](p, rng.New(11))
+	r := sim.NewRunner(p, rng.New(11))
 	if got := Bias(r.Counts()[1], n); got != 0.5 {
 		t.Fatalf("initial bias %v, want 0.5", got)
 	}

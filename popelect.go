@@ -346,20 +346,20 @@ func run(inst protocols.Instance, o options) (Result, error) {
 	if o.ckptPath != "" && o.ckptEvery == 0 {
 		return Result{}, fmt.Errorf("popelect: WithCheckpoint needs a positive interval")
 	}
-	eng, err := inst.TrialEngine(rng.New(cfg.Seed), cfg)
+	eng, err := sim.NewTrialEngine(inst.Protocol, rng.New(cfg.Seed), cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	var timeline []CensusPoint
-	var record func(step uint64, v protocols.Census)
+	var record sim.Probe
 	if o.timelineEvery > 0 {
-		record = func(step uint64, v protocols.Census) {
+		record = func(step uint64, v sim.CensusView) {
 			if len(timeline) > 0 && timeline[len(timeline)-1].Step == step {
 				return // run ended exactly on a sample boundary
 			}
 			timeline = append(timeline, CensusPoint{Step: step, Leaders: v.Leaders(), States: v.Occupied()})
 		}
-		if err := inst.AddProbe(eng, record, o.timelineEvery); err != nil {
+		if err := sim.AddProbe(eng, record, o.timelineEvery); err != nil {
 			return Result{}, fmt.Errorf("popelect: %w", err)
 		}
 	}
@@ -371,7 +371,7 @@ func run(inst protocols.Instance, o options) (Result, error) {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	if record != nil {
-		cv, err := inst.CensusOf(eng)
+		cv, err := sim.Census(eng)
 		if err != nil {
 			return Result{}, fmt.Errorf("popelect: %w", err)
 		}
@@ -385,7 +385,7 @@ func run(inst protocols.Instance, o options) (Result, error) {
 	}
 	if !res.Converged {
 		return Result{}, fmt.Errorf("popelect: %s did not stabilize within %d interactions",
-			inst.Name(), res.Interactions)
+			inst.Protocol.Name(), res.Interactions)
 	}
 	effective := 1
 	if wr, ok := eng.(sim.WorkerReporter); ok {
