@@ -1,9 +1,11 @@
 package compose
 
 import (
+	"slices"
 	"testing"
 
 	"popelect/internal/phaseclock"
+	"popelect/internal/sim"
 )
 
 func TestFieldOps(t *testing.T) {
@@ -123,8 +125,12 @@ func TestBuildAndDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "counter" || p.N() != 4 || p.NumClasses() != 2 || p.Init(0) != 0 {
+	if p.Name() != "counter" || p.N() != 4 || p.NumClasses() != 2 {
 		t.Fatal("metadata broken")
+	}
+	if states, ends, err := sim.InitRuns(p); err != nil ||
+		!slices.Equal(states, []uint32{0}) || !slices.Equal(ends, []int64{4}) {
+		t.Fatalf("nil Init: runs %v %v, %v; want one run of the zero word", states, ends, err)
 	}
 	r, i := p.Delta(0, 0)
 	if c.Get(r) != 1 || i != 0 {

@@ -53,9 +53,9 @@ type Config struct {
 	// word through every module's Deliver, threading one Env.
 	Modules []Module
 
-	// Init returns the initial word of agent i (nil: all agents start at
-	// the zero word).
-	Init func(i int) uint32
+	// Init states the initial configuration as runs of words in agent
+	// order, as sim.Protocol.Init does (nil: one run of the zero word).
+	Init func(yield func(s uint32, count int64))
 
 	// NumClasses and Class define the census classes the engines track
 	// incrementally (see sim.Protocol).
@@ -146,11 +146,12 @@ func (p *Protocol) Name() string { return p.cfg.Name }
 func (p *Protocol) N() int { return p.cfg.N }
 
 // Init implements sim.Protocol.
-func (p *Protocol) Init(i int) uint32 {
+func (p *Protocol) Init(yield func(uint32, int64)) {
 	if p.cfg.Init == nil {
-		return 0
+		yield(0, int64(p.cfg.N))
+		return
 	}
-	return p.cfg.Init(i)
+	p.cfg.Init(yield)
 }
 
 // Delta implements sim.Protocol: one interaction routes the responder word

@@ -100,9 +100,6 @@ func (pr *Protocol) Name() string {
 // N implements sim.Protocol.
 func (pr *Protocol) N() int { return pr.params.N }
 
-// Init implements sim.Protocol: every agent starts uninitiated at phase 0.
-func (pr *Protocol) Init(int) State { return 0 }
-
 // isJunta reports whether an agent is a clock leader: a coin at level Φ.
 func (pr *Protocol) isJunta(s State) bool {
 	return s.Role() == RoleC && s.CoinLevel() == pr.phi
@@ -352,8 +349,9 @@ type Words struct{ *Protocol }
 // Words returns the engines' view of pr.
 func (pr *Protocol) Words() Words { return Words{pr} }
 
-// Init implements sim.Protocol.
-func (w Words) Init(i int) uint32 { return uint32(w.Protocol.Init(i)) }
+// Init implements sim.Protocol: every agent starts uninitiated at phase 0,
+// the all-zero state.
+func (w Words) Init(yield func(uint32, int64)) { yield(0, int64(w.N())) }
 
 // Delta implements sim.Protocol.
 func (w Words) Delta(r, i uint32) (uint32, uint32) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"popelect/internal/rng"
 	"popelect/internal/sim"
 	"testing"
@@ -610,8 +612,9 @@ func TestNameAndMetadata(t *testing.T) {
 	if pr.Name() == "" || pr.N() != 1024 {
 		t.Fatal("metadata broken")
 	}
-	if pr.Init(0) != 0 {
-		t.Fatal("agents must start in the all-zero state")
+	if states, ends, err := sim.InitRuns(pr.Words()); err != nil ||
+		!slices.Equal(states, []uint32{0}) || !slices.Equal(ends, []int64{1024}) {
+		t.Fatalf("agents must all start in the all-zero state: runs %v %v, %v", states, ends, err)
 	}
 	abl := MustNew(Params{N: 16, Gamma: 36, Phi: 1, Psi: 4, NoFastElim: true, NoDrag: true})
 	name := abl.Name()
@@ -650,8 +653,14 @@ func TestStatesEnumerationCoversRun(t *testing.T) {
 			t.Fatalf("state %#x has class %d out of range", uint32(s), c)
 		}
 	}
-	if _, ok := enumerated[pr.Init(0)]; !ok {
-		t.Fatal("initial state missing from enumeration")
+	initial, _, err := sim.InitRuns(pr.Words())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range initial {
+		if _, ok := enumerated[State(s)]; !ok {
+			t.Fatal("initial state missing from enumeration")
+		}
 	}
 	r := sim.NewRunner(pr.Words(), rng.New(8))
 	r.AddHook(func(step uint64, ri, ii int, oldR, oldI, nR, nI uint32) {

@@ -46,12 +46,10 @@ func (p *Protocol) Name() string { return fmt.Sprintf("epidemic(k=%d)", p.Source
 // N implements sim.Protocol.
 func (p *Protocol) N() int { return p.Size }
 
-// Init implements sim.Protocol.
-func (p *Protocol) Init(i int) uint32 {
-	if i < p.Sources {
-		return 1
-	}
-	return 0
+// Init implements sim.Protocol: the Sources infected agents come first.
+func (p *Protocol) Init(yield func(uint32, int64)) {
+	yield(1, int64(p.Sources))
+	yield(0, int64(p.Size-p.Sources))
 }
 
 // Delta implements sim.Protocol.

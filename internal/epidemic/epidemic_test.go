@@ -2,6 +2,7 @@ package epidemic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"popelect/internal/rng"
@@ -123,7 +124,8 @@ func TestProtocolMetadata(t *testing.T) {
 	if !p.Stable([]int64{0, 10}) || p.Stable([]int64{1, 9}) {
 		t.Fatal("stability predicate broken")
 	}
-	if p.Init(1) != 1 || p.Init(2) != 0 {
-		t.Fatal("sources broken")
+	if states, ends, err := sim.InitRuns(p); err != nil ||
+		!slices.Equal(states, []uint32{1, 0}) || !slices.Equal(ends, []int64{int64(p.Sources), int64(p.N())}) {
+		t.Fatalf("sources broken: runs %v %v, %v", states, ends, err)
 	}
 }

@@ -195,8 +195,8 @@ func (j *Standalone) Name() string { return fmt.Sprintf("junta(Φ=%d)", j.Phi) }
 // N implements sim.Protocol.
 func (j *Standalone) N() int { return j.Size }
 
-// Init implements sim.Protocol.
-func (j *Standalone) Init(int) uint32 { return pack(0, Advancing) }
+// Init implements sim.Protocol: every agent starts advancing at level 0.
+func (j *Standalone) Init(yield func(uint32, int64)) { yield(pack(0, Advancing), int64(j.Size)) }
 
 // Delta implements sim.Protocol.
 func (j *Standalone) Delta(r, i uint32) (uint32, uint32) {

@@ -126,7 +126,11 @@ func TestStandaloneValidation(t *testing.T) {
 
 func TestStandalonePacking(t *testing.T) {
 	j, _ := NewStandalone(10, 3)
-	s := j.Init(0)
+	states, ends, err := sim.InitRuns(j)
+	if err != nil || len(states) != 1 || ends[0] != 10 {
+		t.Fatalf("initial runs %v %v, %v; want one run", states, ends, err)
+	}
+	s := states[0]
 	if j.Level(s) != 0 || j.ModeOf(s) != Advancing {
 		t.Fatalf("init state broken: %x", s)
 	}

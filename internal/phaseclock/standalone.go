@@ -53,12 +53,11 @@ func (c *Standalone) Name() string { return fmt.Sprintf("phaseclock(Γ=%d)", c.G
 // N implements sim.Protocol.
 func (c *Standalone) N() int { return c.Size }
 
-// Init implements sim.Protocol.
-func (c *Standalone) Init(i int) uint32 {
-	if i < c.Junta {
-		return juntaBit
-	}
-	return 0
+// Init implements sim.Protocol: the Junta clock leaders come first, all
+// at phase 0.
+func (c *Standalone) Init(yield func(uint32, int64)) {
+	yield(juntaBit, int64(c.Junta))
+	yield(0, int64(c.Size-c.Junta))
 }
 
 // Delta implements sim.Protocol: the responder updates its phase; a pass

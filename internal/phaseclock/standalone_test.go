@@ -25,22 +25,41 @@ func TestNewStandaloneValidation(t *testing.T) {
 	}
 }
 
+// initialPop expands c's initial runs into one state per agent.
+func initialPop(t *testing.T, c *Standalone) []uint32 {
+	t.Helper()
+	states, ends, err := sim.InitRuns(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pop []uint32
+	for k, s := range states {
+		for int64(len(pop)) < ends[k] {
+			pop = append(pop, s)
+		}
+	}
+	return pop
+}
+
 func TestStandalonePacking(t *testing.T) {
 	c, _ := NewStandalone(10, 36, 2)
-	s := c.Init(0)
-	if !c.IsJunta(s) || c.Phase(s) != 0 || c.Rounds(s) != 0 {
-		t.Fatalf("junta init state broken: %x", s)
+	pop := initialPop(t, c)
+	for i, s := range pop[:2] {
+		if !c.IsJunta(s) || c.Phase(s) != 0 || c.Rounds(s) != 0 {
+			t.Fatalf("junta init state of agent %d broken: %x", i, s)
+		}
 	}
-	s = c.Init(5)
-	if c.IsJunta(s) || c.Phase(s) != 0 {
-		t.Fatalf("follower init state broken: %x", s)
+	for i, s := range pop[2:] {
+		if c.IsJunta(s) || c.Phase(s) != 0 {
+			t.Fatalf("follower init state of agent %d broken: %x", i+2, s)
+		}
 	}
 }
 
 func TestStandaloneDeltaPreservesJuntaFlag(t *testing.T) {
 	c, _ := NewStandalone(10, 12, 2)
-	junta := c.Init(0)
-	follower := c.Init(9)
+	pop := initialPop(t, c)
+	junta, follower := pop[0], pop[9]
 	for i := 0; i < 100; i++ {
 		junta, _ = c.Delta(junta, follower)
 		follower, _ = c.Delta(follower, junta)
@@ -53,7 +72,8 @@ func TestStandaloneDeltaPreservesJuntaFlag(t *testing.T) {
 func TestStandaloneClockTicks(t *testing.T) {
 	// Two junta agents alone tick each other around the cycle.
 	c, _ := NewStandalone(2, 12, 2)
-	a, b := c.Init(0), c.Init(1)
+	pop := initialPop(t, c)
+	a, b := pop[0], pop[1]
 	for i := 0; i < 200; i++ {
 		a, _ = c.Delta(a, b)
 		b, _ = c.Delta(b, a)
@@ -175,13 +195,14 @@ func TestStandaloneNeverStabilizes(t *testing.T) {
 	if c.Stable([]int64{16, 0}) {
 		t.Fatal("clock must never report stability")
 	}
-	if c.Leader(c.Init(0)) {
+	pop := initialPop(t, c)
+	if c.Leader(pop[0]) {
 		t.Fatal("clock has no leaders")
 	}
 	if c.Name() == "" {
 		t.Fatal("name must be set")
 	}
-	if c.NumClasses() != 2 || c.Class(c.Init(0)) != 1 || c.Class(c.Init(10)) != 0 {
+	if c.NumClasses() != 2 || c.Class(pop[0]) != 1 || c.Class(pop[10]) != 0 {
 		t.Fatal("census classes broken")
 	}
 }
@@ -189,8 +210,8 @@ func TestStandaloneNeverStabilizes(t *testing.T) {
 func TestStandaloneRoundCounterSaturates(t *testing.T) {
 	c, _ := NewStandalone(2, 4, 2)
 	// Drive one agent to the round-counter cap.
-	s := c.Init(0)
-	peer := c.Init(1)
+	pop := initialPop(t, c)
+	s, peer := pop[0], pop[1]
 	for i := 0; i < (roundMask+8)*4; i++ {
 		s, _ = c.Delta(s, peer)
 		peer, _ = c.Delta(peer, s)

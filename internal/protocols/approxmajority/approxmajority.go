@@ -42,12 +42,10 @@ func (p *Protocol) Name() string { return "approx-majority(AAE08)" }
 // N implements sim.Protocol.
 func (p *Protocol) N() int { return p.Size }
 
-// Init implements sim.Protocol.
-func (p *Protocol) Init(i int) uint32 {
-	if i < p.InitialX {
-		return X
-	}
-	return Y
+// Init implements sim.Protocol: the InitialX X agents come first.
+func (p *Protocol) Init(yield func(uint32, int64)) {
+	yield(X, int64(p.InitialX))
+	yield(Y, int64(p.Size-p.InitialX))
 }
 
 // Delta implements sim.Protocol: the responder updates by the one-way rules.

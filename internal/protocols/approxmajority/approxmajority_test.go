@@ -2,6 +2,7 @@ package approxmajority
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"popelect/internal/rng"
@@ -132,8 +133,9 @@ func TestMetadata(t *testing.T) {
 	if p.Leader(X) {
 		t.Fatal("no leaders in majority")
 	}
-	if p.Init(3) != X || p.Init(4) != Y {
-		t.Fatal("initial split broken")
+	if states, ends, err := sim.InitRuns(p); err != nil ||
+		!slices.Equal(states, []uint32{X, Y}) || !slices.Equal(ends, []int64{4, 10}) {
+		t.Fatalf("initial split broken: runs %v %v, %v", states, ends, err)
 	}
 	if !p.Stable([]int64{0, 10, 0}) || p.Stable([]int64{1, 9, 0}) {
 		t.Fatal("stability broken")

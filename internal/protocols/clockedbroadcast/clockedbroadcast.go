@@ -103,11 +103,10 @@ func New(p Params) (*Protocol, error) {
 	base, err := compose.Build(compose.Config{
 		Name: fmt.Sprintf("clocked-broadcast(K=%d,Γ=%d)", p.Rounds, p.Gamma),
 		N:    p.N,
-		Init: func(i int) uint32 {
-			if i < p.Sources {
-				return pr.informed.Bit()
-			}
-			return 0
+		// The Sources informed agents come first.
+		Init: func(yield func(uint32, int64)) {
+			yield(pr.informed.Bit(), int64(p.Sources))
+			yield(0, int64(p.N-p.Sources))
 		},
 		Modules: []compose.Module{
 			// Junta ⇔ level = Φ, as a masked compare on the hot path.

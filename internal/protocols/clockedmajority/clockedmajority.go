@@ -97,11 +97,10 @@ func New(p Params) (*Protocol, error) {
 	base, err := compose.Build(compose.Config{
 		Name: fmt.Sprintf("clocked-majority(Γ=%d,Φ=%d)", p.Gamma, p.Phi),
 		N:    p.N,
-		Init: func(i int) uint32 {
-			if i < p.InitialX {
-				return pr.opinion.Set(0, StrongX)
-			}
-			return pr.opinion.Set(0, StrongY)
+		// The InitialX strong-X agents come first.
+		Init: func(yield func(uint32, int64)) {
+			yield(pr.opinion.Set(0, StrongX), int64(p.InitialX))
+			yield(pr.opinion.Set(0, StrongY), int64(p.N-p.InitialX))
 		},
 		Modules: []compose.Module{
 			// Junta ⇔ level = Φ, as a masked compare on the hot path.

@@ -45,12 +45,10 @@ func (p *Protocol) Name() string { return "exact-majority(DV12)" }
 // N implements sim.Protocol.
 func (p *Protocol) N() int { return p.Size }
 
-// Init implements sim.Protocol.
-func (p *Protocol) Init(i int) uint32 {
-	if i < p.InitialX {
-		return StrongX
-	}
-	return StrongY
+// Init implements sim.Protocol: the InitialX strong-X agents come first.
+func (p *Protocol) Init(yield func(uint32, int64)) {
+	yield(StrongX, int64(p.InitialX))
+	yield(StrongY, int64(p.Size-p.InitialX))
 }
 
 // Delta implements sim.Protocol.

@@ -1,6 +1,7 @@
 package exactmajority
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,8 +136,9 @@ func TestMetadata(t *testing.T) {
 	if p.Leader(StrongX) {
 		t.Fatal("no leaders in majority")
 	}
-	if p.Init(3) != StrongX || p.Init(4) != StrongY {
-		t.Fatal("initial split broken")
+	if states, ends, err := sim.InitRuns(p); err != nil ||
+		!slices.Equal(states, []uint32{StrongX, StrongY}) || !slices.Equal(ends, []int64{4, 10}) {
+		t.Fatalf("initial split broken: runs %v %v, %v", states, ends, err)
 	}
 	if _, ok := p.Winner([]int64{5, 5, 0, 0}); ok {
 		t.Fatal("winner before stability")

@@ -206,10 +206,11 @@ func TestMetadata(t *testing.T) {
 	if pr.Name() == "" || pr.N() != 128 || pr.NumClasses() != 3 {
 		t.Fatal("metadata broken")
 	}
-	if pr.Init(0) != 0 {
-		t.Fatal("agents start at zero state")
+	if states, ends, err := sim.InitRuns(pr); err != nil ||
+		len(states) != 1 || states[0] != 0 || ends[0] != 128 {
+		t.Fatalf("agents start at zero state: runs %v %v, %v", states, ends, err)
 	}
-	if pr.Leader(pr.Init(0)) {
+	if pr.Leader(0) {
 		t.Fatal("initial agents are not candidates")
 	}
 	s := uint32(candBit)
@@ -243,8 +244,14 @@ func TestStatesEnumeration(t *testing.T) {
 			t.Fatalf("state %#x has class %d out of range", s, c)
 		}
 	}
-	if _, ok := seen[pr.Init(0)]; !ok {
-		t.Fatal("initial state missing from enumeration")
+	initial, _, err := sim.InitRuns(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range initial {
+		if _, ok := seen[s]; !ok {
+			t.Fatal("initial state missing from enumeration")
+		}
 	}
 }
 

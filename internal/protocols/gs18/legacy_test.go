@@ -44,8 +44,8 @@ func (pr *legacyProtocol) level(s uint32) uint8 { return uint8(s >> levelShift &
 func (pr *legacyProtocol) Name() string {
 	return fmt.Sprintf("gs18(Γ=%d,Φ=%d)", pr.params.Gamma, pr.params.Phi)
 }
-func (pr *legacyProtocol) N() int          { return pr.params.N }
-func (pr *legacyProtocol) Init(int) uint32 { return 0 }
+func (pr *legacyProtocol) N() int                         { return pr.params.N }
+func (pr *legacyProtocol) Init(yield func(uint32, int64)) { yield(0, int64(pr.N())) }
 
 func (pr *legacyProtocol) Delta(r, i uint32) (uint32, uint32) {
 	oldPhase := uint8(r & phaseMask)

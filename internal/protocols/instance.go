@@ -73,7 +73,8 @@ func (in Instance) StateCount() int {
 // CheckClosure runs the protocol densely to stabilization and verifies
 // that every initial and reached state is contained in the enumeration —
 // the state-space closure contract the counts backend's intern table
-// relies on. It fails for non-enumerable protocols.
+// relies on. It fails for non-enumerable protocols and for initial runs
+// that sim.InitRuns rejects.
 func (in Instance) CheckClosure(seed uint64) error {
 	proto := in.Protocol
 	e, ok := proto.(sim.Enumerable)
@@ -88,10 +89,14 @@ func (in Instance) CheckClosure(seed uint64) error {
 		}
 		allowed[s] = struct{}{}
 	}
-	for i := 0; i < proto.N(); i++ {
-		if _, ok := allowed[proto.Init(i)]; !ok {
-			return fmt.Errorf("protocols: %s initial state %v of agent %d not enumerated",
-				proto.Name(), proto.Init(i), i)
+	initial, _, err := sim.InitRuns(proto)
+	if err != nil {
+		return err
+	}
+	for k, s := range initial {
+		if _, ok := allowed[s]; !ok {
+			return fmt.Errorf("protocols: %s initial state %v (run %d) not enumerated",
+				proto.Name(), s, k)
 		}
 	}
 	r := sim.NewRunner(proto, rng.New(seed))

@@ -56,8 +56,8 @@ func (pr *legacyProtocol) Name() string {
 }
 func (pr *legacyProtocol) N() int { return pr.params.N }
 
-func (pr *legacyProtocol) Init(int) uint32 {
-	return candBit | uint32(pr.params.WarmupReads)<<warmShift
+func (pr *legacyProtocol) Init(yield func(uint32, int64)) {
+	yield(candBit|uint32(pr.params.WarmupReads)<<warmShift, int64(pr.N()))
 }
 
 func (pr *legacyProtocol) Delta(r, i uint32) (uint32, uint32) {

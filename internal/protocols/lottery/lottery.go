@@ -147,8 +147,8 @@ func New(p Params) (*Protocol, error) {
 		Name: fmt.Sprintf("lottery(BKKO18,R=%d)", p.MaxRank),
 		N:    p.N,
 		// Everyone starts as a candidate with warm-up reads pending.
-		Init: func(int) uint32 {
-			return pr.cand.Set(warm.Set(0, uint32(p.WarmupReads)), 1)
+		Init: func(yield func(uint32, int64)) {
+			yield(pr.cand.Set(warm.Set(0, uint32(p.WarmupReads)), 1), int64(p.N))
 		},
 		Modules: []compose.Module{
 			&compose.Clock{Phase: phase, Gamma: pr.gamma, IsJunta: func(s uint32) bool {

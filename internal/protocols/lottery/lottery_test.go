@@ -156,7 +156,11 @@ func TestMetadata(t *testing.T) {
 	if pr.Name() == "" || pr.N() != 64 || pr.NumClasses() != 3 {
 		t.Fatal("metadata broken")
 	}
-	init := pr.Init(0)
+	states, ends, err := sim.InitRuns(pr)
+	if err != nil || len(states) != 1 || ends[0] != 64 {
+		t.Fatalf("initial runs %v %v, %v; want one run", states, ends, err)
+	}
+	init := states[0]
 	if pr.Leader(init) {
 		t.Fatal("unranked agents are not leaders yet")
 	}

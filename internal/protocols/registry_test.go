@@ -277,3 +277,39 @@ func TestVisitWords(t *testing.T) {
 		}
 	}
 }
+
+// badRuns is an enumerable protocol whose initial runs are invalid.
+type badRuns struct{ runs [][2]int64 }
+
+func (badRuns) Name() string { return "badRuns" }
+func (badRuns) N() int       { return 10 }
+func (p badRuns) Init(yield func(uint32, int64)) {
+	for _, r := range p.runs {
+		yield(uint32(r[0]), r[1])
+	}
+}
+func (badRuns) Delta(r, i uint32) (uint32, uint32) { return r, i }
+func (badRuns) NumClasses() int                    { return 1 }
+func (badRuns) Class(uint32) uint8                 { return 0 }
+func (badRuns) Leader(uint32) bool                 { return false }
+func (badRuns) Stable([]int64) bool                { return true }
+func (badRuns) States() []uint32                   { return []uint32{0, 1} }
+
+// TestCheckClosureRejectsInvalidRuns checks that CheckClosure reports a
+// negative initial run, or runs that do not sum to N(), as an error naming
+// the protocol instead of panicking in the engine it builds.
+func TestCheckClosureRejectsInvalidRuns(t *testing.T) {
+	for _, runs := range [][][2]int64{
+		{{0, 12}, {1, -2}},
+		{{0, 6}, {1, 3}},
+		{{0, 6}, {1, 5}},
+	} {
+		err := Instance{Protocol: badRuns{runs}}.CheckClosure(1)
+		if err == nil || !strings.Contains(err.Error(), "badRuns") {
+			t.Fatalf("runs %v: CheckClosure error %v, want one naming badRuns", runs, err)
+		}
+	}
+	if err := (Instance{Protocol: badRuns{[][2]int64{{0, 6}, {1, 4}}}}).CheckClosure(1); err != nil {
+		t.Fatalf("valid runs rejected: %v", err)
+	}
+}

@@ -34,7 +34,7 @@ func (p *Protocol) Name() string { return "slow(AAD+04)" }
 func (p *Protocol) N() int { return p.Size }
 
 // Init implements sim.Protocol: everyone starts as a leader candidate.
-func (p *Protocol) Init(int) uint32 { return leader }
+func (p *Protocol) Init(yield func(uint32, int64)) { yield(leader, int64(p.N())) }
 
 // Delta implements sim.Protocol: two candidates meeting eliminate the
 // responder; all other encounters are null.

@@ -102,8 +102,8 @@ func New(p Params) (*Protocol, error) {
 		Name: fmt.Sprintf("sudo19(L=%d,T=%d)", p.MaxLevel, p.Timer),
 		N:    p.N,
 		// Everyone starts as a candidate with warm-up reads pending.
-		Init: func(int) uint32 {
-			return pr.cand.Set(warm.Set(0, uint32(p.WarmupReads)), 1)
+		Init: func(yield func(uint32, int64)) {
+			yield(pr.cand.Set(warm.Set(0, uint32(p.WarmupReads)), 1), int64(p.N))
 		},
 		Modules: []compose.Module{
 			&compose.Parity{Bit: parity},

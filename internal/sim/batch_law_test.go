@@ -19,11 +19,15 @@ var pairMarkerInit = [9]uint32{0, 0, 0, 0, 1, 1, 1, 2, 2}
 
 func (pairMarker) Name() string          { return "pairMarker" }
 func (pairMarker) N() int                { return len(pairMarkerInit) }
-func (pairMarker) Init(i int) uint32     { return pairMarkerInit[i] }
 func (pairMarker) NumClasses() int       { return 1 }
 func (pairMarker) Class(s uint32) uint8  { return 0 }
 func (pairMarker) Leader(s uint32) bool  { return false }
 func (pairMarker) Stable(c []int64) bool { return false }
+func (pairMarker) Init(yield func(uint32, int64)) {
+	for _, s := range pairMarkerInit {
+		yield(s, 1)
+	}
+}
 func (pairMarker) Delta(r, i uint32) (uint32, uint32) {
 	if r < 3 && i < 3 {
 		return 3 + 3*r + i, i

@@ -176,7 +176,7 @@ func NewCountsEngine(proto Enumerable, src *rng.Source) *CountsEngine {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
 	e := &CountsEngine{proto: proto}
-	e.unitLoop = newUnitLoop(e, ckptKindCounts, proto.Name(), src, n)
+	e.unitLoop = newUnitLoop(e, ckptKindCounts, proto, src)
 	e.stateBound = len(proto.States())
 	e.Reset()
 	return e
@@ -201,19 +201,9 @@ func (e *CountsEngine) Reset() {
 	e.effWorkers = 0
 	e.occVer = 0
 	e.reactInvalidate()
-	// Count maximal runs of equal initial states: one index lookup per run,
-	// not per agent. Runs are added in agent order, so ids are still
-	// assigned in order of first appearance.
-	proto, n := e.proto, e.n
-	run, runLen := proto.Init(0), int64(1)
-	for i := 1; i < n; i++ {
-		if s := proto.Init(i); s != run {
-			e.addInitRun(run, runLen)
-			run, runLen = s, 0
-		}
-		runLen++
-	}
-	e.addInitRun(run, runLen)
+	// One index lookup per initial run. Runs are added in agent order, so
+	// ids are assigned in order of first appearance.
+	e.init.runs(func(s uint32, start, end int64) { e.addInitRun(s, end-start) })
 	e.rebuildFenwick()
 	// Rebuild the active list in id order (the init runs bumped pop
 	// directly, bypassing the incremental maintenance).
@@ -629,7 +619,7 @@ func (t countsTarget) RemoveUniform(src *rng.Source, k int64) {
 func (t countsTarget) AddAgents(src *rng.Source, k int64) {
 	e := t.e
 	for j := int64(0); j < k; j++ {
-		e.censusAdd(e.proto.Init(int(src.Uintn(uint64(e.n0)))), 1)
+		e.censusAdd(e.joinState(src), 1)
 	}
 	e.n += int(k)
 }

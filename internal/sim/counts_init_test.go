@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"popelect/internal/core"
@@ -11,7 +13,8 @@ import (
 )
 
 // refCensus is an initial census built agent by agent, independently of
-// the engine: one map lookup per agent, ids in order of first appearance.
+// the engine: the protocol's runs expanded to one map lookup per agent, ids
+// in order of first appearance.
 type refCensus struct {
 	states  []uint32
 	pop     []int64
@@ -22,21 +25,22 @@ type refCensus struct {
 func perAgentCensus(p Enumerable) refCensus {
 	r := refCensus{counts: make([]int64, p.NumClasses())}
 	index := make(map[uint32]int)
-	for i := 0; i < p.N(); i++ {
-		s := p.Init(i)
-		id, ok := index[s]
-		if !ok {
-			id = len(r.states)
-			index[s] = id
-			r.states = append(r.states, s)
-			r.pop = append(r.pop, 0)
+	p.Init(func(s uint32, c int64) {
+		for ; c > 0; c-- {
+			id, ok := index[s]
+			if !ok {
+				id = len(r.states)
+				index[s] = id
+				r.states = append(r.states, s)
+				r.pop = append(r.pop, 0)
+			}
+			r.pop[id]++
+			r.counts[p.Class(s)]++
+			if p.Leader(s) {
+				r.leaders++
+			}
 		}
-		r.pop[id]++
-		r.counts[p.Class(s)]++
-		if p.Leader(s) {
-			r.leaders++
-		}
-	}
+	})
 	return r
 }
 
@@ -107,11 +111,11 @@ var interleavedRuns = []uint32{ilA, ilA, ilB, ilA, ilC, ilC, ilB, ilB, ilA, ilD,
 
 func (p interleaved) Name() string { return "interleaved" }
 func (p interleaved) N() int       { return p.n }
-func (p interleaved) Init(i int) uint32 {
-	if i == p.n-1 {
-		return ilE
+func (p interleaved) Init(yield func(uint32, int64)) {
+	for i := 0; i < p.n-1; i++ {
+		yield(interleavedRuns[i%len(interleavedRuns)], 1)
 	}
-	return interleavedRuns[i%len(interleavedRuns)]
+	yield(ilE, 1)
 }
 func (p interleaved) Delta(r, i uint32) (uint32, uint32) { return (r + i) % 5, i }
 func (p interleaved) NumClasses() int                    { return 3 }
@@ -174,5 +178,132 @@ func sameSnapshots(t *testing.T, e, ref interface {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("snapshot after %d steps differs from the per-agent reference's", steps)
 		}
+	}
+}
+
+// runsFixture is a protocol whose initial configuration is the given
+// (state, count) runs, verbatim, valid or not. Its transitions are the
+// identity: it exercises the engines' read of the runs, not a dynamics.
+type runsFixture struct {
+	n    int
+	runs [][2]int64
+}
+
+func (p runsFixture) Name() string { return "runsFixture" }
+func (p runsFixture) N() int       { return p.n }
+func (p runsFixture) Init(yield func(uint32, int64)) {
+	for _, r := range p.runs {
+		yield(uint32(r[0]), r[1])
+	}
+}
+func (p runsFixture) Delta(r, i uint32) (uint32, uint32) { return r, i }
+func (p runsFixture) NumClasses() int                    { return 2 }
+func (p runsFixture) Class(s uint32) uint8               { return uint8(s & 1) }
+func (p runsFixture) Leader(s uint32) bool               { return s == 3 }
+func (p runsFixture) Stable([]int64) bool                { return false }
+func (p runsFixture) States() []uint32                   { return []uint32{0, 1, 2, 3} }
+
+// TestInitRunsRejectInvalid checks the one validated read of Init: a
+// negative run, or runs that sum to N ± 1, are an error from InitRuns that
+// names the protocol, and a panic from both engine constructors.
+func TestInitRunsRejectInvalid(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs [][2]int64
+	}{
+		{"negative", [][2]int64{{0, 12}, {1, -2}}},
+		{"short", [][2]int64{{0, 6}, {1, 3}}},
+		{"long", [][2]int64{{0, 6}, {1, 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := runsFixture{n: 10, runs: tc.runs}
+			_, _, err := InitRuns(p)
+			if err == nil || !strings.Contains(err.Error(), p.Name()) {
+				t.Fatalf("InitRuns error %v, want one naming %s", err, p.Name())
+			}
+			for name, build := range map[string]func(){
+				"counts": func() { NewCountsEngine(p, rng.New(1)) },
+				"dense":  func() { NewRunner(p, rng.New(1)) },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), p.Name()) {
+							t.Errorf("%s: recovered %v, want a panic naming %s", name, r, p.Name())
+						}
+					}()
+					build()
+				}()
+			}
+		})
+	}
+}
+
+// TestInitRunsSkipEmpty checks that a zero-count run takes no id: an
+// exact majority with no X agents (or no Y agents) indexes its one
+// occupied state, as the agent-by-agent census does, on both engines.
+func TestInitRunsSkipEmpty(t *testing.T) {
+	for _, x := range []int{0, 1000} {
+		p, err := exactmajority.New(1000, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exactmajority.StrongY
+		if x > 0 {
+			want = exactmajority.StrongX
+		}
+		e := NewCountsEngine(p, rng.New(1))
+		checkInitCensus(t, fmt.Sprintf("x=%d", x), e)
+		if !slices.Equal(e.states, []uint32{want}) || len(e.index) != 1 {
+			t.Fatalf("x=%d: states %v, index %v; want only %d", x, e.states, e.index, want)
+		}
+		r := NewRunner(p, rng.New(1))
+		got := map[uint32]int64{}
+		r.Census().VisitStates(func(s uint32, c int64) { got[s] += c })
+		if len(got) != 1 || got[want] != 1000 || !slices.Equal(r.Counts(), e.Counts()) {
+			t.Fatalf("x=%d: dense census %v, classes %v; want %d agents in %d, classes %v",
+				x, got, r.Counts(), 1000, want, e.Counts())
+		}
+	}
+}
+
+// TestInitConfigAt pins the join lookup at every run boundary: agent i is
+// in the state of the run whose half-open range holds it.
+func TestInitConfigAt(t *testing.T) {
+	states, ends, err := InitRuns(runsFixture{n: 10, runs: [][2]int64{{2, 3}, {0, 0}, {1, 1}, {3, 6}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := initConfig{states, ends}
+	want := []uint32{2, 2, 2, 1, 3, 3, 3, 3, 3, 3}
+	for i, s := range want {
+		if got := c.at(uint64(i)); got != s {
+			t.Fatalf("agent %d: state %d, want %d", i, got, s)
+		}
+	}
+}
+
+// TestCountsSetupCostsRunsNotAgents builds a counts engine over three runs
+// at n = 10¹², where any per-agent pass would run for the better part of
+// an hour, and checks its census against the runs: setup costs one index
+// lookup per run.
+func TestCountsSetupCostsRunsNotAgents(t *testing.T) {
+	const n = 1_000_000_000_000
+	p := runsFixture{n: n, runs: [][2]int64{{3, n / 4}, {0, n / 2}, {3, n - n/4 - n/2}}}
+	e := NewCountsEngine(p, rng.New(1))
+	// Class is the state's low bit: state 0 is class 0, state 3 class 1.
+	if want := []int64{n / 2, n - n/2}; !slices.Equal(e.Counts(), want) {
+		t.Fatalf("Counts() %v, want %v", e.Counts(), want)
+	}
+	if e.Leaders() != n-n/2 {
+		t.Fatalf("Leaders() %d, want %d", e.Leaders(), n-n/2)
+	}
+	got := map[uint32]int64{}
+	v := e.Census()
+	v.VisitStates(func(s uint32, c int64) { got[s] += c })
+	if v.N() != n || len(got) != 2 || got[3] != n-n/2 || got[0] != n/2 {
+		t.Fatalf("census N %d, states %v; want %d agents, 3: %d, 0: %d", v.N(), got, int64(n), n-n/2, n/2)
+	}
+	if !slices.Equal(e.states, []uint32{3, 0}) {
+		t.Fatalf("ids %v, want first-appearance order [3 0]", e.states)
 	}
 }

@@ -23,11 +23,9 @@ type skewInit struct{ n, x int }
 
 func (p skewInit) Name() string { return "skewInit" }
 func (p skewInit) N() int       { return p.n }
-func (p skewInit) Init(i int) uint32 {
-	if i < p.x {
-		return 1
-	}
-	return 0
+func (p skewInit) Init(yield func(uint32, int64)) {
+	yield(1, int64(p.x))
+	yield(0, int64(p.n-p.x))
 }
 func (p skewInit) Delta(r, i uint32) (uint32, uint32) {
 	if i == 1 {
@@ -396,11 +394,15 @@ type bigEnum struct{ n, states int }
 
 func (p bigEnum) Name() string          { return "bigEnum" }
 func (p bigEnum) N() int                { return p.n }
-func (p bigEnum) Init(i int) uint32     { return uint32(i % p.states) }
 func (p bigEnum) NumClasses() int       { return 1 }
 func (p bigEnum) Class(s uint32) uint8  { return 0 }
 func (p bigEnum) Leader(s uint32) bool  { return false }
 func (p bigEnum) Stable(c []int64) bool { return false }
+func (p bigEnum) Init(yield func(uint32, int64)) {
+	for i := 0; i < p.n; i++ {
+		yield(uint32(i%p.states), 1)
+	}
+}
 func (p bigEnum) Delta(r, i uint32) (uint32, uint32) {
 	return (r + i) % uint32(p.states), i
 }

@@ -10,13 +10,27 @@ package sim
 type Override struct {
 	// Inner is the wrapped protocol.
 	Inner Protocol
-	// Initial returns the initial state of agent i.
-	Initial func(i int) uint32
+
+	// states and counts are the replacement configuration's runs.
+	states []uint32
+	counts []int64
 }
 
-// NewOverride wraps proto with a custom initial configuration.
+// NewOverride wraps proto with the initial configuration that starts agent
+// i in initial(i). It reads initial once per agent, here, and keeps the
+// maximal runs of equal states.
 func NewOverride(proto Protocol, initial func(i int) uint32) *Override {
-	return &Override{Inner: proto, Initial: initial}
+	o := &Override{Inner: proto}
+	for i := 0; i < proto.N(); i++ {
+		s := initial(i)
+		if k := len(o.states) - 1; k >= 0 && o.states[k] == s {
+			o.counts[k]++
+			continue
+		}
+		o.states = append(o.states, s)
+		o.counts = append(o.counts, 1)
+	}
+	return o
 }
 
 // Name implements Protocol.
@@ -26,7 +40,11 @@ func (o *Override) Name() string { return o.Inner.Name() + "+override" }
 func (o *Override) N() int { return o.Inner.N() }
 
 // Init implements Protocol using the override.
-func (o *Override) Init(i int) uint32 { return o.Initial(i) }
+func (o *Override) Init(yield func(uint32, int64)) {
+	for k, s := range o.states {
+		yield(s, o.counts[k])
+	}
+}
 
 // Delta implements Protocol.
 func (o *Override) Delta(r, i uint32) (uint32, uint32) { return o.Inner.Delta(r, i) }

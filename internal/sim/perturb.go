@@ -119,8 +119,8 @@ type Churn struct {
 	// unit of s in-window interactions, Binomial(s, LeaveRate) uniformly
 	// chosen agents leave.
 	LeaveRate float64
-	// JoinRate is the per-interaction arrival probability mass: joiners
-	// enter in Init(j) for a uniform j in [0, n₀).
+	// JoinRate is the per-interaction arrival probability mass: a joiner
+	// enters in the initial state of agent j for a uniform j in [0, n₀).
 	JoinRate float64
 	// Until bounds the active window to steps in (0, Until]; 0 means the
 	// whole run. A run with a finite window stabilizes after it, so

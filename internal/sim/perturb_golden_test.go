@@ -231,3 +231,52 @@ func TestPerturbedCountsTraceGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTwoRunJoinTraceGolden pins churn joins on a configuration with two
+// initial runs (approximate majority, 2600 X then 1496 Y) on all three
+// engine paths. Every joiner draws a uniform initial index and enters in
+// the state of the run holding it, so a join that picked the wrong run, or
+// consumed the draw differently, moves the hash. The hashes were recorded
+// while the engines still asked the protocol for the state of each agent
+// index, before initial configurations became runs. The budget stops each
+// run 20 parallel time units after the churn window: Stable compares the
+// class counts with the initial size, which churn leaves behind.
+func TestTwoRunJoinTraceGolden(t *testing.T) {
+	const n = 4096
+	cases := []struct {
+		name string
+		want string
+		make func(pr *approxmajority.Protocol) sim.Engine
+	}{
+		{"dense", "ab7dd800e9e32499", func(pr *approxmajority.Protocol) sim.Engine {
+			return sim.NewRunner(pr, rng.New(21))
+		}},
+		{"counts-exact", "a0c9f534b1ce680d", func(pr *approxmajority.Protocol) sim.Engine {
+			e := sim.NewCountsEngine(pr, rng.New(22))
+			e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchExact})
+			return e
+		}},
+		{"counts-adaptive", "07f9d2d243b81ccd", func(pr *approxmajority.Protocol) sim.Engine {
+			e := sim.NewCountsEngine(pr, rng.New(23))
+			e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
+			return e
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr, err := approxmajority.New(n, 2600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := tc.make(pr)
+			e.SetBudget(n * 80)
+			churn := sim.Churn{LeaveRate: 2e-4, JoinRate: 2e-4, Until: n * 60}
+			if err := e.(sim.Perturbable).SetPerturbation(churn); err != nil {
+				t.Fatal(err)
+			}
+			if got := traceHash(t, e, n); got != tc.want {
+				t.Fatalf("trajectory hash %s, golden %s — churn joins on a two-run start drifted from their recorded trajectory", got, tc.want)
+			}
+		})
+	}
+}

@@ -11,9 +11,9 @@ import (
 // bookkeeping under two-sided updates.
 type parityToy struct{ n int }
 
-func (p parityToy) Name() string    { return "parity" }
-func (p parityToy) N() int          { return p.n }
-func (p parityToy) Init(int) uint32 { return 0 }
+func (p parityToy) Name() string                   { return "parity" }
+func (p parityToy) N() int                         { return p.n }
+func (p parityToy) Init(yield func(uint32, int64)) { yield(0, int64(p.n)) }
 func (p parityToy) Delta(r, i uint32) (uint32, uint32) {
 	return r ^ 1, i ^ 1
 }

@@ -16,14 +16,10 @@ var blocksCensus = []int64{400, 100, 250, 250}
 
 func (blocks) Name() string { return "blocks" }
 func (blocks) N() int       { return 1000 }
-func (blocks) Init(i int) uint32 {
+func (blocks) Init(yield func(uint32, int64)) {
 	for s, c := range blocksCensus {
-		if i < int(c) {
-			return uint32(s)
-		}
-		i -= int(c)
+		yield(uint32(s), c)
 	}
-	panic("blocks: agent index out of range")
 }
 func (blocks) Delta(r, i uint32) (uint32, uint32) { return r, i }
 func (blocks) NumClasses() int                    { return 1 }

@@ -76,7 +76,7 @@ func NewRunner(proto Protocol, src *rng.Source) *Runner {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
 	}
 	r := &Runner{proto: proto, delta: proto.Delta}
-	r.unitLoop = newUnitLoop(r, ckptKindDense, proto.Name(), src, n)
+	r.unitLoop = newUnitLoop(r, ckptKindDense, proto, src)
 	if dc, ok := proto.(DeltaCompiler); ok {
 		if f := dc.CompileDelta(); f != nil {
 			r.delta = f
@@ -107,20 +107,25 @@ func (r *Runner) Reset() {
 	if r.TrackStates {
 		r.seen = make(map[uint32]struct{})
 	}
-	for i := range r.pop {
-		s := r.proto.Init(i)
-		r.pop[i] = s
-		r.counts[r.proto.Class(s)]++
+	if r.censusOn {
+		r.stateCensus = make(map[uint32]int64)
+	}
+	r.init.runs(func(s uint32, start, end int64) {
+		pop := r.pop[start:end]
+		for i := range pop {
+			pop[i] = s
+		}
+		r.counts[r.proto.Class(s)] += end - start
 		if r.proto.Leader(s) {
-			r.leaders++
+			r.leaders += int(end - start)
 		}
 		if r.TrackStates {
 			r.seen[s] = struct{}{}
 		}
-	}
-	if r.censusOn {
-		r.stateCensus = buildCensus(r.pop)
-	}
+		if r.censusOn {
+			r.stateCensus[s] += end - start
+		}
+	})
 }
 
 // SetPerturbation implements Perturbable: p is applied after every
@@ -346,7 +351,7 @@ func (t denseTarget) RemoveUniform(src *rng.Source, k int64) {
 func (t denseTarget) AddAgents(src *rng.Source, k int64) {
 	r := t.r
 	for j := int64(0); j < k; j++ {
-		s := r.proto.Init(int(src.Uintn(uint64(r.n0))))
+		s := r.joinState(src)
 		r.pop = append(r.pop, s)
 		r.n++
 		r.counts[r.proto.Class(s)]++

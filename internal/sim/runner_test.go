@@ -12,11 +12,9 @@ import (
 // initiator survives and the responder becomes a follower.
 type duel struct{ n int }
 
-func (d duel) Name() string { return "duel" }
-func (d duel) N() int       { return d.n }
-func (d duel) Init(int) uint32 {
-	return 1
-}
+func (d duel) Name() string                   { return "duel" }
+func (d duel) N() int                         { return d.n }
+func (d duel) Init(yield func(uint32, int64)) { yield(1, int64(d.n)) }
 func (d duel) Delta(r, i uint32) (uint32, uint32) {
 	if r == 1 && i == 1 {
 		return 0, 1
@@ -34,11 +32,9 @@ type infect struct{ n int }
 
 func (e infect) Name() string { return "infect" }
 func (e infect) N() int       { return e.n }
-func (e infect) Init(i int) uint32 {
-	if i == 0 {
-		return 1
-	}
-	return 0
+func (e infect) Init(yield func(uint32, int64)) {
+	yield(1, 1)
+	yield(0, int64(e.n-1))
 }
 func (e infect) Delta(r, i uint32) (uint32, uint32) {
 	if i == 1 {

@@ -61,6 +61,10 @@ type unitLoop struct {
 	// under churn perturbations.
 	n, n0 int
 
+	// init is the protocol's initial configuration over [0, n0): Reset
+	// rebuilds the population from it, and churn joiners enter in it.
+	init initConfig
+
 	// MaxInteractions bounds Run; 0 means DefaultBudget(n).
 	MaxInteractions uint64
 
@@ -93,8 +97,21 @@ type unitEngine interface {
 	Snapshot() ([]byte, error)
 }
 
-func newUnitLoop(eng unitEngine, kind byte, name string, src *rng.Source, n int) unitLoop {
-	return unitLoop{eng: eng, kind: kind, name: name, src: src, n: n, n0: n}
+// newUnitLoop reads proto's initial runs, panicking on an invalid
+// configuration as the engine constructors do on n < 2.
+func newUnitLoop(eng unitEngine, kind byte, proto Protocol, src *rng.Source) unitLoop {
+	states, ends, err := InitRuns(proto)
+	if err != nil {
+		panic(err.Error())
+	}
+	n := proto.N()
+	return unitLoop{eng: eng, kind: kind, name: proto.Name(), src: src, n: n, n0: n,
+		init: initConfig{states, ends}}
+}
+
+// joinState draws a churn joiner's state: that of a uniform initial agent.
+func (u *unitLoop) joinState(src *rng.Source) uint32 {
+	return u.init.at(src.Uintn(uint64(u.n0)))
 }
 
 // resetLoop is the bookkeeping every engine's Reset shares: the initial

@@ -33,7 +33,7 @@ func (p *Protocol) N() int { return p.Size }
 
 // Init implements sim.Protocol. All agents start at parity 0, the worst
 // case for the coin's initial bias.
-func (p *Protocol) Init(int) uint32 { return 0 }
+func (p *Protocol) Init(yield func(uint32, int64)) { yield(0, int64(p.Size)) }
 
 // Delta implements sim.Protocol: both agents toggle.
 func (p *Protocol) Delta(r, i uint32) (uint32, uint32) {
