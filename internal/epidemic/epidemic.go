@@ -69,9 +69,10 @@ func (p *Protocol) Class(s uint32) uint8 { return uint8(s & 1) }
 // Leader implements sim.Protocol; epidemics elect no leader.
 func (p *Protocol) Leader(uint32) bool { return false }
 
-// Stable implements sim.Protocol: stable when the whole population is
-// infected (infection is monotone, so this is absorbing).
-func (p *Protocol) Stable(counts []int64) bool { return counts[1] == int64(p.Size) }
+// Stable implements sim.Protocol: stable when no agent is susceptible, so
+// the whole live census (which churn moves away from Size) is infected.
+// Infection is monotone, so this is absorbing.
+func (p *Protocol) Stable(counts []int64) bool { return counts[0] == 0 }
 
 // States implements sim.Enumerable.
 func (p *Protocol) States() []uint32 { return []uint32{0, 1} }

@@ -129,3 +129,17 @@ func TestProtocolMetadata(t *testing.T) {
 		t.Fatalf("sources broken: runs %v %v, %v", states, ends, err)
 	}
 }
+
+// TestStableOnChurnedCensus checks the stability predicate against the
+// live census: under churn its total drifts from Size (10 here), so 7
+// infected agents alone are stable and 10 infected beside 3 susceptible
+// are not.
+func TestStableOnChurnedCensus(t *testing.T) {
+	p, _ := New(10, 2)
+	if !p.Stable([]int64{0, 7}) || !p.Stable([]int64{0, 13}) {
+		t.Fatal("an all-infected census off Size is not stable")
+	}
+	if p.Stable([]int64{3, 10}) || p.Stable([]int64{1, 6}) {
+		t.Fatal("a census with susceptible agents is stable")
+	}
+}

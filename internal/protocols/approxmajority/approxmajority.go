@@ -71,16 +71,19 @@ func (p *Protocol) Leader(uint32) bool { return false }
 // Stable implements sim.Protocol: consensus on X or Y is absorbing (the
 // losing opinion and blanks are gone, so no rule fires again).
 func (p *Protocol) Stable(counts []int64) bool {
-	n := int64(p.Size)
-	return counts[X] == n || counts[Y] == n
+	_, ok := p.Winner(counts)
+	return ok
 }
 
 // Winner returns which opinion a stabilized census converged to.
+// Consensus means one opinion holds the whole census: the live population,
+// which churn moves away from Size.
 func (p *Protocol) Winner(counts []int64) (uint32, bool) {
+	n := counts[Blank] + counts[X] + counts[Y]
 	switch {
-	case counts[X] == int64(p.Size):
+	case counts[X] == n:
 		return X, true
-	case counts[Y] == int64(p.Size):
+	case counts[Y] == n:
 		return Y, true
 	}
 	return Blank, false

@@ -144,3 +144,26 @@ func TestMetadata(t *testing.T) {
 		t.Fatal("winner before consensus")
 	}
 }
+
+// TestStableOnChurnedCensus checks consensus against the live census
+// total: under churn it drifts from Size (10 here), and a census of 13
+// agents with 10 X and 3 Y has not converged, while 7 X alone has.
+func TestStableOnChurnedCensus(t *testing.T) {
+	p, _ := New(10, 4)
+	for _, tc := range []struct {
+		counts []int64
+		winner uint32
+		ok     bool
+	}{
+		{[]int64{0, 7, 0}, X, true},
+		{[]int64{0, 0, 13}, Y, true},
+		{[]int64{0, 10, 3}, Blank, false},
+		{[]int64{3, 10, 0}, Blank, false},
+		{[]int64{1, 0, 6}, Blank, false},
+	} {
+		w, ok := p.Winner(tc.counts)
+		if w != tc.winner || ok != tc.ok || p.Stable(tc.counts) != tc.ok {
+			t.Errorf("census %v: Winner %d, %v and Stable %v; want %d, %v", tc.counts, w, ok, p.Stable(tc.counts), tc.winner, tc.ok)
+		}
+	}
+}

@@ -31,11 +31,18 @@ import (
 // values consume randomness differently — statistically equivalent, like a
 // different seed (the cross-worker equivalence tests pin this down).
 //
-// During the parallel phases shards read pop/occ/resp/pool and the delta
-// memo, and write only their own strided columns and private staging
-// state; the memo is never written (unmemoized cells go to per-shard miss
-// lists, resolved serially after the join), so the whole path is
-// race-free by construction and runs clean under -race.
+// During the parallel phases shards read pop/occ and the delta memo, and
+// write only shard-owned memory: their own stream, column slices and
+// private staging state. The memo is never written (unmemoized cells go
+// to per-shard miss lists, resolved serially after the join), so the
+// whole path is race-free by construction and runs clean under -race.
+//
+// Shard-owned also means on shard-owned cache lines. Each shard keeps its
+// rng state by value and its owned responder and pool columns in compact
+// slices (entry i is occ position s + i·w), its arrays end in a line of
+// slack, and its struct is padded past the next shard's fields. A line
+// two cores write moves between them on every write: with shared lines,
+// two workers sampled GSU19 at n = 10⁸ about 25% slower (DESIGN.md §14).
 
 // Parallel batch gating: batches shorter than parallelMinBatch
 // interactions, or censuses narrower than parallelMinOcc occupied states,
@@ -46,16 +53,25 @@ const (
 	parallelMinOcc   = 16
 )
 
-// countsShard is one worker's slice of a sharded batch.
+// cacheLine is the coherence granule the shard layout keeps apart.
+const cacheLine = 64
+
+// countsShard is one worker's slice of a sharded batch. The trailing pad
+// keeps this shard's mutable fields (src above all, written on every
+// draw) off the cache lines of the next shard's.
 type countsShard struct {
-	src     *rng.Source // per-batch stream, derived via Split(shard)
-	count   int64       // aggregate census count over owned columns
-	resp    int64       // phase-A1 responder allocation to this shard
-	pool    int64       // remaining initiator pool total over owned columns
-	alloc   []int64     // per-row initiator allocation to this shard
-	diff    []int64     // privately staged census changes (by id)
+	src   rng.Source // per-batch stream, derived via Split(shard)
+	count int64      // aggregate census count over owned columns
+	resp  int64      // phase-A1 responder allocation to this shard
+	pool  int64      // remaining initiator pool total over owned columns
+	// Owned columns, compact: entry i is occ position s + i·w.
+	respCol []int64 // phase-B1 responder split
+	poolCol []int64 // initiator pool, drawn down by phase B2
+	alloc   []int64 // per-row initiator allocation to this shard (by occ position)
+	diff    []int64 // privately staged census changes (by id)
 	touched []int32
 	miss    []missCell
+	_       [cacheLine]byte
 }
 
 // missCell is a sampled pair-class cell whose transition was not yet
@@ -95,11 +111,13 @@ func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 	for s := range shards {
 		sh := &shards[s]
 		sh.count = 0
-		sh.alloc = ensureLen(&sh.alloc, len(occ))
-		clear(sh.alloc)
+		cols := (len(occ) - s + w - 1) / w
+		ensureShardLen(&sh.respCol, cols)
+		ensureShardLen(&sh.poolCol, cols)
+		clear(ensureShardLen(&sh.alloc, len(occ)))
 		// diff entries are zeroed at merge time (and by allocation
 		// growth), so only the length needs refreshing here.
-		sh.diff = ensureLen(&sh.diff, len(e.pop))
+		ensureShardLen(&sh.diff, len(e.pop))
 		sh.touched = sh.touched[:0]
 		sh.miss = sh.miss[:0]
 	}
@@ -122,13 +140,11 @@ func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 		sh.pool = sh.count - sh.resp
 	}
 	for s := range shards {
-		shards[s].src = e.src.Split(uint64(s))
+		shards[s].src = *e.src.Split(uint64(s))
 	}
 
 	// Phase B1: each shard splits its responder allocation over its own
-	// columns (disjoint strided writes to resp and pool).
-	ensureLen(&e.resp, len(occ))
-	ensureLen(&e.pool, len(occ))
+	// columns, writing only its own respCol and poolCol.
 	var wg sync.WaitGroup
 	for s := 1; s < w; s++ {
 		wg.Add(1)
@@ -145,7 +161,7 @@ func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 	// so a fixed order is unbiased — same argument as the serial path).
 	poolTotal := int64(e.n) - int64(l)
 	for j := range occ {
-		k := e.resp[j]
+		k := shards[j%w].respCol[j/w]
 		if k == 0 {
 			continue
 		}
@@ -207,17 +223,17 @@ func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 // shard's stream, and initialize its pool columns.
 func (e *CountsEngine) shardRespSplit(s, w int) {
 	sh := &e.shards[s]
-	occ, resp, pool := e.occ, e.resp, e.pool
+	occ, resp, pool := e.occ, sh.respCol, sh.poolCol
 	rem := sh.count
 	need := sh.resp
-	for j := s; j < len(occ); j += w {
-		c := e.pop[occ[j]]
+	for i := range resp {
+		c := e.pop[occ[s+i*w]]
 		var k int64
 		if need > 0 {
-			k = hyperDraw(sh.src, c, rem-c, need)
+			k = hyperDraw(&sh.src, c, rem-c, need)
 		}
-		resp[j] = k
-		pool[j] = c - k
+		resp[i] = k
+		pool[i] = c - k
 		need -= k
 		rem -= c
 	}
@@ -229,10 +245,10 @@ func (e *CountsEngine) shardRespSplit(s, w int) {
 // effects privately.
 func (e *CountsEngine) shardPair(s, w int) {
 	sh := &e.shards[s]
-	occ, pool := e.occ, e.pool
+	occ, pool := e.occ, sh.poolCol
 	shardPool := int64(0)
-	for j := s; j < len(occ); j += w {
-		shardPool += pool[j]
+	for _, p := range pool {
+		shardPool += p
 	}
 	for j := range occ {
 		k := sh.alloc[j]
@@ -242,19 +258,18 @@ func (e *CountsEngine) shardPair(s, w int) {
 		a := occ[j]
 		remPool := shardPool
 		d := k
-		for b := s; b < len(occ); b += w {
+		for i, pb := range pool {
 			if d == 0 {
 				break
 			}
-			pb := pool[b]
 			if pb == 0 {
 				continue
 			}
-			kb := hyperDraw(sh.src, pb, remPool-pb, d)
+			kb := hyperDraw(&sh.src, pb, remPool-pb, d)
 			if kb > 0 {
-				pool[b] = pb - kb
+				pool[i] = pb - kb
 				d -= kb
-				e.shardStage(sh, a, occ[b], kb)
+				e.shardStage(sh, a, occ[s+i*w], kb)
 			}
 			remPool -= pb
 		}
@@ -282,4 +297,15 @@ func (sh *countsShard) stageOne(id int32, d int64) {
 		sh.touched = append(sh.touched, id)
 	}
 	sh.diff[id] += d
+}
+
+// ensureShardLen is ensureLen for the shard-owned arrays: growth allocates
+// a cache line of slack past the end, so the lines a shard writes never
+// hold another shard's array.
+func ensureShardLen(s *[]int64, n int) []int64 {
+	if cap(*s) < n {
+		*s = make([]int64, n, n+cacheLine/8)
+	}
+	*s = (*s)[:n]
+	return *s
 }

@@ -236,27 +236,34 @@ func TestPerturbedCountsTraceGolden(t *testing.T) {
 // initial runs (approximate majority, 2600 X then 1496 Y) on all three
 // engine paths. Every joiner draws a uniform initial index and enters in
 // the state of the run holding it, so a join that picked the wrong run, or
-// consumed the draw differently, moves the hash. The hashes were recorded
-// while the engines still asked the protocol for the state of each agent
-// index, before initial configurations became runs. The budget stops each
-// run 20 parallel time units after the churn window: Stable compares the
-// class counts with the initial size, which churn leaves behind.
+// consumed the draw differently, moves the hash. Each case must stabilize
+// after the churn window, before its 80n budget.
+//
+// The hashes were first recorded while the engines still asked the
+// protocol for the state of each agent index, before initial
+// configurations became runs, with every run ending at the budget: Stable
+// compared the class counts with the initial size, which churn leaves
+// behind (dense was ab7dd800e9e32499, counts-exact a0c9f534b1ce680d,
+// counts-adaptive 07f9d2d243b81ccd). Since Stable compares with the live
+// census total, the runs stop at consensus, between 60n and 62.2n; the
+// traces through the churn window are unchanged.
 func TestTwoRunJoinTraceGolden(t *testing.T) {
 	const n = 4096
+	const budget = n * 80
 	cases := []struct {
 		name string
 		want string
 		make func(pr *approxmajority.Protocol) sim.Engine
 	}{
-		{"dense", "ab7dd800e9e32499", func(pr *approxmajority.Protocol) sim.Engine {
+		{"dense", "e7568ad7d319265f", func(pr *approxmajority.Protocol) sim.Engine {
 			return sim.NewRunner(pr, rng.New(21))
 		}},
-		{"counts-exact", "a0c9f534b1ce680d", func(pr *approxmajority.Protocol) sim.Engine {
+		{"counts-exact", "206801e2349dcf0f", func(pr *approxmajority.Protocol) sim.Engine {
 			e := sim.NewCountsEngine(pr, rng.New(22))
 			e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchExact})
 			return e
 		}},
-		{"counts-adaptive", "07f9d2d243b81ccd", func(pr *approxmajority.Protocol) sim.Engine {
+		{"counts-adaptive", "fcbd492b924cf555", func(pr *approxmajority.Protocol) sim.Engine {
 			e := sim.NewCountsEngine(pr, rng.New(23))
 			e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 			return e
@@ -269,14 +276,43 @@ func TestTwoRunJoinTraceGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := tc.make(pr)
-			e.SetBudget(n * 80)
+			e.SetBudget(budget)
 			churn := sim.Churn{LeaveRate: 2e-4, JoinRate: 2e-4, Until: n * 60}
 			if err := e.(sim.Perturbable).SetPerturbation(churn); err != nil {
 				t.Fatal(err)
 			}
-			if got := traceHash(t, e, n); got != tc.want {
+			got := traceHash(t, e, n)
+			if e.Steps() >= budget {
+				t.Fatalf("ran to the %d-interaction budget without stabilizing", budget)
+			}
+			if got != tc.want {
 				t.Fatalf("trajectory hash %s, golden %s — churn joins on a two-run start drifted from their recorded trajectory", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestShardedGSU19TraceGolden pins the in-batch workers on the benchmark's
+// own configuration: GSU19 on the adaptive policy with two sampler
+// goroutines. At n = 2¹⁸ the first 60n interactions run about 2,100
+// batches, 1,700 of them sharded (long enough for parallelMinBatch, with
+// at least parallelMinOcc occupied states), so the hash covers both
+// phases' shard streams, the shard-level chains on the main stream and the
+// fixed-order join. The hash was recorded before the shards got private
+// cache lines; a layout change that reorders any draw moves it.
+func TestShardedGSU19TraceGolden(t *testing.T) {
+	const n = 1 << 18
+	pr := core.MustNew(core.DefaultParams(n))
+	e := sim.NewCountsEngine(pr.Words(), rng.New(24))
+	e.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
+	e.SetWorkers(2)
+	e.SetBudget(60 * n)
+	const want = "a0fa0e6d905811cf"
+	got := traceHash(t, e, n/4)
+	if w := e.EffectiveWorkers(); w != 2 {
+		t.Fatalf("EffectiveWorkers %d, want 2 — the sharded path never engaged", w)
+	}
+	if got != want {
+		t.Fatalf("trajectory hash %s, golden %s — the sharded batch path drifted from its recorded trajectory", got, want)
 	}
 }
