@@ -13,8 +13,9 @@ import (
 // The files were recorded before the flags moved to internal/cliflags
 // (reject-gamma when -gamma joined them; verbose, the only line that reads
 // typed GSU19 states through a hook and an observer, before the engines
-// dropped their state type parameter), so a diff means a command line
-// changed its output. Every list fixes
+// dropped their state type parameter; scenario, the three perturbation
+// flags together, before the perturbation interface became one value), so
+// a diff means a command line changed its output. Every list fixes
 // -workers, which fixes the engines' randomness consumption.
 func TestGolden(t *testing.T) {
 	for _, c := range []struct {
@@ -25,6 +26,7 @@ func TestGolden(t *testing.T) {
 		{"dense", false, []string{"-trials", "2", "-seed", "42", "-workers", "1"}},
 		{"corrupt", true, []string{"-n", "16384", "-alg", "gs18", "-corrupt", "128@229376", "-probe-interval", "65536", "-seed", "3", "-workers", "1"}},
 		{"bias", false, []string{"-n", "4096", "-alg", "gs18", "-bias", "0=2,1=0.5", "-seed", "5", "-workers", "1"}},
+		{"scenario", false, []string{"-n", "4096", "-alg", "gs18", "-churn", "1e-4@40960", "-corrupt", "16@20480", "-bias", "0=2,1=0.5", "-seed", "5", "-workers", "1"}},
 		{"reject-gamma", false, []string{"-n", "1000", "-gamma", "7", "-workers", "1"}},
 		{"verbose", false, []string{"-n", "4096", "-alg", "gsu19", "-seed", "5", "-v", "-workers", "1"}},
 	} {

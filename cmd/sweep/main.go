@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// results (and, when trajectories are requested, stored per-trial
 		// series) for the simulation.
 		extra := fmt.Sprintf("%s=%d", *what, v)
-		if tc.Perturb != nil {
+		if !tc.Perturb.IsZero() {
 			// The perturbation changes the trajectory law, so its full
 			// fingerprint is part of the cache identity.
 			extra += ";" + tc.Perturb.Fingerprint()

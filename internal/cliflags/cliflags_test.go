@@ -26,7 +26,7 @@ func TestConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 7 || cfg.Trials != 3 || cfg.Backend != sim.BackendDense ||
-		cfg.Batch != (sim.BatchPolicy{}) || cfg.Perturb != nil {
+		cfg.Batch != (sim.BatchPolicy{}) || !cfg.Perturb.IsZero() {
 		t.Fatalf("defaults parsed to %+v", cfg)
 	}
 	cfg, err = parse(t, "-workers", "3", "-batch", "adaptive", "-batch-eps", "0.01", "-bias", "0=2")
@@ -36,7 +36,7 @@ func TestConfig(t *testing.T) {
 	if cfg.Workers != 3 || cfg.EngineWorkers != 3 {
 		t.Errorf("-workers 3 gave Workers=%d EngineWorkers=%d", cfg.Workers, cfg.EngineWorkers)
 	}
-	if cfg.Batch != (sim.BatchPolicy{Mode: sim.BatchAdaptive, Eps: 0.01}) || cfg.Perturb == nil {
+	if cfg.Batch != (sim.BatchPolicy{Mode: sim.BatchAdaptive, Eps: 0.01}) || cfg.Perturb.IsZero() {
 		t.Errorf("batch/bias parsed to %+v, %v", cfg.Batch, cfg.Perturb)
 	}
 	for _, bad := range [][]string{

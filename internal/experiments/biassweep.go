@@ -61,7 +61,7 @@ func BiasSweep(cfg Config) []*Table {
 	// The sweep pins its own backend and policies and runs unperturbed.
 	pinned := func(seed uint64, b sim.Backend, p sim.BatchPolicy) sim.TrialConfig {
 		tc := cfg.trialBatch(seed)
-		tc.Backend, tc.Batch, tc.Perturb = b, p, nil
+		tc.Backend, tc.Batch, tc.Perturb = b, p, sim.Perturbation{}
 		return tc
 	}
 	denseRes := mustRun(cachedTrials(cfg, "biassweep", "gs18", n, factory,

@@ -218,7 +218,7 @@ func trialKey(cfg Config, kind, protocol string, n int, tc sim.TrialConfig) stor
 	k := store.TrialKey(kind, protocol, n, tc)
 	k.Gamma = cfg.Gamma
 	k.Extra = fmt.Sprintf("track=%t", tc.TrackStates)
-	if tc.Perturb != nil {
+	if !tc.Perturb.IsZero() {
 		// Perturbations change the trajectory law, so the full fingerprint
 		// is part of the cache identity.
 		k.Extra += ",pert=" + tc.Perturb.Fingerprint()

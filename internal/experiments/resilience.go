@@ -29,17 +29,17 @@ var resilienceScenarios = []struct {
 	name string
 	make func(n int) sim.Perturbation
 }{
-	{"none", func(n int) sim.Perturbation { return nil }},
+	{"none", func(n int) sim.Perturbation { return sim.Perturbation{} }},
 	{"churn", func(n int) sim.Perturbation {
-		return sim.Churn{LeaveRate: 2.5e-3, JoinRate: 8.3e-4, Until: uint64(n) * 300}
+		return sim.Perturbation{Churn: sim.Churn{LeaveRate: 2.5e-3, JoinRate: 8.3e-4, Until: uint64(n) * 300}}
 	}},
 	{"corruption", func(n int) sim.Perturbation {
-		return sim.Corruption{
+		return sim.Perturbation{Corrupt: sim.Corruption{
 			K:  int64(math.Round(math.Sqrt(float64(n)))),
 			At: uint64(float64(n) * math.Log2(float64(n))),
-		}
+		}}
 	}},
-	{"bias", func(n int) sim.Perturbation { return sim.Bias{Weights: []float64{2}} }},
+	{"bias", func(n int) sim.Perturbation { return sim.Perturbation{Bias: sim.Bias{Weights: []float64{2}}} }},
 }
 
 // resilienceAlgs is the protocol axis: the paper's protocol, its clocked

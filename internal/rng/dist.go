@@ -25,14 +25,6 @@ func (s *Source) Uintn(n uint64) uint64 {
 	return hi
 }
 
-// Intn returns a uniform pseudo-random integer in [0, n). It panics if n <= 0.
-func (s *Source) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with n <= 0")
-	}
-	return int(s.Uintn(uint64(n)))
-}
-
 // Pair returns an ordered pair (a, b) of distinct indices drawn uniformly at
 // random from [0, n) x [0, n), a != b. This is the random scheduler of the
 // population-protocol model: a is the responder, b the initiator. It panics
@@ -76,28 +68,6 @@ func (s *Source) Geometric(p float64) int {
 		k++
 	}
 	return k
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice, using the
-// Fisher-Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly permutes the n elements addressed by swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Binomial returns a sample of the binomial distribution Bin(n, p): the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -27,19 +26,6 @@ func TestUintnPanicsOnZero(t *testing.T) {
 		}
 	}()
 	New(1).Uintn(0)
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Intn(%d) must panic", n)
-				}
-			}()
-			New(1).Intn(n)
-		}()
-	}
 }
 
 // TestUintnUniform checks uniformity of Uintn with a chi-square test at a
@@ -162,40 +148,6 @@ func TestGeometricPanics(t *testing.T) {
 			}()
 			New(1).Geometric(p)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(43)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		q := append([]int(nil), p...)
-		sort.Ints(q)
-		for i, v := range q {
-			if v != i {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-		}
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	s := New(47)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed the multiset: %v", xs)
 	}
 }
 
@@ -554,7 +506,7 @@ func TestHypergeometricConcurrentShards(t *testing.T) {
 	parent := New(99)
 	done := make(chan int64)
 	for s := 0; s < 8; s++ {
-		go func(src *Source) {
+		go func(src Source) {
 			var sum int64
 			for i := 0; i < 2000; i++ {
 				// Mix small (table) and large (Stirling) arguments.

@@ -87,7 +87,9 @@ func (s *Source) Uint64() uint64 {
 // repeatedly with the same shard returns identical children, and the fixed
 // shard→stream mapping is what keeps sharded simulations byte-identical for
 // a given worker count (see the counts engine's determinism contract).
-func (s *Source) Split(shard uint64) *Source {
+// The child is returned by value, so splitting allocates nothing; callers
+// keep it where its stream lives (a shard, the perturbation state).
+func (s *Source) Split(shard uint64) Source {
 	x := s.s0
 	x ^= splitMix64(&shard) // mix the shard index first so shard 0 ≠ parent
 	k := s.s1
@@ -96,7 +98,9 @@ func (s *Source) Split(shard uint64) *Source {
 	x += splitMix64(&k)
 	k = s.s3
 	x ^= splitMix64(&k)
-	return New(x)
+	var c Source
+	c.Seed(x)
+	return c
 }
 
 // SourceStateLen is the length in bytes of a Source state snapshot: four
@@ -141,24 +145,4 @@ func (s *Source) SetState(state []byte) error {
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
 	return nil
-}
-
-// Jump advances the generator by 2^128 steps, equivalent to that many calls
-// to Uint64. It can be used to partition one seed into long non-overlapping
-// subsequences.
-func (s *Source) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var t0, t1, t2, t3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				t0 ^= s.s0
-				t1 ^= s.s1
-				t2 ^= s.s2
-				t3 ^= s.s3
-			}
-			s.Uint64()
-		}
-	}
-	s.s0, s.s1, s.s2, s.s3 = t0, t1, t2, t3
 }

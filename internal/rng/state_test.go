@@ -50,7 +50,7 @@ func TestStateRoundTripSplitDerived(t *testing.T) {
 	if err := c2.SetState(child.State()); err != nil {
 		t.Fatalf("SetState(child): %v", err)
 	}
-	sameOutput(t, child, c2, 100)
+	sameOutput(t, &child, c2, 100)
 
 	// Restoring the parent reproduces identical future children: Split is a
 	// pure function of the parent state.
@@ -58,7 +58,8 @@ func TestStateRoundTripSplitDerived(t *testing.T) {
 	if err := p2.SetState(parent.State()); err != nil {
 		t.Fatalf("SetState(parent): %v", err)
 	}
-	sameOutput(t, parent.Split(9), p2.Split(9), 100)
+	c9, d9 := parent.Split(9), p2.Split(9)
+	sameOutput(t, &c9, &d9, 100)
 }
 
 // TestStateReservedTail pins the snapshot's 9-byte tail (bytes 32–40),

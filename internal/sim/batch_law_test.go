@@ -111,7 +111,7 @@ func TestBatchPairClassLaw(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewCountsEngine(pairMarker{}, rng.New(uint64(31+tc.l)))
 			if tc.biased {
-				if err := e.SetPerturbation(Bias{Weights: []float64{1}}); err != nil {
+				if err := e.SetPerturbation(Perturbation{Bias: Bias{Weights: []float64{1}}}); err != nil {
 					t.Fatal(err)
 				}
 			}

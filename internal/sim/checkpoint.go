@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"popelect/internal/atomicfile"
 )
 
 // Checkpointing turns the engines' implicit run state into an explicit
@@ -158,48 +160,6 @@ func (c *ckptState) fire(step uint64, snap func() ([]byte, error)) {
 	}
 }
 
-// FileSink returns a CheckpointSink that writes each snapshot atomically to
-// path (temp file + rename in the same directory), so a crash mid-write
-// never leaves a torn checkpoint — the previous one survives intact.
-func FileSink(path string) CheckpointSink {
-	return func(snapshot []byte) error {
-		return WriteCheckpointFile(path, snapshot)
-	}
-}
-
-// WriteCheckpointFile writes a snapshot to path atomically, creating parent
-// directories as needed.
-func WriteCheckpointFile(path string, snapshot []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(snapshot)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return werr
-	}
-	return nil
-}
-
-// ReadCheckpointFile reads a snapshot written by WriteCheckpointFile (or any
-// sink). Integrity is verified by Restore, not here.
-func ReadCheckpointFile(path string) ([]byte, error) {
-	return os.ReadFile(path)
-}
-
 // AttachCheckpoint wires checkpoint/resume onto a freshly built engine
 // whose perturbation and probes are already attached (a snapshot restores
 // only into an engine carrying the same perturbation and probe schedules).
@@ -219,7 +179,7 @@ func AttachCheckpoint(eng Engine, resume, path string, every uint64) (Checkpoint
 		return nil, fmt.Errorf("sim: engine %T does not support checkpointing", eng)
 	}
 	if resume != "" {
-		data, err := ReadCheckpointFile(resume)
+		data, err := os.ReadFile(resume)
 		switch {
 		case err == nil:
 			if err := ck.Restore(data); err != nil {
@@ -230,7 +190,12 @@ func AttachCheckpoint(eng Engine, resume, path string, every uint64) (Checkpoint
 		}
 	}
 	if every > 0 {
-		ck.SetCheckpoint(every, FileSink(path))
+		ck.SetCheckpoint(every, func(snapshot []byte) error {
+			return atomicfile.Write(path, func(w io.Writer) error {
+				_, err := w.Write(snapshot)
+				return err
+			})
+		})
 	}
 	return ck, nil
 }

@@ -35,7 +35,7 @@ func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 		eng = e
 	}
 	if churn {
-		if err := eng.(sim.Perturbable).SetPerturbation(sim.Churn{LeaveRate: 2e-3, JoinRate: 2e-3}); err != nil {
+		if err := eng.SetPerturbation(sim.Perturbation{Churn: sim.Churn{LeaveRate: 2e-3, JoinRate: 2e-3}}); err != nil {
 			t.Fatal(err)
 		}
 	}

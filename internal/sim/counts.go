@@ -554,11 +554,11 @@ func (e *CountsEngine) EffectiveWorkers() int {
 	return e.effWorkers
 }
 
-// SetPerturbation implements Perturbable: p is applied at batch and
+// SetPerturbation implements Engine: p is applied at batch and
 // exact-chunk boundaries, the counts backend's scheduling units (the
 // checkpoint hook discipline — the batch sampling law inside a unit is
 // untouched). Must be called before Run, and before Restore when resuming
-// a perturbed checkpoint; nil detaches.
+// a perturbed checkpoint; the zero Perturbation detaches.
 func (e *CountsEngine) SetPerturbation(p Perturbation) error {
 	e.reactInvalidate()
 	return e.attachPert(p, e.proto.NumClasses(), countsTarget{e})

@@ -140,7 +140,7 @@ func (e *CountsEngine) sampleBatchSharded(l uint64, w int) {
 		sh.pool = sh.count - sh.resp
 	}
 	for s := range shards {
-		shards[s].src = *e.src.Split(uint64(s))
+		shards[s].src = e.src.Split(uint64(s))
 	}
 
 	// Phase B1: each shard splits its responder allocation over its own

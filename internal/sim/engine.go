@@ -44,6 +44,11 @@ type Engine interface {
 
 	// Leaders returns the current number of leader-output agents.
 	Leaders() int
+
+	// SetPerturbation attaches the scenario p (the zero Perturbation
+	// detaches, restoring the exact unperturbed path). It must be called
+	// before Run and before Restore; attaching mid-run is undefined.
+	SetPerturbation(p Perturbation) error
 }
 
 // StateTracker is implemented by engines whose distinct-state accounting is

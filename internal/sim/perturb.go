@@ -10,18 +10,17 @@ import (
 )
 
 // The scenario perturbation layer: adversarial and dynamic population
-// models applied on top of any protocol, on every backend, through one
-// interface. A Perturbation mutates the population at scheduling-unit
-// boundaries — after every step on the dense runner, at batch (or exact
-// chunk) boundaries on the counts engine — mirroring the checkpoint hook
-// discipline: the
-// engine's sampling law inside a unit is untouched, and the perturbation
-// acts on the census between units. Boundary application does not bias the
-// scheduler because units are bounded (pertCadence) while a perturbation
-// is live, so a rate-λ process applied in Binomial(span, λ) lumps at
-// sub-parallel-time granularity — the same rounding the batch law already
-// carries, and it vanishes entirely on the dense backend's per-step
-// boundaries.
+// models applied on top of any protocol, on every backend, as one value.
+// A Perturbation mutates the population at scheduling-unit boundaries —
+// after every step on the dense runner, at batch (or exact chunk)
+// boundaries on the counts engine — mirroring the checkpoint hook
+// discipline: the engine's sampling law inside a unit is untouched, and
+// the perturbation acts on the census between units. Boundary application
+// does not bias the scheduler because units are bounded (pertCadence)
+// while a perturbation is live, so a rate-λ process applied in
+// Binomial(span, λ) lumps at sub-parallel-time granularity — the same
+// rounding the batch law already carries, and it vanishes entirely on the
+// dense backend's per-step boundaries.
 //
 // Randomness contract: every Perturbation draws exclusively from a
 // dedicated stream split off the engine's source at attach time
@@ -30,10 +29,9 @@ import (
 // and with no perturbation attached every engine takes its exact
 // pre-scenario code path (pinned by TestNilPerturbationTraceGolden).
 
-// NoBoundary is returned by Perturbation.NextBoundary when the
-// perturbation has no forced application step: any scheduling-unit
-// boundary will do.
-const NoBoundary = math.MaxUint64
+// noBoundary is nextBoundary's answer when the perturbation has no forced
+// application step: any scheduling-unit boundary will do.
+const noBoundary = math.MaxUint64
 
 // pertStreamTag is the Split tag of the perturbation stream — far outside
 // the worker-index tags the in-batch sampler uses, so the streams can
@@ -62,49 +60,163 @@ type PerturbTarget interface {
 	ScrambleUniform(src *rng.Source, k int64)
 }
 
-// Perturbation is a scenario process perturbing the population while a
-// protocol runs. Implementations must be stateless values: all mutable
+// Perturbation is a scenario: the three relaxations of the paper's model
+// (a fixed population under a uniform random scheduler) the simulator
+// supports. Each zero field means that kind is absent — a churn with both
+// rates 0 included — and the zero Perturbation is no perturbation at all.
+// At every unit boundary churn applies first, then corruption; bias acts
+// through the scheduler. A Perturbation is a plain value: all mutable
 // bookkeeping (the perturbation stream, the last-applied step) lives in
-// the engine, so one Perturbation value can be shared across concurrent
-// trials and survives checkpoint/restore by construction.
-type Perturbation interface {
-	// Name is a short scenario label ("churn", "corruption", "bias").
-	Name() string
-	// Fingerprint is a canonical configuration string; checkpoints store
-	// it and Restore rejects a mismatched perturbation (the analogue of
-	// the engine-config fingerprints already in the envelope).
-	Fingerprint() string
-	// NextBoundary returns the next step strictly after now at which the
-	// perturbation must be applied exactly (one-shot events), or
-	// NoBoundary when any scheduling-unit boundary will do. Engines clamp
-	// their units so a boundary lands on every forced step.
-	NextBoundary(now uint64) uint64
-	// QuiescentAfter returns the last step at which the perturbation can
-	// still mutate the population (0: never mutates; NoBoundary: always
-	// live). Engines suppress convergence detection before it: a
-	// transiently stable census under active churn is not a stable
-	// configuration of the perturbed process.
-	QuiescentAfter() uint64
-	// Apply perturbs the population for the elapsed interval (prev, now],
-	// drawing only from src (the engine-owned perturbation stream).
-	Apply(src *rng.Source, t PerturbTarget, prev, now uint64)
-	// ClassWeights returns standing scheduler weights over census classes
-	// (nil: the uniform scheduler). Missing trailing classes weigh 1.
-	ClassWeights() []float64
+// the engine, so one value can be shared across concurrent trials and
+// survives checkpoint/restore by construction.
+type Perturbation struct {
+	Churn   Churn
+	Corrupt Corruption
+	Bias    Bias
 }
 
-// Perturbable is implemented by every engine that supports scenario
-// perturbations — the Engine configuration hook, the perturbation
-// counterpart of BatchConfigurable.
-type Perturbable interface {
-	// SetPerturbation attaches p (nil detaches, restoring the exact
-	// unperturbed fast path). It must be called before Run and before
-	// Restore; attaching mid-run is undefined.
-	SetPerturbation(p Perturbation) error
+// IsZero reports whether p perturbs nothing.
+func (p Perturbation) IsZero() bool {
+	return !p.churns() && p.Corrupt == (Corruption{}) && len(p.Bias.Weights) == 0
+}
+
+func (p Perturbation) churns() bool { return p.Churn.LeaveRate != 0 || p.Churn.JoinRate != 0 }
+
+// Validate checks every present kind, in apply order.
+func (p Perturbation) Validate() error {
+	if p.churns() {
+		if err := p.Churn.Validate(); err != nil {
+			return err
+		}
+	}
+	if p.Corrupt != (Corruption{}) {
+		if err := p.Corrupt.Validate(); err != nil {
+			return err
+		}
+	}
+	if len(p.Bias.Weights) > 0 {
+		return p.Bias.Validate()
+	}
+	return nil
+}
+
+// Fingerprint is a canonical configuration string: the present kinds in
+// apply order, joined by "+". Checkpoints store it and Restore rejects a
+// mismatched perturbation (the analogue of the engine-config fingerprints
+// already in the envelope); the result store hashes it into cell keys.
+// The fixed window start and churn floor stay in the string, so store
+// keys and checkpoint handshakes keep the form they had while both were
+// settable.
+func (p Perturbation) Fingerprint() string {
+	var parts []string
+	if c := p.Churn; p.churns() {
+		parts = append(parts, fmt.Sprintf("churn(leave=%g,join=%g,from=0,until=%d,minn=%d)",
+			c.LeaveRate, c.JoinRate, c.Until, churnMinN))
+	}
+	if c := p.Corrupt; c != (Corruption{}) {
+		parts = append(parts, fmt.Sprintf("corrupt(k=%d,at=%d,rate=%g,from=0,until=%d)",
+			c.K, c.At, c.Rate, c.Until))
+	}
+	if len(p.Bias.Weights) > 0 {
+		ws := make([]string, len(p.Bias.Weights))
+		for c, w := range p.Bias.Weights {
+			ws[c] = fmt.Sprintf("%d=%g", c, w)
+		}
+		parts = append(parts, "bias("+strings.Join(ws, ",")+")")
+	}
+	return strings.Join(parts, "+")
+}
+
+// nextBoundary returns the next step strictly after now at which p must
+// be applied exactly — the corruption one-shot — or noBoundary when any
+// scheduling-unit boundary will do. Engines clamp their units so a
+// boundary lands on every forced step.
+func (p Perturbation) nextBoundary(now uint64) uint64 {
+	if p.Corrupt.K > 0 && p.Corrupt.At > now {
+		return p.Corrupt.At
+	}
+	return noBoundary
+}
+
+// quiescentAfter returns the last step at which p can still mutate the
+// population (0: never mutates; noBoundary: always live). Engines suppress
+// convergence detection before it: a transiently stable census under
+// active churn is not a stable configuration of the perturbed process.
+// Bias never mutates the census.
+func (p Perturbation) quiescentAfter() uint64 {
+	q := uint64(0)
+	if p.churns() {
+		if p.Churn.Until == 0 {
+			return noBoundary
+		}
+		q = p.Churn.Until
+	}
+	c := p.Corrupt
+	if c.K > 0 {
+		q = max(q, c.At)
+	}
+	if c.Rate > 0 {
+		if c.Until == 0 {
+			return noBoundary
+		}
+		q = max(q, c.Until)
+	}
+	return q
+}
+
+// apply perturbs the population for the elapsed interval (prev, now],
+// drawing only from src (the engine-owned perturbation stream). The order
+// is part of the law: churn joins, churn departures (so a boundary's
+// joiners are exposed to its departures), the corruption one-shot, then
+// rate corruption. The one-shot fires statelessly when At lies in
+// (prev, now] — no fired flag, so resume-equals-replay holds with no extra
+// checkpoint state.
+func (p Perturbation) apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
+	ch := p.Churn
+	if span := windowSpan(prev, now, ch.Until); span > 0 {
+		if ch.JoinRate > 0 {
+			if joins := src.Binomial(int64(span), ch.JoinRate); joins > 0 {
+				t.AddAgents(src, joins)
+			}
+		}
+		if ch.LeaveRate > 0 {
+			leaves := src.Binomial(int64(span), ch.LeaveRate)
+			if maxOut := int64(t.LiveN()) - churnMinN; leaves > maxOut {
+				leaves = maxOut
+			}
+			if leaves > 0 {
+				t.RemoveUniform(src, leaves)
+			}
+		}
+	}
+	c := p.Corrupt
+	if c.K > 0 && prev < c.At && c.At <= now {
+		t.ScrambleUniform(src, min(c.K, int64(t.LiveN())))
+	}
+	if c.Rate > 0 {
+		if span := windowSpan(prev, now, c.Until); span > 0 {
+			if k := min(src.Binomial(int64(span), c.Rate), int64(t.LiveN())); k > 0 {
+				t.ScrambleUniform(src, k)
+			}
+		}
+	}
+}
+
+// windowSpan returns the number of steps of (prev, now] inside (0, until]
+// (until 0: unbounded).
+func windowSpan(prev, now, until uint64) uint64 {
+	hi := now
+	if until != 0 && until < hi {
+		hi = until
+	}
+	if hi <= prev {
+		return 0
+	}
+	return hi - prev
 }
 
 // ---------------------------------------------------------------------------
-// Built-in perturbations.
+// The three kinds.
 
 // Churn is dynamic population membership: at every scheduling-unit
 // boundary, Binomial(span, JoinRate) agents join in initial states and
@@ -144,71 +256,6 @@ func (c Churn) Validate() error {
 	return nil
 }
 
-// Name implements Perturbation.
-func (c Churn) Name() string { return "churn" }
-
-// Fingerprint implements Perturbation. The fixed window start and floor
-// stay in the string, so store keys and checkpoint handshakes keep the
-// form they had while both were settable.
-func (c Churn) Fingerprint() string {
-	return fmt.Sprintf("churn(leave=%g,join=%g,from=0,until=%d,minn=%d)",
-		c.LeaveRate, c.JoinRate, c.Until, churnMinN)
-}
-
-// NextBoundary implements Perturbation: churn is rate-based, any boundary.
-func (c Churn) NextBoundary(now uint64) uint64 { return NoBoundary }
-
-// QuiescentAfter implements Perturbation.
-func (c Churn) QuiescentAfter() uint64 {
-	if c.LeaveRate == 0 && c.JoinRate == 0 {
-		return 0
-	}
-	if c.Until == 0 {
-		return NoBoundary
-	}
-	return c.Until
-}
-
-// ClassWeights implements Perturbation.
-func (c Churn) ClassWeights() []float64 { return nil }
-
-// windowSpan returns the number of steps of (prev, now] inside (0, until]
-// (until 0: unbounded).
-func windowSpan(prev, now, until uint64) uint64 {
-	hi := now
-	if until != 0 && until < hi {
-		hi = until
-	}
-	if hi <= prev {
-		return 0
-	}
-	return hi - prev
-}
-
-// Apply implements Perturbation: joins first, then departures (the fixed
-// order is part of the law — a boundary's joiners are exposed to the same
-// boundary's departures).
-func (c Churn) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
-	span := windowSpan(prev, now, c.Until)
-	if span == 0 {
-		return
-	}
-	if c.JoinRate > 0 {
-		if joins := src.Binomial(int64(span), c.JoinRate); joins > 0 {
-			t.AddAgents(src, joins)
-		}
-	}
-	if c.LeaveRate > 0 {
-		leaves := src.Binomial(int64(span), c.LeaveRate)
-		if maxOut := int64(t.LiveN()) - churnMinN; leaves > maxOut {
-			leaves = maxOut
-		}
-		if leaves > 0 {
-			t.RemoveUniform(src, leaves)
-		}
-	}
-}
-
 // Corruption is transient state corruption: a one-shot scramble of K
 // uniformly chosen agents at step At (their states are replaced by uniform
 // draws from the protocol's enumeration — the census-level implementation
@@ -246,68 +293,6 @@ func (c Corruption) Validate() error {
 	return nil
 }
 
-// Name implements Perturbation.
-func (c Corruption) Name() string { return "corruption" }
-
-// Fingerprint implements Perturbation (with the fixed window start, as
-// for Churn).
-func (c Corruption) Fingerprint() string {
-	return fmt.Sprintf("corrupt(k=%d,at=%d,rate=%g,from=0,until=%d)",
-		c.K, c.At, c.Rate, c.Until)
-}
-
-// NextBoundary implements Perturbation: the one-shot step is forced.
-func (c Corruption) NextBoundary(now uint64) uint64 {
-	if c.K > 0 && c.At > now {
-		return c.At
-	}
-	return NoBoundary
-}
-
-// QuiescentAfter implements Perturbation.
-func (c Corruption) QuiescentAfter() uint64 {
-	q := uint64(0)
-	if c.K > 0 {
-		q = c.At
-	}
-	if c.Rate > 0 {
-		if c.Until == 0 {
-			return NoBoundary
-		}
-		if c.Until > q {
-			q = c.Until
-		}
-	}
-	return q
-}
-
-// ClassWeights implements Perturbation.
-func (c Corruption) ClassWeights() []float64 { return nil }
-
-// Apply implements Perturbation. The one-shot fires statelessly when At
-// lies in (prev, now] — no fired flag, so resume-equals-replay holds with
-// no extra checkpoint state.
-func (c Corruption) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
-	if c.K > 0 && prev < c.At && c.At <= now {
-		k := c.K
-		if live := int64(t.LiveN()); k > live {
-			k = live
-		}
-		t.ScrambleUniform(src, k)
-	}
-	if c.Rate > 0 {
-		if span := windowSpan(prev, now, c.Until); span > 0 {
-			k := src.Binomial(int64(span), c.Rate)
-			if live := int64(t.LiveN()); k > live {
-				k = live
-			}
-			if k > 0 {
-				t.ScrambleUniform(src, k)
-			}
-		}
-	}
-}
-
 // Bias is a non-uniform scheduler: agents are selected proportionally to a
 // weight on their census class instead of uniformly. The dense backend
 // selects both roles by weighted rejection sampling; the counts backend's
@@ -317,6 +302,14 @@ func (c Corruption) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
 // Bias never mutates the population — stability is unaffected (a stable
 // census is absorbing under any scheduler that keeps every pair possible,
 // which positive weights do).
+//
+// Interplay with silent-step skipping (reactive.go): a live bias bypasses
+// the skip entirely — skipEligible refuses while pert.bias is set, because
+// the biased scheduler's pair law is not the uniform one the geometric
+// thinning argument assumes. Census-mutating perturbations (churn,
+// corruption) instead *invalidate* the reactive structures at their
+// boundary application (SetPerturbation and every censusAdd/removal call
+// reactInvalidate), so the skip re-engages lazily on the perturbed census.
 type Bias struct {
 	// Weights holds one positive finite weight per census class index;
 	// classes beyond its length weigh 1. All-equal weights reproduce the
@@ -337,137 +330,6 @@ func (b Bias) Validate() error {
 	return nil
 }
 
-// Name implements Perturbation.
-//
-// Interplay with silent-step skipping (reactive.go): a live bias bypasses
-// the skip entirely — skipEligible refuses while pert.bias is set, because
-// the biased scheduler's pair law is not the uniform one the geometric
-// thinning argument assumes. Census-mutating perturbations (churn,
-// corruption) instead *invalidate* the reactive structures at their
-// boundary application (SetPerturbation and every censusAdd/removal call
-// reactInvalidate), so the skip re-engages lazily on the perturbed census.
-func (b Bias) Name() string { return "bias" }
-
-// Fingerprint implements Perturbation.
-func (b Bias) Fingerprint() string {
-	parts := make([]string, len(b.Weights))
-	for c, w := range b.Weights {
-		parts[c] = fmt.Sprintf("%d=%g", c, w)
-	}
-	return "bias(" + strings.Join(parts, ",") + ")"
-}
-
-// NextBoundary implements Perturbation.
-func (b Bias) NextBoundary(now uint64) uint64 { return NoBoundary }
-
-// QuiescentAfter implements Perturbation: bias never mutates the census.
-func (b Bias) QuiescentAfter() uint64 { return 0 }
-
-// ClassWeights implements Perturbation.
-func (b Bias) ClassWeights() []float64 { return b.Weights }
-
-// Apply implements Perturbation: a no-op — bias acts through ClassWeights.
-func (b Bias) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {}
-
-// ---------------------------------------------------------------------------
-// Composition.
-
-// Combine merges perturbations into one: Apply runs them in order on a
-// shared stream, forced boundaries and quiescence merge, and class-weight
-// tables multiply elementwise. Nil entries are dropped; Combine() is nil
-// and Combine(p) is p.
-func Combine(ps ...Perturbation) Perturbation {
-	var live multiPerturb
-	for _, p := range ps {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type multiPerturb []Perturbation
-
-func (m multiPerturb) Name() string {
-	parts := make([]string, len(m))
-	for i, p := range m {
-		parts[i] = p.Name()
-	}
-	return strings.Join(parts, "+")
-}
-
-func (m multiPerturb) Fingerprint() string {
-	parts := make([]string, len(m))
-	for i, p := range m {
-		parts[i] = p.Fingerprint()
-	}
-	return strings.Join(parts, "+")
-}
-
-func (m multiPerturb) Validate() error {
-	for _, p := range m {
-		if v, ok := p.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m multiPerturb) NextBoundary(now uint64) uint64 {
-	b := uint64(NoBoundary)
-	for _, p := range m {
-		if pb := p.NextBoundary(now); pb < b {
-			b = pb
-		}
-	}
-	return b
-}
-
-func (m multiPerturb) QuiescentAfter() uint64 {
-	q := uint64(0)
-	for _, p := range m {
-		if pq := p.QuiescentAfter(); pq > q {
-			q = pq
-		}
-	}
-	return q
-}
-
-func (m multiPerturb) Apply(src *rng.Source, t PerturbTarget, prev, now uint64) {
-	for _, p := range m {
-		p.Apply(src, t, prev, now)
-	}
-}
-
-func (m multiPerturb) ClassWeights() []float64 {
-	var merged []float64
-	for _, p := range m {
-		w := p.ClassWeights()
-		if w == nil {
-			continue
-		}
-		if merged == nil {
-			merged = append([]float64(nil), w...)
-			continue
-		}
-		for len(merged) < len(w) {
-			merged = append(merged, 1)
-		}
-		for c, v := range w {
-			merged[c] *= v
-		}
-	}
-	return merged
-}
-
 // ---------------------------------------------------------------------------
 // Engine-side bookkeeping, shared by both backends.
 
@@ -476,10 +338,12 @@ func (m multiPerturb) ClassWeights() []float64 {
 // quiescence step, and the resolved class-weight table of a bias. The zero
 // value is the detached (unperturbed) state.
 type pertState struct {
-	p     Perturbation
-	src   *rng.Source
-	prev  uint64
-	quiet uint64
+	p Perturbation
+	// active reports whether a perturbation is attached (p is not zero).
+	active bool
+	src    rng.Source
+	prev   uint64
+	quiet  uint64
 	// bias is the full NumClasses-length weight table (nil: uniform
 	// scheduler); biasMax its maximum, the rejection bound.
 	bias    []float64
@@ -487,54 +351,50 @@ type pertState struct {
 }
 
 // attach validates and installs p, splitting the perturbation stream off
-// src. A nil p detaches.
+// src. A zero p detaches.
 func (ps *pertState) attach(p Perturbation, src *rng.Source, numClasses int) error {
-	if p == nil {
+	if p.IsZero() {
 		*ps = pertState{}
 		return nil
 	}
-	if v, ok := p.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return err
-		}
+	if err := p.Validate(); err != nil {
+		return err
 	}
-	bias, biasMax, err := normalizeClassWeights(p.ClassWeights(), numClasses)
+	bias, biasMax, err := normalizeClassWeights(p.Bias.Weights, numClasses)
 	if err != nil {
 		return err
 	}
 	*ps = pertState{
 		p:       p,
+		active:  true,
 		src:     src.Split(pertStreamTag),
-		quiet:   p.QuiescentAfter(),
+		quiet:   p.quiescentAfter(),
 		bias:    bias,
 		biasMax: biasMax,
 	}
 	return nil
 }
 
-// active reports whether a perturbation is attached.
-func (ps *pertState) active() bool { return ps.p != nil }
-
 // live reports whether an attached perturbation can still mutate the
 // census at step (i.e. it is not yet quiescent). While live, unit-boundary
 // placement is part of the trajectory law — rate-based perturbations draw
 // Binomial(span) per unit — so anything that would reshape the boundary
 // grid (like clamping units to checkpoint cadences) must hold off.
-func (ps *pertState) live(step uint64) bool { return ps.p != nil && step < ps.quiet }
+func (ps *pertState) live(step uint64) bool { return ps.active && step < ps.quiet }
 
 // apply fires the perturbation for the interval (prev, now].
 func (ps *pertState) apply(t PerturbTarget, now uint64) {
-	if ps.p == nil || now == ps.prev {
+	if !ps.active || now == ps.prev {
 		return
 	}
-	ps.p.Apply(ps.src, t, ps.prev, now)
+	ps.p.apply(&ps.src, t, ps.prev, now)
 	ps.prev = now
 }
 
 // canConverge reports whether convergence may be declared at step: not
 // while the perturbation can still mutate the population.
 func (ps *pertState) canConverge(step uint64) bool {
-	return ps.p == nil || step >= ps.quiet
+	return !ps.active || step >= ps.quiet
 }
 
 // clampUnit bounds a scheduling unit of length l starting at now so that
@@ -543,13 +403,11 @@ func (ps *pertState) canConverge(step uint64) bool {
 // (0: no cadence bound), so rate-based processes apply at sub-parallel-
 // time granularity.
 func (ps *pertState) clampUnit(now, l, cadence uint64) uint64 {
-	if ps.p == nil {
+	if !ps.active {
 		return l
 	}
-	if b := ps.p.NextBoundary(now); b != NoBoundary && b > now {
-		if room := b - now; l > room {
-			l = room
-		}
+	if b := ps.p.nextBoundary(now); b != noBoundary {
+		l = min(l, b-now)
 	}
 	if now < ps.quiet && cadence > 0 && l > cadence {
 		l = cadence
@@ -583,8 +441,8 @@ type pertCkpt struct {
 // and, for an attached perturbation, its configuration fingerprint, the
 // perturbation stream position and the last-applied boundary.
 func (ps *pertState) encode(w *ckptEnc) {
-	w.boolean(ps.p != nil)
-	if ps.p != nil {
+	w.boolean(ps.active)
+	if ps.active {
 		w.str(ps.p.Fingerprint())
 		w.bytes(ps.src.State())
 		w.u64(ps.prev)
@@ -609,7 +467,7 @@ func decodePert(r *ckptDec) pertCkpt {
 // snapshot requires none — and reinstates the stream position and
 // boundary cursor, completing the resume-equals-replay state.
 func (ps *pertState) restore(c pertCkpt) error {
-	if c.has != (ps.p != nil) {
+	if c.has != ps.active {
 		if c.has {
 			return fmt.Errorf("sim: checkpoint was taken under perturbation %q; call SetPerturbation before Restore", c.fp)
 		}
@@ -628,11 +486,11 @@ func (ps *pertState) restore(c pertCkpt) error {
 	return nil
 }
 
-// normalizeClassWeights expands a ClassWeights slice to the full class
-// count (missing classes weigh 1) and returns it with its maximum; a nil
-// input stays nil (uniform scheduler).
+// normalizeClassWeights expands a validated bias's weights to the full
+// class count (missing classes weigh 1) and returns them with their
+// maximum; no weights stay nil (uniform scheduler).
 func normalizeClassWeights(w []float64, numClasses int) ([]float64, float64, error) {
-	if w == nil {
+	if len(w) == 0 {
 		return nil, 0, nil
 	}
 	if len(w) > numClasses {
@@ -644,9 +502,6 @@ func normalizeClassWeights(w []float64, numClasses int) ([]float64, float64, err
 		v := 1.0
 		if c < len(w) {
 			v = w[c]
-		}
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, 0, fmt.Errorf("sim: bias weight %g for class %d (weights must be positive and finite)", v, c)
 		}
 		full[c] = v
 		if v > maxW {
@@ -769,31 +624,26 @@ func ParseBias(spec string) (Bias, error) {
 	return b, b.Validate()
 }
 
-// ParsePerturbations combines the three CLI flag specs (empty strings are
-// skipped) into one Perturbation, or nil when all are empty — the shared
-// front end of the -churn/-corrupt/-bias flags.
+// ParsePerturbations parses the three CLI flag specs (empty strings leave
+// their kind absent) into one Perturbation, the zero value when all are
+// empty — the shared front end of the -churn/-corrupt/-bias flags.
 func ParsePerturbations(churnSpec, corruptSpec, biasSpec string) (Perturbation, error) {
-	var ps []Perturbation
+	var p Perturbation
+	var err error
 	if churnSpec != "" {
-		c, err := ParseChurn(churnSpec)
-		if err != nil {
-			return nil, err
+		if p.Churn, err = ParseChurn(churnSpec); err != nil {
+			return Perturbation{}, err
 		}
-		ps = append(ps, c)
 	}
 	if corruptSpec != "" {
-		c, err := ParseCorruption(corruptSpec)
-		if err != nil {
-			return nil, err
+		if p.Corrupt, err = ParseCorruption(corruptSpec); err != nil {
+			return Perturbation{}, err
 		}
-		ps = append(ps, c)
 	}
 	if biasSpec != "" {
-		b, err := ParseBias(biasSpec)
-		if err != nil {
-			return nil, err
+		if p.Bias, err = ParseBias(biasSpec); err != nil {
+			return Perturbation{}, err
 		}
-		ps = append(ps, b)
 	}
-	return Combine(ps...), nil
+	return p, nil
 }

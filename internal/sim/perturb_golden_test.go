@@ -189,7 +189,7 @@ func TestNilPerturbationTraceGolden(t *testing.T) {
 func TestBiasedExactTraceGolden(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(3000))
 	e := sim.NewCountsEngine(pr, rng.New(17))
-	if err := e.SetPerturbation(sim.Bias{Weights: []float64{2, 1}}); err != nil {
+	if err := e.SetPerturbation(sim.Perturbation{Bias: sim.Bias{Weights: []float64{2, 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	const want = "0f493b52c1e67cfc"
@@ -218,10 +218,10 @@ func TestPerturbedCountsTraceGolden(t *testing.T) {
 			pr := gs18.MustNew(gs18.DefaultParams(3000))
 			e := sim.NewCountsEngine(pr, rng.New(tc.seed))
 			e.SetBatchPolicy(tc.policy)
-			p := sim.Combine(
-				sim.Churn{LeaveRate: 2e-4, JoinRate: 1e-4, Until: 3000 * 300},
-				sim.Corruption{K: 55, At: 3000 * 14},
-			)
+			p := sim.Perturbation{
+				Churn:   sim.Churn{LeaveRate: 2e-4, JoinRate: 1e-4, Until: 3000 * 300},
+				Corrupt: sim.Corruption{K: 55, At: 3000 * 14},
+			}
 			if err := e.SetPerturbation(p); err != nil {
 				t.Fatal(err)
 			}
@@ -277,8 +277,8 @@ func TestTwoRunJoinTraceGolden(t *testing.T) {
 			}
 			e := tc.make(pr)
 			e.SetBudget(budget)
-			churn := sim.Churn{LeaveRate: 2e-4, JoinRate: 2e-4, Until: n * 60}
-			if err := e.(sim.Perturbable).SetPerturbation(churn); err != nil {
+			churn := sim.Perturbation{Churn: sim.Churn{LeaveRate: 2e-4, JoinRate: 2e-4, Until: n * 60}}
+			if err := e.SetPerturbation(churn); err != nil {
 				t.Fatal(err)
 			}
 			got := traceHash(t, e, n)

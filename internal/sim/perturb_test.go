@@ -59,7 +59,7 @@ func TestPerturbParsers(t *testing.T) {
 	}
 
 	p, err := sim.ParsePerturbations("", "", "")
-	if err != nil || p != nil {
+	if err != nil || !p.IsZero() {
 		t.Fatalf("empty specs: %v, %v", p, err)
 	}
 	p, err = sim.ParsePerturbations("1e-4", "128@1000", "0=2")
@@ -93,7 +93,7 @@ func TestChurnPopulationDynamics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := gs18.MustNew(gs18.DefaultParams(n))
 			eng := sim.NewCountsEngine(pr, rng.New(42))
-			if err := eng.SetPerturbation(tc.churn); err != nil {
+			if err := eng.SetPerturbation(sim.Perturbation{Churn: tc.churn}); err != nil {
 				t.Fatal(err)
 			}
 			res := eng.Run()
@@ -111,11 +111,11 @@ func TestChurnPopulationDynamics(t *testing.T) {
 // floor must hold on both the dense and counts backends.
 func TestChurnMinNFloor(t *testing.T) {
 	const n = 64
-	churn := sim.Churn{LeaveRate: 0.5}
+	churn := sim.Perturbation{Churn: sim.Churn{LeaveRate: 0.5}}
 	for _, kind := range []string{"dense", "counts"} {
 		t.Run(kind, func(t *testing.T) {
 			eng := buildCkptEngine(t, kind, n, 17)
-			if err := eng.(sim.Perturbable).SetPerturbation(churn); err != nil {
+			if err := eng.SetPerturbation(churn); err != nil {
 				t.Fatal(err)
 			}
 			eng.SetBudget(50 * n)
@@ -141,7 +141,7 @@ func TestCorruptionSqrtNStillElects(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	eng := sim.NewCountsEngine(pr, rng.New(1019))
 	eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
-	if err := eng.SetPerturbation(corrupt); err != nil {
+	if err := eng.SetPerturbation(sim.Perturbation{Corrupt: corrupt}); err != nil {
 		t.Fatal(err)
 	}
 	res := eng.Run()
@@ -184,7 +184,7 @@ func TestUniformBiasMatchesUnbiasedLaw(t *testing.T) {
 			}
 			biased, err := sim.RunTrials(factory, sim.TrialConfig{
 				Trials: trials, Seed: 67, Backend: tc.backend, Batch: tc.batch,
-				Perturb: sim.Bias{Weights: []float64{1}},
+				Perturb: sim.Perturbation{Bias: sim.Bias{Weights: []float64{1}}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -216,10 +216,10 @@ func TestPerturbedElectionAtScale(t *testing.T) {
 		t.Skip("a full n=2²⁰ perturbed election; bench-smoke runs it under -race")
 	}
 	const n = 1 << 20
-	p := sim.Combine(
-		sim.Churn{LeaveRate: 1e-3, JoinRate: 3e-4, Until: 30 * n},
-		sim.Bias{Weights: []float64{2, 1}},
-	)
+	p := sim.Perturbation{
+		Churn: sim.Churn{LeaveRate: 1e-3, JoinRate: 3e-4, Until: 30 * n},
+		Bias:  sim.Bias{Weights: []float64{2, 1}},
+	}
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	eng := sim.NewCountsEngine(pr, rng.New(2027))
 	eng.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
@@ -240,19 +240,19 @@ func TestPerturbedElectionAtScale(t *testing.T) {
 // built-in on every backend. The corruption one-shot is placed after the first checkpoint so
 // the resumed run must replay a still-pending forced boundary.
 func perturbCases(n int) []struct {
-	kind string
-	p    sim.Perturbation
+	kind, name string
+	p          sim.Perturbation
 } {
-	churn := sim.Churn{LeaveRate: 1e-3, JoinRate: 5e-4}
-	corrupt := sim.Corruption{K: 32, At: uint64(2 * n)}
-	bias := sim.Bias{Weights: []float64{2, 1}}
+	churn := sim.Perturbation{Churn: sim.Churn{LeaveRate: 1e-3, JoinRate: 5e-4}}
+	corrupt := sim.Perturbation{Corrupt: sim.Corruption{K: 32, At: uint64(2 * n)}}
+	bias := sim.Perturbation{Bias: sim.Bias{Weights: []float64{2, 1}}}
 	return []struct {
-		kind string
-		p    sim.Perturbation
+		kind, name string
+		p          sim.Perturbation
 	}{
-		{"dense", churn}, {"dense", corrupt}, {"dense", bias},
-		{"counts", churn}, {"counts", corrupt}, {"counts", bias},
-		{"counts-adaptive", churn}, {"counts-adaptive", bias},
+		{"dense", "churn", churn}, {"dense", "corruption", corrupt}, {"dense", "bias", bias},
+		{"counts", "churn", churn}, {"counts", "corruption", corrupt}, {"counts", "bias", bias},
+		{"counts-adaptive", "churn", churn}, {"counts-adaptive", "bias", bias},
 	}
 }
 
@@ -268,7 +268,7 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 	budget := uint64(6 * n)
 	probeEvery := uint64(n / 2)
 	for _, tc := range perturbCases(n) {
-		t.Run(tc.kind+"/"+tc.p.Name(), func(t *testing.T) {
+		t.Run(tc.kind+"/"+tc.name, func(t *testing.T) {
 			build := func(seed uint64) sim.Engine {
 				kind := tc.kind
 				adaptive := kind == "counts-adaptive"
@@ -279,7 +279,7 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 				if adaptive {
 					eng.(sim.BatchConfigurable).SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchAdaptive})
 				}
-				if err := eng.(sim.Perturbable).SetPerturbation(tc.p); err != nil {
+				if err := eng.SetPerturbation(tc.p); err != nil {
 					t.Fatal(err)
 				}
 				eng.SetBudget(budget)
@@ -343,10 +343,10 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 // carrying the same one, in both directions and by fingerprint.
 func TestPerturbCheckpointFlagMismatch(t *testing.T) {
 	const n = 512
-	churn := sim.Churn{LeaveRate: 1e-3}
+	churn := sim.Perturbation{Churn: sim.Churn{LeaveRate: 1e-3}}
 
 	perturbed := buildCkptEngine(t, "counts", n, 9)
-	if err := perturbed.(sim.Perturbable).SetPerturbation(churn); err != nil {
+	if err := perturbed.SetPerturbation(churn); err != nil {
 		t.Fatal(err)
 	}
 	perturbed.RunSteps(uint64(n))
@@ -367,21 +367,21 @@ func TestPerturbCheckpointFlagMismatch(t *testing.T) {
 
 	// Plain snapshot into a perturbed engine.
 	intoPerturbed := buildCkptEngine(t, "counts", n, 9)
-	if err := intoPerturbed.(sim.Perturbable).SetPerturbation(churn); err != nil {
+	if err := intoPerturbed.SetPerturbation(churn); err != nil {
 		t.Fatal(err)
 	}
 	wantRestoreError(t, intoPerturbed, plainSnap, "unperturbed")
 
 	// Perturbed snapshot into an engine with a different perturbation.
 	other := buildCkptEngine(t, "counts", n, 9)
-	if err := other.(sim.Perturbable).SetPerturbation(sim.Churn{LeaveRate: 2e-3}); err != nil {
+	if err := other.SetPerturbation(sim.Perturbation{Churn: sim.Churn{LeaveRate: 2e-3}}); err != nil {
 		t.Fatal(err)
 	}
 	wantRestoreError(t, other, pSnap, "engine has")
 
 	// The matching engine still restores and finishes.
 	ok := buildCkptEngine(t, "counts", n, 9)
-	if err := ok.(sim.Perturbable).SetPerturbation(churn); err != nil {
+	if err := ok.SetPerturbation(churn); err != nil {
 		t.Fatal(err)
 	}
 	if err := ok.(sim.Checkpointable).Restore(pSnap); err != nil {

@@ -128,12 +128,12 @@ func (r *Runner) Reset() {
 	})
 }
 
-// SetPerturbation implements Perturbable: p is applied after every
+// SetPerturbation implements Engine: p is applied after every
 // interaction, the dense backend's scheduling-unit boundary. It requires
 // the protocol to be Enumerable (scrambles draw from the enumeration). Must
-// be called before Run; nil detaches.
+// be called before Run; the zero Perturbation detaches.
 func (r *Runner) SetPerturbation(p Perturbation) error {
-	if p != nil {
+	if !p.IsZero() {
 		en, ok := r.proto.(Enumerable)
 		if !ok {
 			return fmt.Errorf("sim: perturbations need an enumerable protocol")
@@ -434,7 +434,7 @@ func (r *Runner) ensureSeen() {
 // absorbing on census classes, so unchanged steps cannot flip it) and stops
 // at the exact interaction where the protocol stabilizes.
 func (r *Runner) advance(limit uint64, checkStable bool) bool {
-	if r.pert.active() {
+	if r.pert.active {
 		limit = 1
 	}
 	for end := r.step + r.exactLen(limit); r.step < end; {

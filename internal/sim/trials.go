@@ -52,10 +52,10 @@ type TrialConfig struct {
 	Batch BatchPolicy
 
 	// Perturb attaches a perturbation (churn, corruption, scheduler bias —
-	// see Perturbation and Combine) to every trial's engine before it runs.
-	// Attachment constraints are backend-specific and surface as errors: the
-	// dense backend needs an Enumerable protocol. Nil runs unperturbed on
-	// the historical path.
+	// see Perturbation) to every trial's engine before it runs. Attachment
+	// constraints are backend-specific and surface as errors: the dense
+	// backend needs an Enumerable protocol. The zero value runs unperturbed
+	// on the historical path.
 	Perturb Perturbation
 
 	// CheckpointEvery > 0 snapshots each trial's engine about every that
@@ -222,10 +222,10 @@ func NewTrialEngine(proto Protocol, src *rng.Source, cfg TrialConfig) (Engine, e
 	if st, ok := eng.(StateTracker); ok {
 		st.SetTrackStates(cfg.TrackStates)
 	}
-	if cfg.Perturb != nil {
-		// Every engine implements Perturbable; attach before any Restore,
-		// since perturbed checkpoints require the perturbation in place.
-		if err := eng.(Perturbable).SetPerturbation(cfg.Perturb); err != nil {
+	if !cfg.Perturb.IsZero() {
+		// Attach before any Restore, since perturbed checkpoints require
+		// the perturbation in place.
+		if err := eng.SetPerturbation(cfg.Perturb); err != nil {
 			return nil, err
 		}
 	}

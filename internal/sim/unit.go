@@ -140,7 +140,7 @@ func (u *unitLoop) Run() Result {
 		converged = u.eng.advance(budget-u.step, u.pert.canConverge(u.step))
 		u.maybePerturb()
 		u.maybeCheckpoint()
-		if u.pert.active() {
+		if u.pert.active {
 			converged = u.pert.canConverge(u.step) && u.eng.stable()
 		}
 	}
@@ -167,7 +167,7 @@ func (u *unitLoop) RunSteps(k uint64) Result {
 // maybePerturb applies the attached perturbation for the unit that just
 // ended.
 func (u *unitLoop) maybePerturb() {
-	if u.pert.active() {
+	if u.pert.active {
 		u.pert.apply(u.pertTgt, u.step)
 	}
 }
@@ -225,7 +225,8 @@ func (u *unitLoop) Census() CensusView { return u.eng.view() }
 // fireProbes delivers the probes due at the current step.
 func (u *unitLoop) fireProbes() { u.probes.fire(u.step, u.eng.view()) }
 
-// attachPert installs p (nil detaches) with the engine's mutation adapter.
+// attachPert installs p (the zero value detaches) with the engine's mutation
+// adapter.
 func (u *unitLoop) attachPert(p Perturbation, numClasses int, tgt PerturbTarget) error {
 	if err := u.pert.attach(p, u.src, numClasses); err != nil {
 		return err

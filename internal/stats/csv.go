@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"popelect/internal/atomicfile"
 )
 
 // WriteTableCSV writes a simple rectangular table as CSV: one header line,
@@ -47,5 +49,5 @@ func WriteTableCSV(w io.Writer, header []string, rows [][]string) error {
 // WriteTableCSVFile writes a table as CSV to path, creating the parent
 // directory as needed.
 func WriteTableCSVFile(path string, header []string, rows [][]string) error {
-	return writeFile(path, func(w io.Writer) error { return WriteTableCSV(w, header, rows) })
+	return atomicfile.Write(path, func(w io.Writer) error { return WriteTableCSV(w, header, rows) })
 }

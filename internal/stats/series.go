@@ -1,12 +1,11 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
+
+	"popelect/internal/atomicfile"
 )
 
 // DefaultSeriesPoints is the point budget of a Series created with
@@ -241,61 +240,7 @@ func csvNum(v float64) string {
 // WriteSeriesCSVFile writes aligned series as wide CSV to path, creating
 // the parent directory as needed.
 func WriteSeriesCSVFile(path string, series ...*Series) error {
-	return writeFile(path, func(w io.Writer) error { return WriteSeriesCSV(w, series...) })
-}
-
-// writeFile writes path atomically: the writer runs against a temp file in
-// the destination directory (created as needed) which is renamed over path
-// only after a clean close, so readers — and interrupted runs that resume —
-// never observe a partially written artifact. Write and close errors are
-// surfaced; on any failure the temp file is removed and path is untouched.
-func writeFile(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// seriesJSON is the export shape of one series.
-type seriesJSON struct {
-	Name  string    `json:"name"`
-	Steps []uint64  `json:"steps"`
-	Vals  []float64 `json:"values"`
-}
-
-// WriteSeriesJSON writes series as a JSON array of {name, steps, values}.
-func WriteSeriesJSON(w io.Writer, series ...*Series) error {
-	out := make([]seriesJSON, len(series))
-	for i, s := range series {
-		steps, vals := s.Points()
-		out[i] = seriesJSON{Name: s.Name, Steps: steps, Vals: vals}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return atomicfile.Write(path, func(w io.Writer) error { return WriteSeriesCSV(w, series...) })
 }
 
 // GridSummary is the cross-trial aggregation of several series over a
@@ -415,5 +360,5 @@ func (g GridSummary) WriteCSV(w io.Writer) error {
 // WriteCSVFile writes the grid summary as CSV to path, creating the
 // parent directory as needed.
 func (g GridSummary) WriteCSVFile(path string) error {
-	return writeFile(path, g.WriteCSV)
+	return atomicfile.Write(path, g.WriteCSV)
 }

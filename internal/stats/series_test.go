@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -119,27 +118,6 @@ func TestWriteSeriesCSVRejectsMisaligned(t *testing.T) {
 	b.Add(1, 1)
 	if err := WriteSeriesCSV(&bytes.Buffer{}, a, b); err == nil {
 		t.Fatal("misaligned series must be rejected")
-	}
-}
-
-func TestWriteSeriesJSON(t *testing.T) {
-	s := NewSeries("leaders", 8)
-	s.Add(10, 3)
-	s.Add(20, 1)
-	var buf bytes.Buffer
-	if err := WriteSeriesJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	var out []struct {
-		Name  string    `json:"name"`
-		Steps []uint64  `json:"steps"`
-		Vals  []float64 `json:"values"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Name != "leaders" || len(out[0].Steps) != 2 || out[0].Vals[1] != 1 {
-		t.Fatalf("JSON export wrong: %+v", out)
 	}
 }
 

@@ -19,11 +19,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
 
+	"popelect/internal/atomicfile"
 	"popelect/internal/sim"
 	"popelect/internal/stats"
 )
@@ -207,27 +209,11 @@ func (s *Store) put(env envelope) error {
 	if err != nil {
 		return fmt.Errorf("store: encode: %w", err)
 	}
-	path := s.path(env.Key.Hash())
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	f, err := os.CreateTemp(dir, ".entry-*")
+	err = atomicfile.Write(s.path(env.Key.Hash()), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

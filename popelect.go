@@ -110,15 +110,12 @@ type options struct {
 	cfg           sim.TrialConfig
 	backendErr    error // a malformed WithBackend, reported by the run
 	batchErr      error // a malformed WithBatchPolicy, likewise
+	scenarioErr   error // a malformed WithScenario spec, likewise
 	overrides     protocols.Overrides
 	timelineEvery uint64
 	ckptPath      string
 	ckptEvery     uint64
 	resumePath    string
-	perturbs      []sim.Perturbation
-	churnSpec     string
-	corruptSpec   string
-	biasSpec      string
 }
 
 // Option configures a run.
@@ -239,31 +236,28 @@ func WithResume(path string) Option {
 // in a random initial state at expected rate join, so the population size
 // becomes time-varying. Result.Leaders and stabilization refer to the live
 // population at the end. Works on every backend; the dense backend
-// additionally requires an enumerable protocol.
+// additionally requires an enumerable protocol. It replaces any churn set
+// before it (by itself or WithScenario).
 func WithChurn(leave, join float64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Churn{LeaveRate: leave, JoinRate: join})
-	}
+	return func(o *options) { o.cfg.Perturb.Churn = sim.Churn{LeaveRate: leave, JoinRate: join} }
 }
 
 // WithCorruption scrambles the states of k uniformly chosen agents to
 // uniformly random enumerated states once, at interaction step at — the
 // adversarial transient fault the self-stabilization literature recovers
 // from. Works on every backend (the counts backend draws the k agents with
-// one multivariate-hypergeometric census split).
+// one multivariate-hypergeometric census split). It replaces any
+// corruption set before it.
 func WithCorruption(k int, at uint64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Corruption{K: int64(k), At: at})
-	}
+	return func(o *options) { o.cfg.Perturb.Corrupt = sim.Corruption{K: int64(k), At: at} }
 }
 
 // WithBias skews the scheduler away from uniformity: an agent in census
 // class c is chosen for an interaction with relative weight weights[c]
-// (missing classes weigh 1). Supported on both backends.
+// (missing classes weigh 1). Supported on both backends. It replaces any
+// bias set before it.
 func WithBias(weights ...float64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Bias{Weights: weights})
-	}
+	return func(o *options) { o.cfg.Perturb.Bias = sim.Bias{Weights: weights} }
 }
 
 // WithScenario attaches perturbations from the CLIs' compact spec strings
@@ -276,11 +270,26 @@ func WithBias(weights ...float64) Option {
 //	bias:    "CLASS=WEIGHT,..." non-uniform scheduler weights per census
 //	         class (missing classes weigh 1)
 //
-// Malformed specs surface as errors from the run. The typed options
-// (WithChurn, WithCorruption, WithBias) compose with this one.
+// Malformed specs surface as errors from the run; a later WithScenario
+// does not clear them. Each non-empty spec replaces its kind as the typed
+// options (WithChurn, WithCorruption, WithBias) do, so the last option
+// naming a kind wins and options naming different kinds combine.
 func WithScenario(churn, corrupt, bias string) Option {
 	return func(o *options) {
-		o.churnSpec, o.corruptSpec, o.biasSpec = churn, corrupt, bias
+		p, err := sim.ParsePerturbations(churn, corrupt, bias)
+		if err != nil {
+			o.scenarioErr = err
+			return
+		}
+		if churn != "" {
+			o.cfg.Perturb.Churn = p.Churn
+		}
+		if corrupt != "" {
+			o.cfg.Perturb.Corrupt = p.Corrupt
+		}
+		if bias != "" {
+			o.cfg.Perturb.Bias = p.Bias
+		}
 	}
 }
 
@@ -331,22 +340,15 @@ func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
 }
 
 func run(inst protocols.Instance, o options) (Result, error) {
-	for _, err := range []error{o.backendErr, o.batchErr} {
+	for _, err := range []error{o.backendErr, o.batchErr, o.scenarioErr} {
 		if err != nil {
 			return Result{}, fmt.Errorf("popelect: %w", err)
 		}
 	}
-	cfg := o.cfg
-	// All-empty specs parse to nil, which Combine drops.
-	p, err := sim.ParsePerturbations(o.churnSpec, o.corruptSpec, o.biasSpec)
-	if err != nil {
-		return Result{}, fmt.Errorf("popelect: %w", err)
-	}
-	cfg.Perturb = sim.Combine(append(o.perturbs, p)...)
 	if o.ckptPath != "" && o.ckptEvery == 0 {
 		return Result{}, fmt.Errorf("popelect: WithCheckpoint needs a positive interval")
 	}
-	eng, err := sim.NewTrialEngine(inst.Protocol, rng.New(cfg.Seed), cfg)
+	eng, err := sim.NewTrialEngine(inst.Protocol, rng.New(o.cfg.Seed), o.cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -299,5 +301,56 @@ func TestElectCheckpointValidation(t *testing.T) {
 	// controller.
 	if _, err := Elect(512, WithBackend("counts"), WithBatchEps(math.NaN())); err == nil {
 		t.Fatal("a NaN batch ε must error")
+	}
+}
+
+// TestScenarioSpecErrorSticks checks that a malformed WithScenario spec
+// fails the run even when a later WithScenario sets a different kind.
+func TestScenarioSpecErrorSticks(t *testing.T) {
+	_, err := Elect(512, WithScenario("nope", "", ""), WithScenario("", "16@1000", ""))
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("malformed churn spec followed by a valid corruption: %v, want the churn spec's error", err)
+	}
+}
+
+// TestScenarioOptionFingerprintPins pins the perturbation the scenario
+// options attach, by the exact fingerprint a checkpoint records: a run
+// under the options writes a snapshot, and resuming it without them fails
+// with an error that quotes the snapshot's perturbation.
+func TestScenarioOptionFingerprintPins(t *testing.T) {
+	const (
+		churn       = "churn(leave=0.0025,join=0.0008,from=0,until=0,minn=4)"
+		churnWindow = "churn(leave=0.0025,join=0.0008,from=0,until=3000,minn=4)"
+		oneShot     = "corrupt(k=128,at=1000,rate=0,from=0,until=0)"
+		bias        = "bias(0=4,1=1,2=0.5)"
+	)
+	for _, c := range []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"churn", []Option{WithChurn(2.5e-3, 8e-4)}, churn},
+		{"corruption", []Option{WithCorruption(128, 1000)}, oneShot},
+		{"bias", []Option{WithBias(4, 1, 0.5)}, bias},
+		{"churn+corruption", []Option{WithChurn(2.5e-3, 8e-4), WithCorruption(128, 1000)}, churn + "+" + oneShot},
+		{"all", []Option{WithChurn(2.5e-3, 8e-4), WithCorruption(128, 1000), WithBias(4, 1, 0.5)},
+			churn + "+" + oneShot + "+" + bias},
+		{"scenario-churn", []Option{WithScenario("2.5e-3:8e-4@3000", "", "")}, churnWindow},
+		{"scenario-churn+corruption", []Option{WithScenario("2.5e-3:8e-4@3000", "128@1000", "")},
+			churnWindow + "+" + oneShot},
+		{"scenario-all", []Option{WithScenario("2.5e-3:8e-4@3000", "128@1000", "0=4,2=0.5")},
+			churnWindow + "+" + oneShot + "+" + bias},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 1024
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			opts := append([]Option{WithSeed(5), WithBudget(3 * n), WithCheckpoint(path, n)}, c.opts...)
+			Stabilize(GS18, n, opts...) // it need not stabilize within the budget
+			_, err := Stabilize(GS18, n, WithSeed(5), WithResume(path))
+			want := "checkpoint was taken under perturbation " + strconv.Quote(c.want) + ";"
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("resume without the scenario: %v, want an error containing %s", err, want)
+			}
+		})
 	}
 }
