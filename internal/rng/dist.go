@@ -298,8 +298,22 @@ func (s *Source) hypergeometricHyp(good, bad, sample int64) int64 {
 	return z
 }
 
+// hruaSpan is how far from the mode d9 a proposal of hypergeometricHRUA
+// may land and still be decided from the product of one-step pmf ratios,
+// at one division per step; proposals farther out pay the four-lgam
+// log-factorial test. In a GSU19 run at n = 10⁸, 88% of proposals land
+// within 32 of d9 (80% within 16); 32 ran faster there than 8 or 16.
+const hruaSpan = 32
+
 // hypergeometricHRUA is the HRUA ratio-of-uniforms rejection algorithm
 // (Stadlober's H2PE family), O(1) expected time per draw.
+//
+// A proposal z is accepted exactly when x² ≤ f(z)/f(d9), f the pmf and d9
+// its mode. Within hruaSpan of d9 that ratio is the product of the
+// one-step ratios (see hruaRatio): no logarithm, no lgam call, and no
+// cancellation between log-factorials near 10⁹. Farther out the classic
+// test decides 2·ln x ≤ ln f(z) − ln f(d9) with its two squeezes, and the
+// mode's log-factorial sum d10 is computed on the first such proposal.
 func (s *Source) hypergeometricHRUA(good, bad, sample int64) int64 {
 	const (
 		d1 = 1.7155277699214135 // 2·sqrt(2/e)
@@ -315,8 +329,8 @@ func (s *Source) hypergeometricHRUA(good, bad, sample int64) int64 {
 	d7 := math.Sqrt(float64(popSize-m)*float64(sample)*d4*d5/float64(popSize-1) + 0.5)
 	d8 := d1*d7 + d2
 	d9 := int64(float64(m+1) * float64(minGoodBad+1) / float64(popSize+2))
-	d10 := lgam(d9+1) + lgam(minGoodBad-d9+1) + lgam(m-d9+1) + lgam(maxGoodBad-m+d9+1)
-	d11 := math.Min(float64(min(m, minGoodBad)+1), math.Floor(d6+16*d7))
+	d11 := min(float64(min(m, minGoodBad)+1), math.Floor(d6+16*d7))
+	d10, haveD10 := 0.0, false
 
 	var z int64
 	for {
@@ -327,6 +341,16 @@ func (s *Source) hypergeometricHRUA(good, bad, sample int64) int64 {
 			continue
 		}
 		z = int64(math.Floor(w))
+		if z-d9 <= hruaSpan && d9-z <= hruaSpan {
+			if x*x <= hruaRatio(z, d9, minGoodBad, maxGoodBad, m) {
+				break
+			}
+			continue
+		}
+		if !haveD10 {
+			d10 = lgam(d9+1) + lgam(minGoodBad-d9+1) + lgam(m-d9+1) + lgam(maxGoodBad-m+d9+1)
+			haveD10 = true
+		}
 		t := d10 - (lgam(z+1) + lgam(minGoodBad-z+1) + lgam(m-z+1) + lgam(maxGoodBad-m+z+1))
 		if x*(4-x)-3 <= t {
 			break // fast acceptance
@@ -347,9 +371,30 @@ func (s *Source) hypergeometricHRUA(good, bad, sample int64) int64 {
 	return z
 }
 
+// hruaRatio returns f(z)/f(mode) for the pmf f(k) ∝ 1/(k!(a−k)!(m−k)!(b−m+k)!)
+// that hypergeometricHRUA samples (a ≤ b the smaller and larger class, m
+// the sample), as the product of the one-step ratios
+// f(k+1)/f(k) = (a−k)(m−k) / ((k+1)(b−m+k+1)) between mode and z. Both z
+// and mode lie in [0, min(a, m)], so every factor is positive. Each step
+// divides before it multiplies into the product: at N = 10¹⁰ a factor's
+// numerator and denominator reach 10²⁰ each, while their quotient stays
+// near 1 within hruaSpan of the mode.
+func hruaRatio(z, mode, a, b, m int64) float64 {
+	fa, fm, fc := float64(a), float64(m), float64(b-m)
+	r := 1.0
+	for k := float64(mode); k < float64(z); k++ {
+		r *= (fa - k) * (fm - k) / ((k + 1) * (fc + k + 1))
+	}
+	for k := float64(z); k < float64(mode); k++ {
+		r *= (k + 1) * (fc + k + 1) / ((fa - k) * (fm - k))
+	}
+	return r
+}
+
 // lgam returns log(Γ(v)) = log((v−1)!) for a positive integer argument.
-// It is the hot inner call of the HRUA sampler (eight evaluations per
-// rejection round), so small arguments come from a precomputed table and
+// It serves the HRUA sampler's log-factorial test: four evaluations at the
+// mode, once per draw and only if some proposal lands beyond hruaSpan, and
+// four per such round. Small arguments come from a precomputed table and
 // large ones from a Stirling expansion — an order of magnitude cheaper than
 // math.Lgamma.
 func lgam(v int64) float64 { return logFactorial(v - 1) }

@@ -75,8 +75,8 @@ func ckptKindName(k byte) string {
 // itself continues.
 type CheckpointSink func(snapshot []byte) error
 
-// Checkpointable is implemented by engines whose complete run state can be
-// serialized and restored: both backends (dense, counts).
+// Checkpointable is the snapshot half of Engine, which embeds it: both
+// backends (dense, counts) serialize and restore their complete run state.
 //
 // The contract is byte-identical resume: Restore into a freshly constructed
 // engine with the same protocol, seed-independent configuration (policy,
@@ -167,37 +167,29 @@ func (c *ckptState) fire(step uint64, snap func() ([]byte, error)) {
 // starts fresh, so a killed run relaunched with the same configuration
 // finishes byte-identically to an uninterrupted one (the
 // resume-equals-replay law). every > 0 then snapshots the engine
-// atomically to path about every that many interactions. The engine's
-// Checkpointable is returned for the caller to check CheckpointErr after
-// Run; it is nil when neither resume nor snapshots are requested.
-func AttachCheckpoint(eng Engine, resume, path string, every uint64) (Checkpointable, error) {
-	if resume == "" && every == 0 {
-		return nil, nil
-	}
-	ck, ok := eng.(Checkpointable)
-	if !ok {
-		return nil, fmt.Errorf("sim: engine %T does not support checkpointing", eng)
-	}
+// atomically to path about every that many interactions; the caller
+// checks the engine's CheckpointErr after Run.
+func AttachCheckpoint(eng Engine, resume, path string, every uint64) error {
 	if resume != "" {
 		data, err := os.ReadFile(resume)
 		switch {
 		case err == nil:
-			if err := ck.Restore(data); err != nil {
-				return nil, fmt.Errorf("sim: resume from %s: %w", resume, err)
+			if err := eng.Restore(data); err != nil {
+				return fmt.Errorf("sim: resume from %s: %w", resume, err)
 			}
 		case !os.IsNotExist(err):
-			return nil, fmt.Errorf("sim: resume: %w", err)
+			return fmt.Errorf("sim: resume: %w", err)
 		}
 	}
 	if every > 0 {
-		ck.SetCheckpoint(every, func(snapshot []byte) error {
+		eng.SetCheckpoint(every, func(snapshot []byte) error {
 			return atomicfile.Write(path, func(w io.Writer) error {
 				_, err := w.Write(snapshot)
 				return err
 			})
 		})
 	}
-	return ck, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

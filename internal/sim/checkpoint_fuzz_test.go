@@ -47,12 +47,11 @@ func fuzzCkptEngine(t testing.TB, kind uint8, churn bool) sim.Engine {
 // stopping at the self-check.
 func restoreResealed(t testing.TB, eng sim.Engine, payload []byte) error {
 	t.Helper()
-	ck := eng.(sim.Checkpointable)
-	template, err := ck.Snapshot()
+	template, err := eng.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ck.Restore(sim.ResealCheckpoint(template, payload))
+	return eng.Restore(sim.ResealCheckpoint(template, payload))
 }
 
 // FuzzCheckpointRestore feeds mutated checkpoint payloads to Restore on
@@ -65,7 +64,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		for _, churn := range []bool{false, true} {
 			eng := fuzzCkptEngine(f, kind, churn)
 			eng.RunSteps(3 * fuzzCkptN)
-			snap, err := eng.(sim.Checkpointable).Snapshot()
+			snap, err := eng.Snapshot()
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -90,7 +89,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if restoreResealed(t, eng, payload) != nil {
 			return
 		}
-		if _, err := eng.(sim.Checkpointable).Snapshot(); err != nil {
+		if _, err := eng.Snapshot(); err != nil {
 			t.Fatalf("restored engine cannot snapshot: %v", err)
 		}
 	})

@@ -88,7 +88,7 @@ func TestCheckpointResumeBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			var snaps [][]byte
-			ck.(sim.Checkpointable).SetCheckpoint(uint64(n), func(b []byte) error {
+			ck.SetCheckpoint(uint64(n), func(b []byte) error {
 				snaps = append(snaps, append([]byte(nil), b...))
 				return nil
 			})
@@ -110,8 +110,7 @@ func TestCheckpointResumeBudget(t *testing.T) {
 			if err := sim.AddProbe(re, recordingProbe(&reSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
-			rc := re.(sim.Checkpointable)
-			if err := rc.Restore(snaps[0]); err != nil {
+			if err := re.Restore(snaps[0]); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			resumeStep := re.Steps()
@@ -155,7 +154,7 @@ func TestCheckpointResumeStabilization(t *testing.T) {
 
 			ck := buildCkptEngine(t, kind, n, seed)
 			var snaps [][]byte
-			ck.(sim.Checkpointable).SetCheckpoint(uint64(n), func(b []byte) error {
+			ck.SetCheckpoint(uint64(n), func(b []byte) error {
 				snaps = append(snaps, append([]byte(nil), b...))
 				return nil
 			})
@@ -166,8 +165,7 @@ func TestCheckpointResumeStabilization(t *testing.T) {
 
 			// Resume from the middle snapshot.
 			re := buildCkptEngine(t, kind, n, seed+1)
-			rc := re.(sim.Checkpointable)
-			if err := rc.Restore(snaps[len(snaps)/2]); err != nil {
+			if err := re.Restore(snaps[len(snaps)/2]); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			sameResult(t, "resumed run vs plain run", re.Run(), refRes)
@@ -323,7 +321,7 @@ func TestCheckpointResumeDenseTracked(t *testing.T) {
 
 func wantRestoreError(t *testing.T, eng sim.Engine, snap []byte, substr string) {
 	t.Helper()
-	err := eng.(sim.Checkpointable).Restore(snap)
+	err := eng.Restore(snap)
 	if err == nil {
 		t.Fatalf("Restore accepted a snapshot that should be rejected (%s)", substr)
 	}
@@ -367,7 +365,7 @@ func wantPayloadError(t *testing.T, kind uint8, churn bool, substr string, patch
 	t.Helper()
 	eng := fuzzCkptEngine(t, kind, churn)
 	eng.RunSteps(3 * fuzzCkptN)
-	snap, err := eng.(sim.Checkpointable).Snapshot()
+	snap, err := eng.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -386,7 +384,7 @@ func TestCheckpointFormatRejection(t *testing.T) {
 	const n = 300
 	eng := buildCkptEngine(t, "counts", n, 5)
 	eng.RunSteps(100)
-	snap, err := eng.(sim.Checkpointable).Snapshot()
+	snap, err := eng.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -480,7 +478,7 @@ func TestCheckpointFormatRejection(t *testing.T) {
 
 	// The valid snapshot still restores after all the rejected attempts.
 	ok := fresh()
-	if err := ok.(sim.Checkpointable).Restore(snap); err != nil {
+	if err := ok.Restore(snap); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 	if ok.Steps() != eng.Steps() {

@@ -159,10 +159,7 @@ func TestCountsInitRunsMatchPerAgentCensus(t *testing.T) {
 
 // sameSnapshots compares e's and ref's snapshots at step 0 and again after
 // a short exact-mode run of both.
-func sameSnapshots(t *testing.T, e, ref interface {
-	Engine
-	Checkpointable
-}) {
+func sameSnapshots(t *testing.T, e, ref Engine) {
 	t.Helper()
 	for _, steps := range []uint64{0, 2000} {
 		e.RunSteps(steps)

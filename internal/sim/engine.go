@@ -18,8 +18,11 @@ import (
 // parallelize, create one engine per trial (see RunTrials).
 //
 // Both backends implement ProbeTarget: census probes (AddProbe, Census) are
-// the backend-agnostic observation mechanism.
+// the backend-agnostic observation mechanism. Both are Checkpointable, so
+// every engine snapshots and restores.
 type Engine interface {
+	Checkpointable
+
 	// Reset reinitializes the population to the protocol's initial
 	// configuration. The PRNG is not reseeded.
 	Reset()

@@ -75,7 +75,7 @@ func TestPerturbedSnapshotPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng.RunSteps(3 * n)
-			snap, err := eng.(sim.Checkpointable).Snapshot()
+			snap, err := eng.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -299,7 +299,7 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			var snaps [][]byte
-			ck.(sim.Checkpointable).SetCheckpoint(uint64(n), func(b []byte) error {
+			ck.SetCheckpoint(uint64(n), func(b []byte) error {
 				snaps = append(snaps, append([]byte(nil), b...))
 				return nil
 			})
@@ -316,7 +316,7 @@ func TestPerturbedCheckpointResume(t *testing.T) {
 			if err := sim.AddProbe(re, recordingProbe(&reSeries), probeEvery); err != nil {
 				t.Fatal(err)
 			}
-			if err := re.(sim.Checkpointable).Restore(snaps[0]); err != nil {
+			if err := re.Restore(snaps[0]); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			resumeStep := re.Steps()
@@ -350,14 +350,14 @@ func TestPerturbCheckpointFlagMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	perturbed.RunSteps(uint64(n))
-	pSnap, err := perturbed.(sim.Checkpointable).Snapshot()
+	pSnap, err := perturbed.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := buildCkptEngine(t, "counts", n, 9)
 	plain.RunSteps(uint64(n))
-	plainSnap, err := plain.(sim.Checkpointable).Snapshot()
+	plainSnap, err := plain.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestPerturbCheckpointFlagMismatch(t *testing.T) {
 	if err := ok.SetPerturbation(churn); err != nil {
 		t.Fatal(err)
 	}
-	if err := ok.(sim.Checkpointable).Restore(pSnap); err != nil {
+	if err := ok.Restore(pSnap); err != nil {
 		t.Fatalf("matching restore rejected: %v", err)
 	}
 	if ok.Steps() != perturbed.Steps() {

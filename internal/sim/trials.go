@@ -151,17 +151,13 @@ func RunTrialsProbed(factory func(trial int) Protocol, cfg TrialConfig, probes .
 		if cfg.Resume {
 			resume = path
 		}
-		ck, err := AttachCheckpoint(eng, resume, path, cfg.CheckpointEvery)
-		if err != nil {
+		if err := AttachCheckpoint(eng, resume, path, cfg.CheckpointEvery); err != nil {
 			return err
 		}
 		res := eng.Run()
 		res.Seed = uint64(t)
 		results[t] = res
-		if ck != nil {
-			return ck.CheckpointErr()
-		}
-		return nil
+		return eng.CheckpointErr()
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -40,7 +40,11 @@ import (
 // Normal for large variances), which moves every batched run.
 // Version 4: batches no longer reuse the serial sampler's alias table
 // across batches, which moves serially sampled batched runs.
-const schemaVersion = 4
+// Version 5: HRUA decides proposals near the mode from a product of pmf
+// ratios instead of a difference of log-factorials, which flips a few
+// rounding-close decisions and moves some batched runs at large n; the
+// key hash no longer renders the removed sharded-engine fields.
+const schemaVersion = 5
 
 // Key identifies one cached computation. Every field that influences the
 // simulated trajectory or its observation must appear here; two runs with
@@ -137,10 +141,6 @@ func (k Key) Hash() string {
 	field("backend", k.Backend)
 	field("batch", k.Batch)
 	field("workers", strconv.Itoa(k.Workers))
-	// Removed sharded-engine fields, kept constant so existing entries keep their addresses.
-	field("shards", "0")
-	field("migration", "0")
-	field("shardEpoch", "0")
 	field("gamma", strconv.Itoa(k.Gamma))
 	field("probeEvery", strconv.FormatUint(k.ProbeEvery, 10))
 	field("extra", k.Extra)

@@ -27,9 +27,10 @@ func testKey() store.Key {
 
 // TestKeyHashGolden pins the content address of testKey, so entries
 // written by earlier binaries keep answering lookups. It moves only with a
-// deliberate schemaVersion bump.
+// deliberate schemaVersion bump. Schema 4, with the constant sharded-engine
+// fields, gave d6cdb6d45ff76cd36e7045569ef02abe79f7b8fd9b94e4d89cb98dbb31f39967.
 func TestKeyHashGolden(t *testing.T) {
-	const want = "d6cdb6d45ff76cd36e7045569ef02abe79f7b8fd9b94e4d89cb98dbb31f39967"
+	const want = "22a36776f3431b4c7d5b7d643ace6e0b7795c1facadbc55df928b7a8729f5ed9"
 	if got := testKey().Hash(); got != want {
 		t.Fatalf("testKey hash %s, golden %s — existing store entries would miss", got, want)
 	}

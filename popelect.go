@@ -368,8 +368,7 @@ func run(inst protocols.Instance, o options) (Result, error) {
 	// Restore after probes are registered (the snapshot's probe schedules
 	// must match the engine's probe set) and before the timeline's initial
 	// sample, which records the restored census at the restored step.
-	ck, err := sim.AttachCheckpoint(eng, o.resumePath, o.ckptPath, o.ckptEvery)
-	if err != nil {
+	if err := sim.AttachCheckpoint(eng, o.resumePath, o.ckptPath, o.ckptEvery); err != nil {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	if record != nil {
@@ -380,10 +379,8 @@ func run(inst protocols.Instance, o options) (Result, error) {
 		record(eng.Steps(), cv)
 	}
 	res := eng.Run()
-	if ck != nil {
-		if err := ck.CheckpointErr(); err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
+	if err := eng.CheckpointErr(); err != nil {
+		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	if !res.Converged {
 		return Result{}, fmt.Errorf("popelect: %s did not stabilize within %d interactions",
